@@ -61,7 +61,6 @@ from .reductions import (
     x3c_via_dodgson,
     efas_via_kemeny,
     build_padded_parameter_profile,
-    check_young_reduction_contract,
     detect_margin_multiplier,
     efas_bruteforce,
     enumerate_eulerian_digraphs,
@@ -72,7 +71,6 @@ from .reductions import (
     top_slice_matches,
     x3c_bruteforce,
     x3c_to_dodgson,
-    x3c_to_young,
 )
 from .rules_exact import (
     Committee,

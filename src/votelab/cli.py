@@ -266,9 +266,6 @@ def main(argv=None) -> int:
     except ConstructionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONSTRUCTION
-    except NotImplementedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONSTRUCTION
     except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

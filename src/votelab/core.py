@@ -141,6 +141,11 @@ class Profile:
         """Distinct ranking -> multiplicity. Solvers iterate this view."""
         return dict(Counter(self.rankings))
 
+    @cached_property
+    def wmg(self) -> "WMG":
+        """Pairwise margins, tallied once per profile; read them via :func:`wmg`."""
+        return _tally_margins(self)
+
 
 @dataclass(frozen=True)
 class WeightedProfile:
@@ -177,6 +182,11 @@ class WeightedProfile:
     @property
     def total_weight(self) -> Fraction:
         return sum((w for _, w in self.entries), Fraction(0))
+
+    @cached_property
+    def wmg(self) -> "WMG":
+        """Pairwise margins, tallied once per profile; read them via :func:`wmg`."""
+        return _tally_margins(self)
 
 
 AnyProfile = Union[Profile, WeightedProfile]
@@ -400,7 +410,15 @@ def iter_app_last(p: Profile, m_prime: int) -> Iterator[Profile]:
 
 
 def wmg(p: AnyProfile) -> WMG:
-    """Pairwise net-margin matrix of a (weighted) profile."""
+    """Pairwise net-margin matrix of a (weighted) profile.
+
+    The matrix is cached on the profile object, so its ballots are
+    scanned for margins at most once; every margin consumer reads it here.
+    """
+    return p.wmg
+
+
+def _tally_margins(p: AnyProfile) -> WMG:
     m = p.m
     zero: Union[int, Fraction] = 0 if isinstance(p, Profile) else Fraction(0)
     rows = [[zero] * m for _ in range(m)]
@@ -432,11 +450,15 @@ def deficit(p: Profile, a: int, b: int) -> int:
     """Extra ``a``-over-``b`` votes needed before ``a`` majority-beats ``b``.
 
     ``max(0, n//2 + 1 - votes(a over b))``; zero exactly when ``a``
-    already beats ``b`` by strict majority.
+    already beats ``b`` by strict majority. The vote count is read off
+    the margin: ``votes(a over b) = (n + margin(a, b)) / 2``, an integer
+    because ``n`` and the margin share parity.
     """
     if a == b:
         raise ValueError("deficit needs two distinct alternatives")
-    votes = sum(w for r, w in p.grouped.items() if r.prefers(a, b))
+    if not (0 <= a < p.m and 0 <= b < p.m):
+        raise ValueError(f"alternatives ({a},{b}) out of range 0..{p.m - 1}")
+    votes = (p.n + wmg(p).margin(a, b)) // 2
     return max(0, p.n // 2 + 1 - votes)
 
 

@@ -32,7 +32,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Profile, Ranking
+from .core import Profile, Ranking, wmg
 from .greedy_dodgson import Decision, greedy_dodgson, immediately_above_count
 from .models import AlphaIC, PartialAltRandomization, all_rankings, model_from_spec
 from .reductions import (
@@ -314,14 +314,13 @@ def run_concentration_tails(cfg: ExperimentConfig) -> TrialReport:
     rows = []
     any_event = []
     for trial, profile, target in _trial_profiles(cfg, model):
+        margins = wmg(profile)
         row = {"trial": trial}
         hit = 0
         for b in range(m):
             if b == target:
                 continue
-            outranked = sum(
-                count for r, count in profile.grouped.items() if r.prefers(b, target)
-            )
+            outranked = (profile.n + margins.margin(b, target)) // 2
             adjacent = immediately_above_count(profile, target, b)
             row[f"outranked_by_{b}"] = outranked
             row[f"directly_above_{b}"] = adjacent
@@ -570,7 +569,8 @@ def write_report(report: TrialReport, out_dir) -> dict:
     """Write CSV rows, a JSON summary, and optional plot data.
 
     Outputs are a pure function of the config: no timestamps, sorted
-    keys, repr'd floats.
+    keys, repr'd floats. CSV columns are the union of all rows' keys
+    (rows may differ, e.g. per-trial targets), and an absent cell is empty.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -578,11 +578,11 @@ def write_report(report: TrialReport, out_dir) -> dict:
     stem = f"{cfg.claim}_{cfg.config_hash()}"
 
     csv_path = out / f"{stem}.csv"
-    columns = sorted(report.rows[0].keys() - {"trial"})
+    columns = sorted(set().union(*report.rows) - {"trial"})
     header = ["trial"] + columns
     lines = [",".join(header)]
     for row in report.rows:
-        lines.append(",".join(str(row[c]) for c in header))
+        lines.append(",".join(str(row.get(c, "")) for c in header))
     csv_path.write_text("\n".join(lines) + "\n")
 
     summary = {

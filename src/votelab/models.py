@@ -213,25 +213,7 @@ def sample_profile(pp: ParameterProfile, rng: np.random.Generator) -> Profile:
 
 def wmg_of_distribution(model, parameter: Ranking) -> WMG:
     """Expected margin matrix of one draw, in exact rationals."""
-    if hasattr(model, "distribution_wmg"):
-        return model.distribution_wmg(parameter)
-    # Fallback: enumerate the pmf.
-    if model.m > MAX_ENUMERATION_M:
-        raise BudgetExceededError(f"enumeration limited to m<={MAX_ENUMERATION_M}")
-    rows = [[Fraction(0)] * model.m for _ in range(model.m)]
-    for r in all_rankings(model.m):
-        prob = pmf(model, parameter, r)
-        if prob == 0:
-            continue
-        pos = r.positions
-        for a in range(model.m):
-            for b in range(a + 1, model.m):
-                sign = 1 if pos[a] < pos[b] else -1
-                rows[a][b] += sign * prob
-    for a in range(model.m):
-        for b in range(a + 1, model.m):
-            rows[b][a] = -rows[a][b]
-    return WMG(tuple(tuple(row) for row in rows))
+    return model.distribution_wmg(parameter)
 
 
 def three_cycle_max_weight(model, parameter: Ranking) -> Fraction:

@@ -41,8 +41,6 @@ __all__ = [
     "DodgsonReductionOutput",
     "x3c_bruteforce",
     "x3c_to_dodgson",
-    "x3c_to_young",
-    "check_young_reduction_contract",
     "build_padded_parameter_profile",
     "top_slice_matches",
     "x3c_via_dodgson",
@@ -189,19 +187,12 @@ def x3c_to_dodgson(inst: X3CInstance) -> DodgsonReductionOutput:
             head = [element_alts[i], companion_alts[i], critical]
             counted.append((_fill_ascending(head, m1), copies))
 
-    # Each element alternative currently leads the critical one by the
-    # same margin; top it up to exactly +1 with copies of one long ballot.
-    base = Profile.from_counts(counted)
-    margins = wmg(base)
-    leads = {margins.margin(a, critical) for a in element_alts}
-    if len(leads) != 1:
-        raise ConstructionError(f"unequal element leads {sorted(leads)}")
-    lead = leads.pop()
-    booster_copies = 1 - lead
-    if booster_copies < 0:
-        raise ConstructionError(
-            f"element lead {lead} already exceeds 1; cannot remove ballots"
-        )
+    # Subset ballots give element i a lead of 2*membership[i] - s over the
+    # critical alternative; the balancing ballots add 2*copies[i] minus all
+    # q*max_membership - 3s copies. Every element thus leads by
+    # 2s - (q-2)*max_membership; top it up to exactly +1 with copies of
+    # one long ballot.
+    booster_copies = 1 - (2 * s - (q - 2) * max_membership)
     if booster_copies > 0:
         head = list(element_alts) + list(companion_alts) + [critical]
         counted.append((_fill_ascending(head, m1), booster_copies))
@@ -214,36 +205,6 @@ def x3c_to_dodgson(inst: X3CInstance) -> DodgsonReductionOutput:
     if profile.n > 2 * (q + 1) * s + 1:
         raise ConstructionError("profile larger than the size bound")
     return DodgsonReductionOutput(profile, critical, 4 * q // 3, layout)
-
-
-# ---------------------------------------------------------------------------
-# Exact cover -> Young (interface only)
-
-
-def x3c_to_young(inst: X3CInstance):
-    """Extension point: a profile whose critical Young score is >= 1 iff a cover exists.
-
-    No construction is wired in; the contract it must satisfy is checked
-    by :func:`check_young_reduction_contract`.
-    """
-    raise NotImplementedError(
-        "the exact-cover-to-Young profile construction is an extension point; "
-        "supply a builder and validate it with check_young_reduction_contract"
-    )
-
-
-def check_young_reduction_contract(
-    inst: X3CInstance,
-    profile: Profile,
-    critical: int,
-    *,
-    young_budget: int = 20,
-) -> bool:
-    """Does a supplied construction satisfy the equivalence contract?"""
-    from .rules_exact import young_score_exact
-
-    expected = x3c_bruteforce(inst)
-    return (young_score_exact(profile, critical, budget=young_budget) >= 1) == expected
 
 
 # ---------------------------------------------------------------------------

@@ -162,7 +162,8 @@ def dodgson_score_within(
 def dodgson_score_exact(p: Profile, a: int, *, budget: int = DEFAULT_DODGSON_BUDGET) -> int:
     """Minimum adjacent swaps making ``a`` the strict-majority Condorcet winner."""
     score = dodgson_score_within(p, a, None, budget=budget)
-    assert score is not None
+    if score is None:
+        raise RuntimeError("dodgson search without a cutoff ended with no score")
     return score
 
 

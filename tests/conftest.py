@@ -2,8 +2,9 @@
 
 Oracles here deliberately avoid the package's solver code paths: the
 Kemeny oracle enumerates all rankings, the assignment oracles enumerate
-raw assignment functions, and the pairwise-disagreement oracle counts
-pairs directly. Expected values in tests are frozen from these.
+raw assignment functions, and the pairwise-disagreement and margin
+oracles count pairs ballot by ballot. Expected values in tests are frozen
+from these.
 """
 
 from __future__ import annotations
@@ -32,6 +33,32 @@ def kt_brute(r1: Ranking, r2: Ranking) -> int:
         for a, b in itertools.combinations(range(r1.m), 2)
         if r1.prefers(a, b) != r2.prefers(a, b)
     )
+
+
+def votes_brute(p: Profile, a: int, b: int) -> int:
+    """Voters ranking ``a`` above ``b``, counted ballot by ballot."""
+    return sum(1 for r in p.rankings if r.prefers(a, b))
+
+
+def margins_brute(p) -> list[list]:
+    """Net pairwise margins summed entry by entry; weighted entries keep their ``Fraction``."""
+    entries = [(r, 1) for r in p.rankings] if isinstance(p, Profile) else p.entries
+    rows = [[0] * p.m for _ in range(p.m)]
+    for r, w in entries:
+        for a, b in itertools.permutations(range(p.m), 2):
+            rows[a][b] += w if r.prefers(a, b) else -w
+    return rows
+
+
+def deficit_brute(p: Profile, a: int, b: int) -> int:
+    return max(0, p.n // 2 + 1 - votes_brute(p, a, b))
+
+
+def condorcet_brute(p: Profile):
+    for a in range(p.m):
+        if all(2 * votes_brute(p, a, b) > p.n for b in range(p.m) if b != a):
+            return a
+    return None
 
 
 def kemeny_brute(p: Profile) -> tuple[Ranking, int]:

@@ -267,6 +267,29 @@ class TestExperimentCommand:
         summary = json.loads(Path(result["json"]).read_text())
         jsonschema.validate(summary, load_schema("experiment_summary.schema.json"))
 
+    def test_rows_with_varying_columns(self, capsys, tmp_path):
+        # Each trial queries the bottom of its own last parameter, so rows
+        # name different rivals; absent cells are written empty.
+        config = {
+            "claim": "concentration",
+            "trials": 20,
+            "seed": 11,
+            "m": 4,
+            "n": 200,
+            "model": {"model": "alpha_ic", "alpha": "3/4"},
+            "adversary": "random_profile",
+        }
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        code, result = run_cli(
+            capsys, "experiment", "--config", str(cfg_path), "--out-dir", str(tmp_path)
+        )
+        assert code == 0
+        lines = Path(result["csv"]).read_text().splitlines()
+        assert len(lines) == 21
+        assert len({len(line.split(",")) for line in lines}) == 1
+        assert any("" in line.split(",") for line in lines[1:])
+
     def test_malformed_config_is_input_error(self, capsys, tmp_path):
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text('{"claim": "definitely_rate"')

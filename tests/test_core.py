@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -21,7 +22,7 @@ from votelab import (
     top_k,
     wmg,
 )
-from conftest import kt_brute
+from conftest import condorcet_brute, deficit_brute, kt_brute, margins_brute
 
 st_m = st.integers(3, 6)
 
@@ -239,6 +240,8 @@ class TestCondorcetAndDeficit:
     def test_deficit_rejects_equal_pair(self):
         with pytest.raises(ValueError):
             deficit(Profile((ABC,)), 1, 1)
+        with pytest.raises(ValueError):
+            deficit(Profile((ABC,)), -1, 0)
 
     @given(st_profile())
     @settings(max_examples=60, deadline=None)
@@ -249,6 +252,37 @@ class TestCondorcetAndDeficit:
                 deficit(p, a, b) == 0 for b in range(p.m) if b != a
             )
             assert zero_everywhere == (winner == a)
+
+
+class TestMarginKernel:
+    """The cached margin matrix against ballot-by-ballot recounts."""
+
+    @given(st_profile(max_m=7, max_n=30))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_per_ballot_oracles(self, p):
+        graph = wmg(p)
+        assert graph is wmg(p)
+        assert [list(row) for row in graph.margins] == margins_brute(p)
+        for a, b in itertools.permutations(range(p.m), 2):
+            assert deficit(p, a, b) == deficit_brute(p, a, b)
+        assert condorcet_winner(p) == condorcet_brute(p)
+        assert wmg(Profile.from_counts(Counter(p.rankings).items())) == graph
+
+    @given(
+        st.integers(3, 6).flatmap(
+            lambda m: st.lists(
+                st.tuples(st_ranking(m), st.fractions(0, 5, max_denominator=7)),
+                min_size=1,
+                max_size=8,
+            )
+        ).filter(lambda entries: sum(w for _, w in entries) > 0)
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_weighted_matches_per_entry_sum(self, entries):
+        wp = WeightedProfile(tuple(entries))
+        graph = wmg(wp)
+        assert graph is wmg(wp)
+        assert [list(row) for row in graph.margins] == margins_brute(wp)
 
 
 class TestBackwardArcs:

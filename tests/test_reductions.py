@@ -19,7 +19,6 @@ from votelab import (
     efas_via_kemeny,
     app_last,
     build_padded_parameter_profile,
-    check_young_reduction_contract,
     detect_margin_multiplier,
     dodgson_score_exact,
     dodgson_score_within,
@@ -35,7 +34,6 @@ from votelab import (
     wmg,
     x3c_bruteforce,
     x3c_to_dodgson,
-    x3c_to_young,
     young_score_exact,
 )
 from conftest import random_ranking
@@ -114,24 +112,6 @@ class TestDodgsonReduction:
                 padded = app_last(out.profile, extra)
                 assert dodgson_score_exact(padded, out.critical) == base_d
                 assert young_score_exact(padded, out.critical) == base_y
-
-
-class TestYoungReductionInterface:
-    def test_extension_point_raises(self):
-        with pytest.raises(NotImplementedError):
-            x3c_to_young(SINGLETON)
-
-    def test_contract_checker_accepts_consistent_stub(self):
-        # YES instance with the critical alternative topping one ballot:
-        # a one-ballot sub-multiset certifies it, so score >= 1
-        profile = Profile.of([[3, 0, 1, 2]])
-        assert check_young_reduction_contract(SINGLETON, profile, 3)
-
-    def test_contract_checker_rejects_inconsistent_stub(self):
-        # YES instance but the critical alternative sits at the bottom of
-        # every ballot: Young score 0 breaks the equivalence
-        profile = Profile.of([[0, 1, 2, 3], [2, 1, 0, 3]])
-        assert not check_young_reduction_contract(SINGLETON, profile, 3)
 
 
 class TestPaddedParameterProfile:

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from votelab import rules_exact
 from votelab import (
     BudgetExceededError,
     Committee,
@@ -64,6 +65,12 @@ class TestDodgsonExact:
         assert score > 0
         assert dodgson_score_within(p, 0, score) == score
         assert dodgson_score_within(p, 0, score - 1) is None
+
+    def test_missing_uncut_score_raises(self, monkeypatch):
+        # A real check, not an assert, so it survives python -O.
+        monkeypatch.setattr(rules_exact, "dodgson_score_within", lambda *a, **k: None)
+        with pytest.raises(RuntimeError):
+            dodgson_score_exact(Profile.of([[0, 1, 2]]), 0)
 
     def test_budget_error(self):
         p = Profile.of([[1, 2, 0]] * 5)

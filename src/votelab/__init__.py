@@ -55,7 +55,6 @@ from .models import (
 )
 from .reductions import (
     DodgsonReductionOutput,
-    EfasThresholds,
     MCGARVEY_MULTIPLIER,
     X3CInstance,
     x3c_via_dodgson,
@@ -65,7 +64,6 @@ from .reductions import (
     efas_bruteforce,
     enumerate_eulerian_digraphs,
     enumerate_x3c_instances,
-    exact_efas_thresholds,
     kt_formula,
     mcgarvey_profile,
     top_slice_matches,

@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -183,10 +184,9 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    cfg_data = json.loads(Path(args.config).read_text())
+    cfg = ExperimentConfig.from_dict(json.loads(Path(args.config).read_text()))
     if args.out_dir is not None:
-        cfg_data["out_dir"] = args.out_dir
-    cfg = ExperimentConfig.from_dict(cfg_data)
+        cfg = replace(cfg, out_dir=args.out_dir)
     report = run_experiment(cfg)
     out_dir = cfg.out_dir or "."
     paths = write_report(report, out_dir)

@@ -227,15 +227,6 @@ class WMG:
     def margin(self, a: int, b: int) -> Union[int, Fraction]:
         return self.margins[a][b]
 
-    def l1_distance(self, other: "WMG") -> Union[int, Fraction]:
-        if other.m != self.m:
-            raise DimensionError("margin matrices must share m")
-        return sum(
-            abs(self.margins[a][b] - other.margins[a][b])
-            for a in range(self.m)
-            for b in range(self.m)
-        )
-
     def scaled(self, factor: Union[int, Fraction]) -> "WMG":
         return WMG(tuple(tuple(v * factor for v in row) for row in self.margins))
 
@@ -299,16 +290,6 @@ class Digraph:
                     seen.add(w)
                     stack.append(w)
         return len(seen) == len(active)
-
-    def margin_matrix(self) -> WMG:
-        """Adjacency as a +/-1 margin matrix; requires no 2-cycles."""
-        if self.has_two_cycle():
-            raise ValueError("2-cycles have no antisymmetric margin matrix")
-        rows = [[0] * self.m for _ in range(self.m)]
-        for u, v in self.arcs:
-            rows[u][v] = 1
-            rows[v][u] = -1
-        return WMG(tuple(tuple(row) for row in rows))
 
 
 def _check_same_m(r1: Ranking, r2: Ranking) -> None:

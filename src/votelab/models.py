@@ -19,7 +19,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
@@ -91,11 +91,7 @@ class AlphaIC:
         # The uniform share is pairwise symmetric, so margins are the
         # parameter's, scaled by the point-mass weight.
         _check_parameter(self, parameter)
-        factor = 1 - self.alpha
-        base = wmg(Profile((parameter,)))
-        return WMG(
-            tuple(tuple(Fraction(v) * factor for v in row) for row in base.margins)
-        )
+        return wmg(Profile((parameter,))).scaled(1 - self.alpha)
 
 
 @dataclass(frozen=True)
@@ -277,10 +273,21 @@ def model_from_spec(spec: dict, m: int):
 
     ``{"model": "alpha_ic", "alpha": "2/3"}`` or
     ``{"model": "partial_alt", "K": 4}``; ``m`` comes from context.
+    Anything else, a non-object included, raises ``ValueError``.
     """
+    if not isinstance(spec, dict):
+        raise ValueError(f"model spec must be a JSON object, got {spec!r}")
     kind = spec.get("model")
     if kind == "alpha_ic":
-        return AlphaIC(m, Fraction(spec["alpha"]))
+        return AlphaIC(m, _spec_number(spec, "alpha", Fraction))
     if kind == "partial_alt":
-        return PartialAltRandomization(m, int(spec["K"]))
+        return PartialAltRandomization(m, _spec_number(spec, "K", int))
     raise ValueError(f"unknown model spec {spec!r}")
+
+
+def _spec_number(spec: dict, key: str, convert: Callable):
+    value = spec.get(key)
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"model spec {key!r} must be a number, got {value!r}") from None

@@ -48,8 +48,6 @@ __all__ = [
     "mcgarvey_profile",
     "detect_margin_multiplier",
     "kt_formula",
-    "EfasThresholds",
-    "exact_efas_thresholds",
     "efas_via_kemeny",
     "efas_bruteforce",
     "enumerate_x3c_instances",
@@ -212,10 +210,7 @@ def x3c_to_dodgson(inst: X3CInstance) -> DodgsonReductionOutput:
 
 
 def build_padded_parameter_profile(
-    out: DodgsonReductionOutput,
-    model,
-    m_total: int,
-    K: Optional[int] = None,
+    out: DodgsonReductionOutput, model, m_total: int
 ) -> ParameterProfile:
     """Unit-weight parameters: reduction ballots with dummies appended.
 
@@ -229,12 +224,8 @@ def build_padded_parameter_profile(
         raise ValueError(f"m_total={m_total} below reduction width {m1}")
     if getattr(model, "m", m_total) != m_total:
         raise ValueError("model must live on m_total alternatives")
-    if isinstance(model, PartialAltRandomization):
-        width = model.K if K is None else K
-        if width < m1:
-            raise ValueError(f"K={width} below reduction width {m1}")
-        if width != model.K:
-            raise ValueError("explicit K must match the model's K")
+    if isinstance(model, PartialAltRandomization) and model.K < m1:
+        raise ValueError(f"K={model.K} below reduction width {m1}")
     padded = out.profile if m_total == m1 else app_last(out.profile, m_total - m1)
     entries = tuple((r, Fraction(1)) for r in padded.rankings)
     return ParameterProfile(entries, model)
@@ -324,6 +315,19 @@ def detect_margin_multiplier(p: Union[Profile, WeightedProfile], g: Digraph) -> 
     return multiplier if multiplier is not None else Fraction(0)
 
 
+def _closed_form_distance(
+    p: Union[Profile, WeightedProfile], g: Digraph, f: int
+) -> Fraction:
+    """``W/2 * C(m,2) - lambda*|E|/2 + lambda*f`` for a margin-realizing profile.
+
+    ``W`` is the total ballot weight and ``lambda`` the margin multiplier,
+    which :func:`detect_margin_multiplier` checks against the graph.
+    """
+    multiplier = detect_margin_multiplier(p, g)
+    total = Fraction(p.n) if isinstance(p, Profile) else p.total_weight
+    return total * math.comb(g.m, 2) / 2 - multiplier * g.edge_count / 2 + multiplier * f
+
+
 def kt_formula(p: Union[Profile, WeightedProfile], g: Digraph, r: Ranking) -> Fraction:
     """Closed-form profile distance for margin-realizing profiles.
 
@@ -335,11 +339,7 @@ def kt_formula(p: Union[Profile, WeightedProfile], g: Digraph, r: Ranking) -> Fr
     """
     if p.m != g.m or r.m != g.m:
         raise ConstructionError("profile, graph, and ranking must share m")
-    multiplier = detect_margin_multiplier(p, g)
-    total = Fraction(p.n) if isinstance(p, Profile) else p.total_weight
-    pairs = math.comb(g.m, 2)
-    f = backward_arcs(g, r)
-    return total * pairs / 2 - multiplier * g.edge_count / 2 + multiplier * f
+    return _closed_form_distance(p, g, backward_arcs(g, r))
 
 
 # ---------------------------------------------------------------------------
@@ -363,57 +363,30 @@ def efas_bruteforce(g: Digraph, t: int, *, max_m: int = 8) -> bool:
     return best <= t
 
 
-@dataclass(frozen=True)
-class EfasThresholds:
-    """Score-threshold shape for the feedback-arc driver.
-
-    The Kemeny query uses ``base + t * scale + slack``; the sampled
-    margin matrix is accepted when its L1 distance from the scaled graph
-    stays within ``guard_radius``.
-    """
-
-    base: Fraction
-    scale: Fraction
-    slack: Fraction = Fraction(0)
-    guard_radius: Fraction = Fraction(0)
-
-
-def exact_efas_thresholds(p: Union[Profile, WeightedProfile], g: Digraph) -> EfasThresholds:
-    """Zero-slack thresholds matching the closed-form distance exactly."""
-    multiplier = detect_margin_multiplier(p, g)
-    total = Fraction(p.n) if isinstance(p, Profile) else p.total_weight
-    base = total * math.comb(g.m, 2) / 2 - multiplier * g.edge_count / 2
-    return EfasThresholds(base=base, scale=multiplier)
-
-
 def efas_via_kemeny(
     g: Digraph,
     t: int,
     kemeny_decider: Callable[[Profile, Fraction], bool],
     profile_builder: Callable[[Digraph], Profile] = mcgarvey_profile,
-    thresholds: Optional[EfasThresholds] = None,
     *,
     strict: bool = True,
 ) -> Decision:
     """Feedback-arc decision through a Kemeny threshold query.
 
-    Build a margin-realizing profile, bail out YES if its margins strayed
-    past the guard radius, otherwise ask whether any ranking's total
-    disagreement stays within ``base + t * scale + slack``. With the
-    deterministic builder and zero slack the chain is exact: rankings
-    within threshold correspond one-to-one to orders with at most ``t``
-    backward arcs.
+    Build a margin-realizing profile and ask whether any ranking's total
+    disagreement stays within the closed-form distance at ``t`` backward
+    arcs. The chain is exact: rankings within that limit correspond
+    one-to-one to orders with at most ``t`` backward arcs. A negative
+    ``t`` is NO outright, since no order has fewer than zero backward
+    arcs; the limit alone cannot say so when the multiplier is 0.
     """
     if strict and not g.is_eulerian():
         raise ValueError("graph is not Eulerian; pass strict=False to override")
     profile = profile_builder(g)
-    if thresholds is None:
-        thresholds = exact_efas_thresholds(profile, g)
-    reference = g.margin_matrix().scaled(thresholds.scale)
-    if wmg(profile).l1_distance(reference) > thresholds.guard_radius:
-        return Decision.YES
-    limit = thresholds.base + t * thresholds.scale + thresholds.slack
-    return Decision.NO if not kemeny_decider(profile, limit) else Decision.YES
+    limit = _closed_form_distance(profile, g, t)
+    if t < 0 or not kemeny_decider(profile, limit):
+        return Decision.NO
+    return Decision.YES
 
 
 # ---------------------------------------------------------------------------

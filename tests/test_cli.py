@@ -1,11 +1,14 @@
 import json
+import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import jsonschema
 import pytest
 
+import votelab
 from votelab import Digraph, Profile, Ranking, WeightedProfile, X3CInstance
 from votelab.cli import main
 from votelab import io as vio
@@ -296,7 +299,61 @@ class TestExperimentCommand:
         assert main(["experiment", "--config", str(cfg_path)]) == 1
 
 
+SMALL_CONFIG = {
+    "claim": "definitely_rate", "trials": 5, "seed": 1, "m": 3, "n": 10,
+    "model": {"model": "alpha_ic", "alpha": "2/3"},
+}
+
+
+class TestMalformedJson:
+    @pytest.mark.parametrize(
+        "command, payload, named",
+        [
+            ("sample", [1], "[1]"),
+            ("sample", "str", "'str'"),
+            ("sample", {"model": "alpha_ic", "alpha": None}, "None"),
+            ("sample", {"model": "partial_alt", "K": [1]}, "[1]"),
+            ("experiment", [], "[]"),
+            ("experiment", {**SMALL_CONFIG, "trials": "5"}, "'5'"),
+            ("experiment", {**SMALL_CONFIG, "seed": "x"}, "'x'"),
+            ("experiment", {**SMALL_CONFIG, "model": []}, "[]"),
+        ],
+    )
+    def test_rejected_as_input_error(self, capsys, tmp_path, command, payload, named):
+        text = json.dumps(payload)
+        if command == "sample":
+            params = tmp_path / "params.wprofile"
+            vio.write_weighted_profile(
+                WeightedProfile(((Ranking.of([0, 1, 2]), Fraction(1)),)), params
+            )
+            argv = ["sample", "--model", text, "--params", str(params),
+                    "--out", str(tmp_path / "out.profile"), "--seed", "1"]
+        else:
+            cfg_path = tmp_path / "cfg.json"
+            cfg_path.write_text(text)
+            argv = ["experiment", "--config", str(cfg_path), "--out-dir", str(tmp_path)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert named in err
+
+
 class TestConsoleEntryPoint:
+    def test_import_loads_neither_networkx_nor_scipy(self):
+        # Keeps CLI start-up cheap: networkx is imported only inside
+        # Monroe scoring, and scipy is a test dependency.
+        src = Path(votelab.__file__).resolve().parents[1]
+        code = (
+            "import sys, votelab.cli; "
+            "print(sorted({m.split('.')[0] for m in sys.modules} & {'networkx', 'scipy'}))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
     def test_module_invocation(self, tmp_path):
         path = tmp_path / "p.profile"
         vio.write_profile(Profile.of([[0, 1, 2]]), path)

@@ -97,6 +97,31 @@ class TestClaim1:
         assert report.all_pass
         assert math.isclose(report.summary["bounds"]["tail_bound"], math.exp(-1))
 
+    def test_per_label_rates_count_only_rival_trials(self):
+        # Under per-trial targets a label is the target, not a rival, in
+        # about 1/m of the trials; its rate is over the others only.
+        cfg = ExperimentConfig(
+            claim="concentration", trials=200, seed=11, m=4, n=40,
+            model={"model": "alpha_ic", "alpha": "3/4"}, adversary="random_profile",
+        )
+        report = run_concentration_tails(cfg)
+        beta = Fraction(report.summary["bounds"]["beta"])
+        tail_bound = report.summary["bounds"]["tail_bound"]
+        per_label = {"majority_overshoot_tail": [], "adjacency_shortfall_tail": []}
+        for b in range(cfg.m):
+            rival_rows = [row for row in report.rows if f"outranked_by_{b}" in row]
+            rivals = len(rival_rows)
+            overshoot = sum(row[f"outranked_by_{b}"] > Fraction(cfg.n, 2) + beta for row in rival_rows)
+            shortfall = sum(row[f"directly_above_{b}"] < beta for row in rival_rows)
+            per_label["majority_overshoot_tail"].append((overshoot / rivals, rivals))
+            per_label["adjacency_shortfall_tail"].append((shortfall / rivals, rivals))
+        for check in report.summary["checks"]:
+            rate, rivals = max(per_label[check["name"]], key=lambda pair: pair[0])
+            se = math.sqrt(rate * (1 - rate) / rivals)
+            assert report.summary["frequencies"][check["name"]] == rate
+            assert check["threshold"] == pytest.approx(tail_bound + 3 * se, rel=1e-12)
+        assert report.summary["frequencies"]["adjacency_shortfall_tail"] == 19 / 151
+
     def test_maybe_rate_bounded_by_union_of_tails(self):
         # same seed => identical sampled profiles in both runs
         common = dict(trials=500, seed=77, m=3, n=648, model=ALPHA_IC)

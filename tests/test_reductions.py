@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from votelab import (
     BudgetExceededError,
@@ -10,7 +11,6 @@ from votelab import (
     Decision,
     Digraph,
     MCGARVEY_MULTIPLIER,
-    EfasThresholds,
     PartialAltRandomization,
     Profile,
     Ranking,
@@ -42,6 +42,23 @@ SINGLETON = X3CInstance.of(3, [[0, 1, 2]])
 Q6_YES = X3CInstance.of(6, [[0, 1, 2], [3, 4, 5]])
 Q6_NO = X3CInstance.of(6, [[0, 1, 2], [2, 3, 4], [0, 4, 5], [1, 3, 5]])
 THREE_CYCLE = Digraph.of(3, [(0, 1), (1, 2), (2, 0)])
+
+
+def st_two_cycle_free_digraph():
+    """Each vertex pair of an m-vertex graph, m in 3..6, gets no arc or one arc."""
+
+    def build(m):
+        pairs = list(itertools.combinations(range(m), 2))
+        orientations = st.lists(
+            st.sampled_from((0, 1, 2)), min_size=len(pairs), max_size=len(pairs)
+        )
+        return orientations.map(
+            lambda chosen: Digraph.of(
+                m, [(u, v) if o == 1 else (v, u) for (u, v), o in zip(pairs, chosen) if o]
+            )
+        )
+
+    return st.integers(3, 6).flatmap(build)
 
 
 def exact_dodgson_decider(p, a, t):
@@ -248,14 +265,13 @@ class TestAlgorithm2:
             efas_via_kemeny(g, 0, kemeny_decision)
         assert efas_via_kemeny(g, 0, kemeny_decision, strict=False) is Decision.YES
 
-    def test_guard_trip_returns_yes(self):
-        thresholds = EfasThresholds(
-            base=Fraction(0), scale=Fraction(2), guard_radius=Fraction(-1)
-        )
-        assert (
-            efas_via_kemeny(THREE_CYCLE, 0, kemeny_decision, thresholds=thresholds)
-            is Decision.YES
-        )
+    @given(st_two_cycle_free_digraph())
+    @example(Digraph.of(3, []))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_bruteforce_on_any_digraph(self, g):
+        for t in range(-1, g.edge_count + 1):
+            answer = efas_via_kemeny(g, t, kemeny_decision, strict=False)
+            assert (answer is Decision.YES) == efas_bruteforce(g, t)
 
 
 class TestEfasBruteforce:

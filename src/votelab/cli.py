@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -53,13 +52,6 @@ def _emit(result: dict, pretty: bool) -> None:
             print(f"{key:<{width}}  {result[key]}", file=sys.stderr)
 
 
-def _default_budget(args) -> int | None:
-    if args.budget is not None:
-        return args.budget
-    env = os.environ.get("VOTELAB_BUDGET")
-    return int(env) if env else None
-
-
 def _resolve_seed(seed: int | None) -> int:
     if seed is not None:
         return seed
@@ -67,29 +59,28 @@ def _resolve_seed(seed: int | None) -> int:
 
 
 def _cmd_score(args) -> int:
+    if args.budget is not None and args.budget < 0:
+        raise ValueError(f"--budget must be a nonnegative integer, got {args.budget}")
+    budget = {} if args.budget is None else {"budget": args.budget}  # else solver default
     profile = vio.read_profile(args.profile)
-    budget = _default_budget(args)
     result: dict = {}
 
     if args.rule == "dodgson":
-        kwargs = {"budget": budget} if budget else {}
-        score = dodgson_score_exact(profile, _require_alt(args), **kwargs)
+        score = dodgson_score_exact(profile, _require_alt(args), **budget)
         result["score"] = score
         if args.threshold is not None:
             result["decision"] = "yes" if score <= args.threshold else "no"
     elif args.rule == "young":
-        kwargs = {"budget": budget} if budget else {}
-        score = young_score_exact(profile, _require_alt(args), **kwargs)
+        score = young_score_exact(profile, _require_alt(args), **budget)
         result["score"] = score
         if args.threshold is not None:
             result["decision"] = "yes" if score >= args.threshold else "no"
     elif args.rule == "kemeny":
-        kwargs = {"max_m": budget} if budget else {}
-        ranking, score = kemeny_best(profile, **kwargs)
+        ranking, score = kemeny_best(profile, **budget)
         result["min_score"] = score
         result["ranking"] = list(ranking.order)
         if args.alt is not None:
-            result["score"] = kemeny_score_of_alternative(profile, args.alt, **kwargs)
+            result["score"] = kemeny_score_of_alternative(profile, args.alt, **budget)
         if args.threshold is not None:
             result["decision"] = "yes" if score <= args.threshold else "no"
     elif args.rule in ("cc", "monroe"):
@@ -98,9 +89,8 @@ def _cmd_score(args) -> int:
             members = Committee.of(int(x) for x in args.committee.split(","))
             result["score"] = score_fn(profile, members, None, args.aggregator)
         elif args.k is not None and args.threshold is not None:
-            kwargs = {"budget": budget} if budget else {}
             yes = committee_decision(
-                profile, args.k, args.threshold, args.rule, None, args.aggregator, **kwargs
+                profile, args.k, args.threshold, args.rule, None, args.aggregator, **budget
             )
             result["decision"] = "yes" if yes else "no"
         else:
@@ -222,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     score.add_argument("--k", type=int)
     score.add_argument("--committee")
     score.add_argument("--aggregator", choices=["sum", "min"], default="sum")
-    score.add_argument("--budget", type=int)
+    score.add_argument("--budget", type=int, help="most units of the solver's own search work")
     score.add_argument("--pretty", action="store_true")
     score.set_defaults(func=_cmd_score)
 

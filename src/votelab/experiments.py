@@ -34,7 +34,7 @@ import numpy as np
 
 from .core import Profile, Ranking, wmg
 from .greedy_dodgson import Decision, greedy_dodgson, immediately_above_count
-from .models import AlphaIC, PartialAltRandomization, all_rankings, model_from_spec
+from .models import AlphaIC, PartialAltRandomization, _spec_number, all_rankings, model_from_spec
 from .reductions import (
     X3CInstance,
     x3c_via_dodgson,
@@ -107,17 +107,9 @@ class ExperimentConfig:
         return cls(**data)
 
     def to_dict(self) -> dict:
-        return {
-            "claim": self.claim,
-            "trials": self.trials,
-            "seed": self.seed,
-            "m": self.m,
-            "n": self.n,
-            "model": self.model,
-            "adversary": self.adversary,
-            "instance": self.instance,
-            "pad": self.pad,
-        }
+        """Every field that shapes the results; output options stay out of the hash."""
+        output_only = ("plot_data", "out_dir")
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name not in output_only}
 
     def canonical_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
@@ -431,22 +423,31 @@ class TopBreakNoise:
         return Fraction(0)
 
 
-def _resolve_instance(cfg: ExperimentConfig) -> X3CInstance:
+def _padded_reduction(cfg: ExperimentConfig):
+    """The config's exact-cover instance, its Dodgson reduction, and the
+    model over the reduction's ``m1`` alternatives plus ``cfg.pad``.
+
+    The model's K may be symbolic: "m1" or "2*m1*n".
+    """
     if not cfg.instance:
         raise ValueError("this claim needs an exact-cover instance in the config")
-    return X3CInstance.of(int(cfg.instance["q"]), cfg.instance["subsets"])
-
-
-def _resolve_padded_model(cfg: ExperimentConfig, m_total: int, m1: int, agents: int):
-    """Model spec with symbolic sizes: K may be "m1" or "2*m1*n"."""
+    q = _spec_number(cfg.instance, "q", int, "instance")
+    subsets = cfg.instance.get("subsets")
+    if not isinstance(subsets, (list, tuple)) or not all(
+        isinstance(sub, (list, tuple)) and all(type(e) is int for e in sub) for sub in subsets
+    ):
+        raise ValueError(f"instance 'subsets' must be a list of integer lists, got {subsets!r}")
+    inst = X3CInstance.of(q, subsets)
+    out = x3c_to_dodgson(inst)
+    m1, agents = out.profile.m, out.profile.n
     spec = dict(cfg.model)
     if spec.get("K") == "m1":
         spec["K"] = m1
     elif spec.get("K") == "2*m1*n":
         spec["K"] = 2 * m1 * agents
     if spec.get("model") == "top_break":
-        return TopBreakNoise(m_total, int(spec["K"]))
-    return model_from_spec(spec, m_total)
+        return inst, out, TopBreakNoise(m1 + cfg.pad, _spec_number(spec, "K", int))
+    return inst, out, model_from_spec(spec, m1 + cfg.pad)
 
 
 def run_top_preservation(cfg: ExperimentConfig) -> TrialReport:
@@ -454,13 +455,9 @@ def run_top_preservation(cfg: ExperimentConfig) -> TrialReport:
     from .models import sample_profile
 
     started = time.perf_counter()
-    inst = _resolve_instance(cfg)
-    out = x3c_to_dodgson(inst)
-    m1 = out.profile.m
-    agents = out.profile.n
-    m_total = m1 + cfg.pad
-    model = _resolve_padded_model(cfg, m_total, m1, agents)
-    pp = build_padded_parameter_profile(out, model, m_total)
+    _, out, model = _padded_reduction(cfg)
+    m1, agents = out.profile.m, out.profile.n
+    pp = build_padded_parameter_profile(out, model, model.m)
 
     rows = []
     preserved = 0
@@ -523,13 +520,9 @@ def run_top_preservation(cfg: ExperimentConfig) -> TrialReport:
 def run_cover_driver(cfg: ExperimentConfig) -> TrialReport:
     """One-sidedness and NO-rate of the randomized exact-cover driver."""
     started = time.perf_counter()
-    inst = _resolve_instance(cfg)
+    inst, out, model = _padded_reduction(cfg)
     expected_yes = x3c_bruteforce(inst)
-    out = x3c_to_dodgson(inst)
     m1 = out.profile.m
-    agents = out.profile.n
-    m_total = m1 + cfg.pad
-    model = _resolve_padded_model(cfg, m_total, m1, agents)
 
     def exact_decider(p: Profile, a: int, t: int) -> Decision:
         return Decision.YES if dodgson_score_within(p, a, t) is not None else Decision.NO

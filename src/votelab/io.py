@@ -71,7 +71,10 @@ def write_profile(p: Profile, path: PathLike) -> None:
 
 
 def _parse_weight(token: str) -> Fraction:
-    return Fraction(token)
+    try:
+        return Fraction(token)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"weight {token!r} is not a fraction") from None
 
 
 def read_weighted_profile(path: PathLike) -> WeightedProfile:

@@ -285,9 +285,9 @@ def model_from_spec(spec: dict, m: int):
     raise ValueError(f"unknown model spec {spec!r}")
 
 
-def _spec_number(spec: dict, key: str, convert: Callable):
+def _spec_number(spec: dict, key: str, convert: Callable, what: str = "model spec"):
     value = spec.get(key)
     try:
         return convert(value)
     except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"model spec {key!r} must be a number, got {value!r}") from None
+        raise ValueError(f"{what} {key!r} must be a number, got {value!r}") from None

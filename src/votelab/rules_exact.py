@@ -1,9 +1,9 @@
 """Exact solvers for Dodgson, Young, Kemeny, Chamberlin-Courant and Monroe.
 
 These are ground-truth engines for NP-hard score computations, built for
-desk scale: every solver takes an explicit search budget and raises
-:class:`~votelab.errors.BudgetExceededError` instead of silently
-degrading. Scores are exact integers.
+desk scale: every search takes a ``budget`` of its own work units and
+raises :class:`~votelab.errors.BudgetExceededError` past it instead of
+silently degrading. Scores are exact integers.
 
 Dodgson scores are computed over "lift vectors": per ballot, raising the
 target alternative by ``k`` adjacent swaps passes exactly the ``k``
@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, NoReturn, Optional, Sequence
 
 from .core import Profile, Ranking, condorcet_winner, deficit, wmg
 from .errors import BudgetExceededError
@@ -42,14 +42,18 @@ __all__ = [
 
 DEFAULT_DODGSON_BUDGET = 5_000_000  # DP expansions
 DEFAULT_BFS_STATE_BUDGET = 2_000_000
-DEFAULT_YOUNG_MAX_N = 20
-DEFAULT_KEMENY_MAX_M = 16
+DEFAULT_YOUNG_BUDGET = 2**21  # search nodes: every profile with n <= 20 fits
+DEFAULT_KEMENY_BUDGET = 1 << 16  # subset-DP states: m <= 16
 DEFAULT_COMMITTEE_BUDGET = 1_000_000  # committees enumerated by the decision problem
 
 
 def _require_rule_scale(p: Profile) -> None:
     if p.m < 3:
         raise ValueError("rule computations require at least 3 alternatives")
+
+
+def _budget_exceeded(solver: str, budget: int, unit: str) -> NoReturn:
+    raise BudgetExceededError(f"{solver} exceeded its budget of {budget} {unit}")
 
 
 # ---------------------------------------------------------------------------
@@ -126,9 +130,7 @@ def dodgson_score_within(
             snapshot = list(frontier.items())
             expansions += len(snapshot) * len(options)
             if expansions > budget:
-                raise BudgetExceededError(
-                    f"dodgson search exceeded budget of {budget} expansions"
-                )
+                _budget_exceeded("dodgson search", budget, "expansions")
             for state, cost in snapshot:
                 if state == zero:
                     continue
@@ -210,19 +212,21 @@ def dodgson_score_bfs_oracle(
 # Young
 
 
-def young_score_exact(p: Profile, a: int, *, budget: int = DEFAULT_YOUNG_MAX_N) -> int:
+def young_score_exact(p: Profile, a: int, *, budget: int = DEFAULT_YOUNG_BUDGET) -> int:
     """Largest sub-multiset of ballots in which ``a`` is Condorcet winner.
 
     Returns 0 when no nonempty sub-multiset certifies ``a`` (the empty
     collection has no strict-majority winner). The search runs over
     per-class counts, where two ballots are equivalent when they compare
     ``a`` against every rival identically.
+
+    ``budget`` counts search nodes. A class of ``c`` ballots branches into
+    ``c + 1 <= 2**c`` children, so the tree has at most ``2**(n+1) - 1``
+    nodes and the default ``2**21`` fits every profile with ``n <= 20``.
     """
     _require_rule_scale(p)
     if not 0 <= a < p.m:
         raise ValueError(f"alternative {a} out of range")
-    if p.n > budget:
-        raise BudgetExceededError(f"young search limited to n<={budget} (got n={p.n})")
 
     rivals = [b for b in range(p.m) if b != a]
     classes: dict[tuple[int, ...], int] = {}
@@ -245,9 +249,13 @@ def young_score_exact(p: Profile, a: int, *, budget: int = DEFAULT_YOUNG_MAX_N) 
             )
 
     best = 0
+    nodes = 0
 
     def search(j: int, picked: int, margins: list[int]) -> None:
-        nonlocal best
+        nonlocal best, nodes
+        nodes += 1
+        if nodes > budget:
+            _budget_exceeded("young search", budget, "search nodes")
         if all(mg >= 1 for mg in margins):
             best = max(best, picked)
         if j == len(items):
@@ -283,14 +291,14 @@ def _disagreement_matrix(p: Profile) -> list[list[int]]:
     ]
 
 
-def _kemeny_block_table(p: Profile, max_m: int) -> tuple[list[int], list[list[int]]]:
-    """Subset DP: best internal disagreement of each alternative block."""
+def _kemeny_block_table(p: Profile, budget: int) -> tuple[list[int], list[list[int]]]:
+    """Subset DP over all ``2**m`` blocks: best internal disagreement of each."""
     _require_rule_scale(p)
     m = p.m
-    if m > max_m:
-        raise BudgetExceededError(f"kemeny subset DP limited to m<={max_m} (got m={m})")
-    wrong = _disagreement_matrix(p)
     full = 1 << m
+    if full > budget:
+        _budget_exceeded("kemeny subset DP", budget, "subset states")
+    wrong = _disagreement_matrix(p)
     best = [0] * full
     for subset in range(1, full):
         cheapest = None
@@ -304,12 +312,12 @@ def _kemeny_block_table(p: Profile, max_m: int) -> tuple[list[int], list[list[in
     return best, wrong
 
 
-def kemeny_best(p: Profile, *, max_m: int = DEFAULT_KEMENY_MAX_M) -> tuple[Ranking, int]:
+def kemeny_best(p: Profile, *, budget: int = DEFAULT_KEMENY_BUDGET) -> tuple[Ranking, int]:
     """A profile-closest ranking and its total disagreement.
 
     Ties broken toward the lexicographically smallest ranking.
     """
-    best, wrong = _kemeny_block_table(p, max_m)
+    best, wrong = _kemeny_block_table(p, budget)
     m = p.m
     subset = (1 << m) - 1
     order: list[int] = []
@@ -324,24 +332,24 @@ def kemeny_best(p: Profile, *, max_m: int = DEFAULT_KEMENY_MAX_M) -> tuple[Ranki
     return Ranking(tuple(order)), best[(1 << m) - 1]
 
 
-def kemeny_score_of_alternative(p: Profile, a: int, *, max_m: int = DEFAULT_KEMENY_MAX_M) -> int:
+def kemeny_score_of_alternative(p: Profile, a: int, *, budget: int = DEFAULT_KEMENY_BUDGET) -> int:
     """Minimum profile disagreement over rankings that put ``a`` on top."""
     if not 0 <= a < p.m:
         raise ValueError(f"alternative {a} out of range")
-    best, wrong = _kemeny_block_table(p, max_m)
+    best, wrong = _kemeny_block_table(p, budget)
     full = (1 << p.m) - 1
     rest = full & ~(1 << a)
     return best[rest] + sum(wrong[a][y] for y in range(p.m) if y != a)
 
 
-def kemeny_decision(p: Profile, t: int, *, max_m: int = DEFAULT_KEMENY_MAX_M) -> bool:
+def kemeny_decision(p: Profile, t: int, *, budget: int = DEFAULT_KEMENY_BUDGET) -> bool:
     """Does some alternative have Kemeny score at most ``t``?
 
     Equivalent to asking whether the best ranking's score is at most
     ``t``, since the minimum over alternatives of the top-constrained
     score is attained by the global optimum's top alternative.
     """
-    _, score = kemeny_best(p, max_m=max_m)
+    _, score = kemeny_best(p, budget=budget)
     return score <= t
 
 
@@ -520,11 +528,9 @@ def committee_decision(
     if rule not in ("cc", "monroe"):
         raise ValueError(f"unknown rule {rule!r}")
     score_fn = cc_score if rule == "cc" else monroe_score
-    count = 0
-    for members in itertools.combinations(range(p.m), k):
-        count += 1
+    for count, members in enumerate(itertools.combinations(range(p.m), k), start=1):
         if count > budget:
-            raise BudgetExceededError(f"committee enumeration exceeded {budget}")
+            _budget_exceeded("committee enumeration", budget, "committees")
         if score_fn(p, Committee.of(members), alpha, aggregator) >= t:
             return True
     return False

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import votelab
 from votelab import Digraph, Profile, Ranking, WeightedProfile, X3CInstance
@@ -77,6 +78,32 @@ class TestRoundTrips:
             vio.read_profile(path)
 
 
+TOKENS = st.sampled_from(["0", "1", "2", "3", "5", "-1", "1/2", "0/1", "1/0", "x", ""])
+READER_TEXT = st.builds(
+    lambda header, body: "\n".join([" ".join(header)] + [" ".join(line) for line in body]),
+    st.lists(TOKENS, max_size=3),
+    st.lists(st.lists(TOKENS, max_size=5), max_size=5),
+)
+
+
+class TestReaderFuzz:
+    @pytest.mark.parametrize(
+        "reader",
+        [vio.read_profile, vio.read_weighted_profile, vio.read_digraph, vio.read_x3c],
+        ids=lambda reader: reader.__name__,
+    )
+    @settings(max_examples=150, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=READER_TEXT)
+    @example(text="3 1\n1/0 0 1 2")
+    def test_parses_or_raises_value_error(self, tmp_path, reader, text):
+        path = tmp_path / "fuzz.txt"
+        path.write_text(text)
+        try:
+            reader(path)
+        except ValueError:
+            pass
+
+
 class TestScoreCommand:
     def test_dodgson_unanimous(self, capsys, unanimous):
         code, result = run_cli(capsys, "score", "dodgson", "--profile", unanimous, "--alt", "0")
@@ -129,13 +156,25 @@ class TestExitCodes:
         code = main(["score", "kemeny", "--profile", str(path), "--budget", "4"])
         assert code == 2
 
-    def test_env_var_sets_default_budget(self, capsys, tmp_path, monkeypatch):
-        path = tmp_path / "wide.profile"
-        vio.write_profile(Profile.of([tuple(range(5))]), path)
-        monkeypatch.setenv("VOTELAB_BUDGET", "4")
-        assert main(["score", "kemeny", "--profile", str(path)]) == 2
-        monkeypatch.setenv("VOTELAB_BUDGET", "8")
-        assert main(["score", "kemeny", "--profile", str(path)]) == 0
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["kemeny"],
+            ["dodgson", "--alt", "2"],
+            ["young", "--alt", "0"],
+            ["cc", "--k", "1", "--threshold", "0"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_zero_budget_allows_no_work(self, capsys, unanimous, argv):
+        code = main(["score", *argv, "--profile", unanimous, "--budget", "0"])
+        assert code == 2
+        assert "exceeded its budget of 0 " in capsys.readouterr().err
+
+    def test_negative_budget_is_input_error(self, capsys, unanimous):
+        code = main(["score", "kemeny", "--profile", unanimous, "--budget", "-1"])
+        assert code == 1
+        assert "nonnegative" in capsys.readouterr().err
 
     def test_construction_error(self, capsys, tmp_path):
         path = tmp_path / "twocycle.digraph"
@@ -303,6 +342,11 @@ SMALL_CONFIG = {
     "claim": "definitely_rate", "trials": 5, "seed": 1, "m": 3, "n": 10,
     "model": {"model": "alpha_ic", "alpha": "2/3"},
 }
+TOP_CONFIG = {
+    "claim": "top_preservation", "trials": 5, "seed": 1,
+    "instance": {"q": 3, "subsets": [[0, 1, 2]]},
+    "model": {"model": "top_break", "K": 2},
+}
 
 
 class TestMalformedJson:
@@ -317,6 +361,14 @@ class TestMalformedJson:
             ("experiment", {**SMALL_CONFIG, "trials": "5"}, "'5'"),
             ("experiment", {**SMALL_CONFIG, "seed": "x"}, "'x'"),
             ("experiment", {**SMALL_CONFIG, "model": []}, "[]"),
+            ("experiment", {**TOP_CONFIG, "instance": {"q": [3], "subsets": [[0, 1, 2]]}}, "[3]"),
+            (
+                "experiment",
+                {**TOP_CONFIG, "instance": {"q": 3}},
+                "'subsets' must be a list of integer lists, got None",
+            ),
+            ("experiment", {**TOP_CONFIG, "instance": {"q": 3, "subsets": [[0, 1, "a"]]}}, "'a'"),
+            ("experiment", {**TOP_CONFIG, "model": {"model": "top_break", "K": [1]}}, "[1]"),
         ],
     )
     def test_rejected_as_input_error(self, capsys, tmp_path, command, payload, named):

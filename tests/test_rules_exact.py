@@ -121,8 +121,11 @@ class TestYoung:
                 assert young_score_exact(app_last(p, extra), a) == base
 
     def test_budget_error(self):
+        # one class of 21 ballots: the root and its 22 children
+        p = Profile.of([[0, 1, 2]] * 21)
         with pytest.raises(BudgetExceededError):
-            young_score_exact(Profile.of([[0, 1, 2]] * 21), 0)
+            young_score_exact(p, 0, budget=22)
+        assert young_score_exact(p, 0, budget=23) == 21
 
 
 class TestKemeny:
@@ -177,7 +180,7 @@ class TestKemeny:
     def test_budget_error(self):
         p = Profile.of([tuple(range(5))])
         with pytest.raises(BudgetExceededError):
-            kemeny_best(p, max_m=4)
+            kemeny_best(p, budget=16)
 
 
 class TestCcScore:
@@ -268,6 +271,31 @@ class TestCommitteeDecision:
             # original winners keep their score and stay winners overall
             assert all(padded_scores[c] == best for c in winners)
             assert max(padded_scores.values()) == best
+
+
+class TestBudgets:
+    @pytest.mark.parametrize(
+        "solve, solver, unit",
+        [
+            (lambda p, b: dodgson_score_exact(p, 0, budget=b), "dodgson search", "expansions"),
+            (lambda p, b: young_score_exact(p, 1, budget=b), "young search", "search nodes"),
+            (lambda p, b: kemeny_best(p, budget=b), "kemeny subset DP", "subset states"),
+            (
+                lambda p, b: committee_decision(p, 2, 0, budget=b),
+                "committee enumeration",
+                "committees",
+            ),
+        ],
+        ids=["dodgson", "young", "kemeny", "committee"],
+    )
+    def test_small_budget_raises_common_error(self, solve, solver, unit):
+        # Every solver needs more than 3 units here: Dodgson expands 3
+        # options per frontier state per copy, Young visits the root and
+        # 6 children, Kemeny has 2**4 subsets, and no 2-committee reaches 0.
+        p = Profile.of([[1, 2, 3, 0]] * 5)
+        with pytest.raises(BudgetExceededError) as info:
+            solve(p, 3)
+        assert str(info.value) == f"{solver} exceeded its budget of 3 {unit}"
 
 
 class TestNeutrality:

@@ -76,11 +76,13 @@ def _cmd_score(args) -> int:
         if args.threshold is not None:
             result["decision"] = "yes" if score >= args.threshold else "no"
     elif args.rule == "kemeny":
+        # --alt first: it is range-checked before the DP, whose table the
+        # profile then keeps for kemeny_best.
+        if args.alt is not None:
+            result["score"] = kemeny_score_of_alternative(profile, args.alt, **budget)
         ranking, score = kemeny_best(profile, **budget)
         result["min_score"] = score
         result["ranking"] = list(ranking.order)
-        if args.alt is not None:
-            result["score"] = kemeny_score_of_alternative(profile, args.alt, **budget)
         if args.threshold is not None:
             result["decision"] = "yes" if score <= args.threshold else "no"
     elif args.rule in ("cc", "monroe"):

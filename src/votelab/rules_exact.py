@@ -16,10 +16,13 @@ than assumed.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, NoReturn, Optional, Sequence
+
+import numpy as np
 
 from .core import Profile, Ranking, condorcet_winner, deficit, wmg
 from .errors import BudgetExceededError
@@ -45,6 +48,9 @@ DEFAULT_BFS_STATE_BUDGET = 2_000_000
 DEFAULT_YOUNG_BUDGET = 2**21  # search nodes: every profile with n <= 20 fits
 DEFAULT_KEMENY_BUDGET = 1 << 16  # subset-DP states: m <= 16
 DEFAULT_COMMITTEE_BUDGET = 1_000_000  # committees enumerated by the decision problem
+
+_LAYER_SLICE = 2048  # blocks per vectorized Kemeny step: about 1 MiB of temporaries at m=16
+_UNSOLVED = 1 << 62  # Kemeny table entry not yet computed; above any disagreement total
 
 
 def _require_rule_scale(p: Profile) -> None:
@@ -281,35 +287,59 @@ def young_score_exact(p: Profile, a: int, *, budget: int = DEFAULT_YOUNG_BUDGET)
 # Kemeny
 
 
-def _disagreement_matrix(p: Profile) -> list[list[int]]:
+def _disagreement_matrix(p: Profile) -> np.ndarray:
     """``wrong[x][y]``: ballots preferring ``y`` over ``x`` (cost of x above y)."""
-    graph = wmg(p)
-    m = p.m
-    return [
-        [0 if x == y else (p.n - graph.margin(x, y)) // 2 for y in range(m)]
-        for x in range(m)
-    ]
+    wrong = (p.n - np.array(wmg(p).margins, dtype=np.int64)) // 2
+    np.fill_diagonal(wrong, 0)
+    return wrong
 
 
-def _kemeny_block_table(p: Profile, budget: int) -> tuple[list[int], list[list[int]]]:
-    """Subset DP over all ``2**m`` blocks: best internal disagreement of each."""
-    _require_rule_scale(p)
-    m = p.m
-    full = 1 << m
-    if full > budget:
-        _budget_exceeded("kemeny subset DP", budget, "subset states")
+@functools.lru_cache(maxsize=16)  # every m the default budget admits
+def _blocks_by_size(m: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """The bit of each alternative, and every block of 2..m alternatives grouped by size."""
+    bits = np.left_shift(1, np.arange(m, dtype=np.int32))
+    blocks = np.arange(1 << m, dtype=np.int32)
+    sizes = sum((blocks >> x) & 1 for x in range(m))
+    return bits, tuple(blocks[sizes == size] for size in range(2, m + 1))
+
+
+def _kemeny_block_table(p: Profile) -> tuple[np.ndarray, np.ndarray]:
+    """Subset DP over all ``2**m`` blocks: best internal disagreement of each.
+
+    A block's best order puts some member ``x`` first, at the cost of
+    ``x``'s disagreements with the rest of the block plus the rest's own
+    best. Blocks of one size read only smaller blocks, so each size is
+    solved in vectorized slices of at most ``_LAYER_SLICE`` blocks.
+    """
     wrong = _disagreement_matrix(p)
-    best = [0] * full
-    for subset in range(1, full):
-        cheapest = None
-        members = [x for x in range(m) if subset >> x & 1]
-        for x in members:
-            rest = subset & ~(1 << x)
-            cost = best[rest] + sum(wrong[x][y] for y in members if y != x)
-            if cheapest is None or cost < cheapest:
-                cheapest = cost
-        best[subset] = cheapest
+    bits, layers = _blocks_by_size(p.m)
+    best = np.full(1 << p.m, _UNSOLVED, dtype=np.int64)
+    best[0] = 0
+    best[bits] = 0
+    for layer in layers:
+        for start in range(0, len(layer), _LAYER_SLICE):
+            blocks = layer[start : start + _LAYER_SLICE, None]
+            rest = blocks ^ bits
+            # x is a member exactly when dropping its bit shrinks the block;
+            # for any other x, rest is a larger block, still _UNSOLVED.
+            cost = (rest < blocks) @ wrong.T + best[rest]
+            best[blocks[:, 0]] = cost.min(1)
     return best, wrong
+
+
+def _kemeny_table(p: Profile, budget: int) -> tuple[np.ndarray, np.ndarray]:
+    """The block table of ``p`` and its disagreement matrix, built once per profile.
+
+    The budget is checked on every call, so a smaller budget still fails
+    on a profile whose table is already cached.
+    """
+    _require_rule_scale(p)
+    if 1 << p.m > budget:
+        _budget_exceeded("kemeny subset DP", budget, "subset states")
+    table = p.__dict__.get("_kemeny_table")
+    if table is None:
+        table = p.__dict__["_kemeny_table"] = _kemeny_block_table(p)
+    return table
 
 
 def kemeny_best(p: Profile, *, budget: int = DEFAULT_KEMENY_BUDGET) -> tuple[Ranking, int]:
@@ -317,7 +347,8 @@ def kemeny_best(p: Profile, *, budget: int = DEFAULT_KEMENY_BUDGET) -> tuple[Ran
 
     Ties broken toward the lexicographically smallest ranking.
     """
-    best, wrong = _kemeny_block_table(p, budget)
+    best, wrong = _kemeny_table(p, budget)
+    wrong = wrong.tolist()  # the walk below reads single entries: Python ints are faster
     m = p.m
     subset = (1 << m) - 1
     order: list[int] = []
@@ -329,17 +360,16 @@ def kemeny_best(p: Profile, *, budget: int = DEFAULT_KEMENY_BUDGET) -> tuple[Ran
                 order.append(x)
                 subset = rest
                 break
-    return Ranking(tuple(order)), best[(1 << m) - 1]
+    return Ranking(tuple(order)), int(best[-1])
 
 
 def kemeny_score_of_alternative(p: Profile, a: int, *, budget: int = DEFAULT_KEMENY_BUDGET) -> int:
     """Minimum profile disagreement over rankings that put ``a`` on top."""
     if not 0 <= a < p.m:
         raise ValueError(f"alternative {a} out of range")
-    best, wrong = _kemeny_block_table(p, budget)
-    full = (1 << p.m) - 1
-    rest = full & ~(1 << a)
-    return best[rest] + sum(wrong[a][y] for y in range(p.m) if y != a)
+    best, wrong = _kemeny_table(p, budget)
+    rest = (1 << p.m) - 1 & ~(1 << a)
+    return int(best[rest] + wrong[a].sum())
 
 
 def kemeny_decision(p: Profile, t: int, *, budget: int = DEFAULT_KEMENY_BUDGET) -> bool:
@@ -349,8 +379,8 @@ def kemeny_decision(p: Profile, t: int, *, budget: int = DEFAULT_KEMENY_BUDGET) 
     ``t``, since the minimum over alternatives of the top-constrained
     score is attained by the global optimum's top alternative.
     """
-    _, score = kemeny_best(p, budget=budget)
-    return score <= t
+    best, _ = _kemeny_table(p, budget)
+    return int(best[-1]) <= t
 
 
 # ---------------------------------------------------------------------------
@@ -438,26 +468,73 @@ def _balanced_bounds(n: int, k: int) -> tuple[int, int]:
     return n // k, -(-n // k)
 
 
-def _monroe_flow_graph(table: Sequence[Sequence[int]], allowed: Callable[[int, int], bool]):
-    """Assignment network with near-equal member loads encoded as demands."""
-    import networkx as nx
+def _balanced_assignment(table: Sequence[Sequence[Optional[int]]]) -> Optional[int]:
+    """Best total over assignments of voters to members with near-equal loads.
 
-    n = len(table)
-    k = len(table[0])
+    ``table[i][j]`` is voter ``i``'s value for member ``j``, or ``None``
+    where ``i`` may not be assigned to ``j``. Every member serves between
+    ``floor(n/k)`` and ``ceil(n/k)`` voters; ``None`` means no assignment
+    does.
+
+    Voters are placed one at a time, each along a longest augmenting path
+    of the assignment's flow network (successive shortest paths): the new
+    voter joins some member, which may pass one voter on to another
+    member, and so on until a member with a free slot takes the last one.
+    Bellman-Ford finds the path over the ``k`` members, where the edge
+    ``a -> b`` moves the voter of ``a`` who gains most from ``b``. Each of
+    a member's first ``floor(n/k)`` slots earns a bonus larger than any
+    difference between two totals, so the lower loads are met whenever
+    some assignment meets them.
+    """
+    n, k = len(table), len(table[0])
     low, high = _balanced_bounds(n, k)
-    g = nx.DiGraph()
-    for i in range(n):
-        g.add_node(("voter", i), demand=-1)
-    for j in range(k):
-        g.add_node(("member", j), demand=low)
-    g.add_node("pool", demand=n - k * low)
-    for i in range(n):
-        for j in range(k):
-            if allowed(i, j):
-                g.add_edge(("voter", i), ("member", j), capacity=1, weight=-table[i][j])
-    for j in range(k):
-        g.add_edge(("member", j), "pool", capacity=high - low, weight=0)
-    return g
+    values = [v for row in table for v in row if v is not None]
+    bonus = n * (max(values) - min(values)) + 1
+    served: list[list[int]] = [[] for _ in range(k)]
+    for i, row in enumerate(table):
+        # moves[a][b]: (gain, voter) of the best single move from a to b
+        moves: list[list[Optional[tuple[int, int]]]] = [[None] * k for _ in range(k)]
+        for a in range(k):
+            for v in served[a]:
+                here = table[v][a]
+                for b, there in enumerate(table[v]):
+                    if there is not None and b != a:
+                        gain = there - here
+                        if moves[a][b] is None or gain > moves[a][b][0]:
+                            moves[a][b] = (gain, v)
+        value = list(row)
+        pred: list[Optional[tuple[int, int]]] = [None] * k
+        for _ in range(k - 1):
+            changed = False
+            for a in range(k):
+                if value[a] is None:
+                    continue
+                for b in range(k):
+                    move = moves[a][b]
+                    if move is not None and (value[b] is None or value[a] + move[0] > value[b]):
+                        value[b] = value[a] + move[0]
+                        pred[b] = (a, move[1])
+                        changed = True
+            if not changed:
+                break
+        end, end_value = None, None
+        for b in range(k):
+            load = len(served[b])
+            if value[b] is not None and load < high:
+                closed = value[b] + (bonus if load < low else 0)
+                if end is None or closed > end_value:
+                    end, end_value = b, closed
+        if end is None:
+            return None
+        while pred[end] is not None:
+            a, v = pred[end]
+            served[a].remove(v)
+            served[end].append(v)
+            end = a
+        served[end].append(i)
+    if any(len(voters) < low for voters in served):
+        return None
+    return sum(table[v][j] for j, voters in enumerate(served) for v in voters)
 
 
 def monroe_score(
@@ -469,41 +546,24 @@ def monroe_score(
     """Best committee satisfaction under near-equal member loads.
 
     Every member serves between ``floor(n/k)`` and ``ceil(n/k)`` voters.
-    The ``sum`` aggregator is an exact capacitated assignment solved as a
-    min-cost flow; ``min`` binary-searches the highest satisfaction level
-    whose induced bipartite restriction still admits a feasible
-    assignment.
+    The ``sum`` aggregator is an exact capacitated assignment;
+    ``min`` binary-searches the highest satisfaction level at which the
+    voter-member pairs that reach it still admit a balanced assignment.
     """
-    import networkx as nx
-
     alpha = alpha or linear_dpsf()
     table = _satisfaction_table(p, committee, alpha)
 
     if aggregator == "sum":
-        g = _monroe_flow_graph(table, lambda i, j: True)
-        flow = nx.min_cost_flow(g)
-        total = 0
-        for i, row in enumerate(table):
-            sent = flow[("voter", i)]
-            for j in range(len(row)):
-                total += row[j] * sent.get(("member", j), 0)
-        return total
+        return _balanced_assignment(table)  # never None: any voter may serve any member
 
     if aggregator == "min":
-
-        def feasible(level: int) -> bool:
-            g = _monroe_flow_graph(table, lambda i, j: table[i][j] >= level)
-            try:
-                nx.min_cost_flow(g)
-                return True
-            except nx.NetworkXUnfeasible:
-                return False
-
         levels = sorted({v for row in table for v in row})
         lo, hi = 0, len(levels) - 1  # levels[0] is always feasible
         while lo < hi:
             mid = (lo + hi + 1) // 2
-            if feasible(levels[mid]):
+            level = levels[mid]
+            allowed = [[0 if v >= level else None for v in row] for row in table]
+            if _balanced_assignment(allowed) is not None:
                 lo = mid
             else:
                 hi = mid - 1

@@ -1,10 +1,11 @@
 """Shared fixtures and independent brute-force oracles.
 
 Oracles here deliberately avoid the package's solver code paths: the
-Kemeny oracle enumerates all rankings, the assignment oracles enumerate
-raw assignment functions, and the pairwise-disagreement and margin
-oracles count pairs ballot by ballot. Expected values in tests are frozen
-from these.
+Kemeny oracle enumerates all rankings, the Kemeny block table is the
+subset DP as a plain loop, the assignment oracles enumerate raw
+assignment functions or solve a slot-replicated linear assignment with
+SciPy, and the pairwise-disagreement and margin oracles count pairs
+ballot by ballot. Expected values in tests are frozen from these.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from votelab import Committee, Profile, Ranking, linear_dpsf
 
@@ -82,6 +84,20 @@ def kemeny_brute(p: Profile) -> tuple[Ranking, int]:
     return Ranking(best_order), best_score
 
 
+def kemeny_table_loop(p: Profile) -> list[int]:
+    """Best internal disagreement of every block of alternatives, one block at a time."""
+    m = p.m
+    wrong = [[sum(1 for r in p.rankings if r.prefers(y, x)) for y in range(m)] for x in range(m)]
+    best = [0] * (1 << m)
+    for block in range(1, 1 << m):
+        members = [x for x in range(m) if block >> x & 1]
+        best[block] = min(
+            best[block & ~(1 << x)] + sum(wrong[x][y] for y in members)
+            for x in members
+        )
+    return best
+
+
 def kemeny_alt_brute(p: Profile, a: int) -> int:
     best = None
     for perm in itertools.permutations(range(p.m)):
@@ -135,6 +151,36 @@ def monroe_brute(p: Profile, committee: Committee, aggregator: str) -> int:
         if best is None or value > best:
             best = value
     return best
+
+
+def monroe_lsa(p: Profile, committee: Committee, aggregator: str) -> int:
+    """Monroe score by linear assignment onto replicated member slots.
+
+    Each member gets ``n // k`` mandatory slots, worth a bonus larger than
+    any difference between two totals, and up to one optional slot. For
+    ``min``, every level is tried from the top, with voter-member pairs
+    below the level forbidden.
+    """
+    alpha = linear_dpsf()
+    members = sorted(committee.members)
+    k = len(members)
+    low, high = p.n // k, math.ceil(p.n / k)
+    mandatory = np.array(([1] * low + [0] * (high - low)) * k)
+    values = np.array(
+        [[alpha(r.position(c) + 1) for c in members] for r in p.rankings]
+    ).repeat(high, axis=1)
+
+    if aggregator == "sum":
+        bonus = p.n * int(values.max() - values.min()) + 1
+        rows, cols = linear_sum_assignment(values + bonus * mandatory, maximize=True)
+        return int(values[rows, cols].sum())
+    for level in sorted(set(values.flat), reverse=True):
+        allowed = values >= level
+        weights = np.where(allowed, mandatory, -(p.n + 1))
+        rows, cols = linear_sum_assignment(weights, maximize=True)
+        if allowed[rows, cols].all() and mandatory[cols].sum() == k * low:
+            return int(level)
+    raise AssertionError("the lowest level admits every assignment")
 
 
 @pytest.fixture

@@ -13,6 +13,7 @@ import votelab
 from votelab import Digraph, Profile, Ranking, WeightedProfile, X3CInstance
 from votelab.cli import main
 from votelab import io as vio
+from votelab import rules_exact
 
 SCHEMAS = Path(__file__).resolve().parent.parent / "src" / "votelab" / "schemas"
 
@@ -119,6 +120,16 @@ class TestScoreCommand:
         assert result["decision"] == "yes"
         assert result["min_score"] == 0
         jsonschema.validate(result, load_schema("score_result.schema.json"))
+
+    @pytest.mark.parametrize("alt, code, tables", [("99", 1, 0), ("0", 0, 1)])
+    def test_kemeny_alt_checked_before_one_dp(self, capsys, monkeypatch, unanimous, alt, code, tables):
+        built = []
+        build = rules_exact._kemeny_block_table
+        monkeypatch.setattr(
+            rules_exact, "_kemeny_block_table", lambda *args: built.append(1) or build(*args)
+        )
+        assert main(["score", "kemeny", "--profile", unanimous, "--alt", alt]) == code
+        assert len(built) == tables
 
     def test_greedy_maybe_exits_zero(self, capsys, tmp_path):
         path = tmp_path / "maybe.profile"
@@ -392,11 +403,13 @@ class TestMalformedJson:
 
 class TestConsoleEntryPoint:
     def test_import_loads_neither_networkx_nor_scipy(self):
-        # Keeps CLI start-up cheap: networkx is imported only inside
-        # Monroe scoring, and scipy is a test dependency.
+        # Keeps CLI start-up cheap and the runtime dependencies at numpy:
+        # Monroe scoring needs no graph library, and scipy is a test dependency.
         src = Path(votelab.__file__).resolve().parents[1]
         code = (
             "import sys, votelab.cli; "
+            "from votelab import Committee, Profile, monroe_score; "
+            "monroe_score(Profile.of([[0, 1, 2]] * 4), Committee.of([0, 1]), None, 'min'); "
             "print(sorted({m.split('.')[0] for m in sys.modules} & {'networkx', 'scipy'}))"
         )
         proc = subprocess.run(

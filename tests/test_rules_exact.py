@@ -1,6 +1,7 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from votelab import rules_exact
 from votelab import (
@@ -29,13 +30,23 @@ from conftest import (
     cc_brute,
     kemeny_alt_brute,
     kemeny_brute,
+    kemeny_table_loop,
     monroe_brute,
+    monroe_lsa,
     random_profile,
     random_ranking,
 )
 
 ABC = Ranking.of([0, 1, 2])
 CYCLE = Profile.of([[0, 1, 2], [1, 2, 0], [2, 0, 1]])
+
+
+def st_profile(min_m, max_m, max_n):
+    return st.tuples(st.integers(min_m, max_m), st.integers(1, max_n)).flatmap(
+        lambda mn: st.lists(
+            st.permutations(range(mn[0])), min_size=mn[1], max_size=mn[1]
+        ).map(Profile.of)
+    )
 
 
 class TestDodgsonExact:
@@ -181,6 +192,19 @@ class TestKemeny:
         p = Profile.of([tuple(range(5))])
         with pytest.raises(BudgetExceededError):
             kemeny_best(p, budget=16)
+        kemeny_best(p)  # the table is now kept on p; the budget still applies
+        with pytest.raises(BudgetExceededError):
+            kemeny_decision(p, 0, budget=16)
+
+    @given(st_profile(3, 10, 25))
+    @settings(max_examples=60, deadline=None)
+    def test_block_table_matches_loop(self, p):
+        best, _ = rules_exact._kemeny_block_table(p)
+        assert best.tolist() == kemeny_table_loop(p)
+        ranking, score = kemeny_best(p)
+        assert type(score) is int and score == best[-1]
+        assert all(type(x) is int for x in ranking.order)
+        assert type(kemeny_score_of_alternative(p, ranking.order[0])) is int
 
 
 class TestCcScore:
@@ -231,6 +255,15 @@ class TestMonroeScore:
                 assert monroe_score(p, committee, None, agg) == monroe_brute(
                     p, committee, agg
                 )
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_linear_assignment(self, data):
+        p = data.draw(st_profile(3, 7, 60))
+        k = data.draw(st.integers(1, min(4, p.m)))
+        committee = Committee.of(data.draw(st.sets(st.integers(0, p.m - 1), min_size=k, max_size=k)))
+        for agg in ("sum", "min"):
+            assert monroe_score(p, committee, None, agg) == monroe_lsa(p, committee, agg)
 
     def test_never_beats_cc(self, rng):
         for _ in range(15):

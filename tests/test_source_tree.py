@@ -1,9 +1,14 @@
 import ast
+import re
+import sys
 from pathlib import Path
+
+import pytest
 
 import votelab
 
 SRC = Path(votelab.__file__).resolve().parent
+PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 
 def test_no_assert_statements_in_package():
@@ -15,3 +20,21 @@ def test_no_assert_statements_in_package():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_third_party_imports_are_the_declared_dependencies():
+    tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
+    with PYPROJECT.open("rb") as handle:
+        declared = {
+            re.match(r"[A-Za-z0-9_.-]+", spec).group().lower()
+            for spec in tomllib.load(handle)["project"]["dependencies"]
+        }
+    imported = set()
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    third_party = imported - set(sys.stdlib_module_names) - {"votelab"}
+    assert third_party == declared

@@ -17,11 +17,14 @@ Conventions used by the whole package:
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence, Union
+
+import numpy as np
 
 from .errors import DimensionError
 
@@ -43,6 +46,9 @@ __all__ = [
     "deficit",
     "backward_arcs",
 ]
+
+_MAX_VOTERS = 2**63 - 1  # margins are tallied in int64
+_KERNEL_CELLS = 1 << 18  # pair comparisons per numpy step of the margin kernel
 
 
 @dataclass(frozen=True)
@@ -90,61 +96,92 @@ class Ranking:
         return "Ranking(%s)" % ">".join(map(str, self.order))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class Profile:
-    """A multiset of ``n >= 1`` rankings over a common alternative set."""
+    """A multiset of ``n >= 1`` rankings over a common alternative set.
 
-    rankings: tuple[Ranking, ...]
+    Stored as its distinct rankings with their multiplicities: ``grouped``
+    maps each distinct ranking to its count, in order of first appearance,
+    and ``n`` is the sum of the counts. Every solver and the margin kernel
+    read ``grouped``, so work grows with the number of distinct rankings,
+    not with ``n``. Two profiles are equal when they hold the same multiset.
+
+    ``Profile(rankings)`` takes ballots agent by agent and keeps that
+    sequence as :attr:`rankings`, for callers to whom agent identity
+    matters; :meth:`of` and :meth:`from_counts` count their input instead.
+    """
+
+    grouped: dict[Ranking, int]
+    m: int
+    n: int
+
+    def __init__(self, rankings: Iterable[Ranking]) -> None:
+        ballots = tuple(rankings)
+        self.__dict__.update(grouped=dict(Counter(ballots)), rankings=ballots)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
-        if not self.rankings:
+        """Check each distinct ranking once and set ``m`` and ``n``."""
+        if not self.grouped:
             raise ValueError("profile needs at least one voter")
-        m = self.rankings[0].m
-        for r in self.rankings:
+        m = next(iter(self.grouped)).m
+        for r in self.grouped:
             if r.m != m:
                 raise DimensionError("all rankings in a profile must share m")
+        n = sum(self.grouped.values())
+        if n > _MAX_VOTERS:
+            raise ValueError(f"profile of {n} voters exceeds the int64 margin kernel")
+        self.__dict__.update(m=m, n=n)
 
     @classmethod
     def of(cls, orders: Iterable[Iterable[int]]) -> "Profile":
-        return cls(tuple(Ranking.of(o) for o in orders))
+        """Count the voters' orders; one :class:`Ranking` per distinct order."""
+        return cls.from_counts(Counter(tuple(o) for o in orders).items())
 
     @classmethod
-    def from_counts(cls, pairs: Iterable[tuple[Ranking, int]]) -> "Profile":
-        """Build a profile from (ranking, multiplicity) pairs.
+    def from_counts(cls, pairs: Iterable[tuple[Union[Ranking, Iterable[int]], int]]) -> "Profile":
+        """Build a profile from (ranking or order, multiplicity) pairs.
 
-        Pre-seeds the grouped view, which keeps per-profile work
-        proportional to the number of distinct rankings even for large n.
+        Repeated rankings add up and zero multiplicities are dropped. No
+        per-voter sequence is built, so the work grows with the number of
+        pairs, not with ``n``.
         """
         grouped: dict[Ranking, int] = {}
-        rankings: list[Ranking] = []
         for r, count in pairs:
+            count = operator.index(count)
             if count < 0:
                 raise ValueError("multiplicities must be nonnegative")
-            if count == 0:
-                continue
-            grouped[r] = grouped.get(r, 0) + count
-            rankings.extend([r] * count)
-        profile = cls(tuple(rankings))
+            if count:
+                r = r if isinstance(r, Ranking) else Ranking(tuple(r))
+                grouped[r] = grouped.get(r, 0) + count
+        profile = cls.__new__(cls)
         profile.__dict__["grouped"] = grouped
+        profile.__post_init__()
         return profile
 
-    @property
-    def m(self) -> int:
-        return self.rankings[0].m
-
-    @property
-    def n(self) -> int:
-        return len(self.rankings)
-
     @cached_property
-    def grouped(self) -> dict[Ranking, int]:
-        """Distinct ranking -> multiplicity. Solvers iterate this view."""
-        return dict(Counter(self.rankings))
+    def rankings(self) -> tuple[Ranking, ...]:
+        """Ballots agent by agent: as passed to ``Profile(...)``, else grouped.
+
+        A profile built from counts expands ``grouped`` here, on first use,
+        into ``n`` entries; only per-voter consumers ask for it.
+        """
+        return tuple(itertools.chain.from_iterable(
+            itertools.repeat(r, count) for r, count in self.grouped.items()
+        ))
 
     @cached_property
     def wmg(self) -> "WMG":
         """Pairwise margins, tallied once per profile; read them via :func:`wmg`."""
-        return _tally_margins(self)
+        return _margin_kernel(self)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Profile):
+            return NotImplemented
+        return self.grouped == other.grouped
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self.grouped.items()))
 
 
 @dataclass(frozen=True)
@@ -186,7 +223,7 @@ class WeightedProfile:
     @cached_property
     def wmg(self) -> "WMG":
         """Pairwise margins, tallied once per profile; read them via :func:`wmg`."""
-        return _tally_margins(self)
+        return _weighted_margins(self)
 
 
 AnyProfile = Union[Profile, WeightedProfile]
@@ -342,7 +379,7 @@ def apply_permutation(sigma: Sequence[int], r: Ranking) -> Ranking:
 
 def permute_profile(sigma: Sequence[int], p: Profile) -> Profile:
     """Apply one relabeling to every ballot."""
-    return Profile(tuple(apply_permutation(sigma, r) for r in p.rankings))
+    return Profile.from_counts((apply_permutation(sigma, r), c) for r, c in p.grouped.items())
 
 
 def _canonical_tail(m: int, m_prime: int) -> tuple[int, ...]:
@@ -360,30 +397,33 @@ def app_last(
     alternatives followed by the given per-voter tail (default: ascending
     index). The ascending default is an arbitrary-but-deterministic
     choice; every member of the appended family shares the properties
-    callers rely on.
+    callers rely on. The default pads each distinct ranking once and keeps
+    the counts; per-voter tails pair up with ``p.rankings`` agent by agent.
     """
     if m_prime < 1:
         raise ValueError("m_prime must be positive")
     m = p.m
-    new_alts = set(_canonical_tail(m, m_prime))
+    canonical = _canonical_tail(m, m_prime)
     if tail_orders is None:
-        tails = [_canonical_tail(m, m_prime)] * p.n
-    else:
-        if len(tail_orders) != p.n:
-            raise ValueError("need one tail order per voter")
-        tails = []
-        for t in tail_orders:
-            tt = tuple(t)
-            if set(tt) != new_alts or len(tt) != m_prime:
-                raise ValueError(f"tail {tt!r} is not a permutation of the new alternatives")
-            tails.append(tt)
+        return Profile.from_counts((r.order + canonical, c) for r, c in p.grouped.items())
+    if len(tail_orders) != p.n:
+        raise ValueError("need one tail order per voter")
+    new_alts = set(canonical)
+    tails = []
+    for t in tail_orders:
+        tt = tuple(t)
+        if set(tt) != new_alts or len(tt) != m_prime:
+            raise ValueError(f"tail {tt!r} is not a permutation of the new alternatives")
+        tails.append(tt)
     return Profile(tuple(Ranking(r.order + t) for r, t in zip(p.rankings, tails)))
 
 
 def iter_app_last(p: Profile, m_prime: int) -> Iterator[Profile]:
     """Yield every profile obtainable by appending ``m_prime`` alternatives.
 
-    There are ``(m_prime!)**n`` members; intended for tiny enumerations.
+    There are ``(m_prime!)**n`` tail assignments, one profile each;
+    assignments that differ only in which of two equal ballots gets which
+    tail yield equal profiles. Intended for tiny enumerations.
     """
     tail_perms = list(itertools.permutations(_canonical_tail(p.m, m_prime)))
     for combo in itertools.product(tail_perms, repeat=p.n):
@@ -399,11 +439,35 @@ def wmg(p: AnyProfile) -> WMG:
     return p.wmg
 
 
-def _tally_margins(p: AnyProfile) -> WMG:
+def _margin_kernel(p: Profile) -> WMG:
+    """Margins of an unweighted profile, in numpy over its distinct rankings.
+
+    ``pos[i, a]`` is the position of ``a`` in distinct ranking ``i``. Row
+    ``i``'s count goes to ``wins[a, b]`` exactly when ``a`` sits above ``b``
+    there, and the margin is ``wins - wins.T``. No entry exceeds ``n``, so
+    int64 is exact. Rows go in blocks of at most ``_KERNEL_CELLS`` pair
+    comparisons, which bounds the temporaries for profiles with many
+    distinct rankings.
+    """
+    m, distinct = p.m, len(p.grouped)
+    orders = itertools.chain.from_iterable(r.order for r in p.grouped)
+    pos = np.argsort(np.fromiter(orders, np.intp, distinct * m).reshape(distinct, m), axis=1)
+    counts = np.fromiter(p.grouped.values(), np.int64, distinct)
+    wins = np.zeros(m * m, dtype=np.int64)
+    step = max(1, _KERNEL_CELLS // (m * m))
+    for start in range(0, distinct, step):
+        block = pos[start : start + step]
+        above = (block[:, :, None] < block[:, None, :]).reshape(len(block), m * m)
+        wins += counts[start : start + step] @ above
+    wins = wins.reshape(m, m)
+    return WMG(tuple(map(tuple, (wins - wins.T).tolist())))
+
+
+def _weighted_margins(p: WeightedProfile) -> WMG:
+    """Margins of a weighted profile, summed entry by entry in exact ``Fraction``."""
     m = p.m
-    zero: Union[int, Fraction] = 0 if isinstance(p, Profile) else Fraction(0)
-    rows = [[zero] * m for _ in range(m)]
-    for r, w in _weighted_items(p):
+    rows = [[Fraction(0)] * m for _ in range(m)]
+    for r, w in p.entries:
         pos = r.positions
         for a in range(m):
             pa = pos[a]

@@ -25,6 +25,7 @@ import hashlib
 import json
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from pathlib import Path
@@ -221,23 +222,28 @@ def _shared_parameter_trial_profiles(cfg: ExperimentConfig, model: AlphaIC):
     probs /= probs.sum()
     for trial, rng in enumerate(_trial_rngs(cfg)):
         counts = rng.multinomial(n, probs)
-        profile = Profile.from_counts(
-            (rankings[i], int(counts[i])) for i in range(len(rankings))
-        )
-        yield trial, profile, target
+        yield trial, Profile.from_counts(zip(rankings, counts.tolist())), target
 
 
 def _random_parameter_trial_profiles(cfg: ExperimentConfig, model: AlphaIC):
-    """Per-agent random parameters; the target is the final agent's bottom."""
-    from .models import sample as model_sample
+    """Per-agent random parameters; the target is the final agent's bottom.
 
+    The generator is consumed exactly as drawing each agent's parameter
+    and then each agent's ballot through ``AlphaIC.sample`` would: all
+    ``n`` parameter permutations first, then per agent one uniform number
+    and, when it falls below ``alpha``, one more permutation. Ballots are
+    tallied as plain orders, so a :class:`Ranking` is built only once per
+    distinct ballot.
+    """
     m, n = cfg.m, cfg.n
+    alpha = float(model.alpha)
     for trial, rng in enumerate(_trial_rngs(cfg)):
-        parameters = [
-            Ranking(tuple(int(x) for x in rng.permutation(m))) for _ in range(n)
-        ]
-        ballots = tuple(model_sample(model, p, rng) for p in parameters)
-        yield trial, Profile(ballots), parameters[-1].order[-1]
+        parameters = [tuple(rng.permutation(m).tolist()) for _ in range(n)]
+        ballots = Counter(
+            tuple(rng.permutation(m).tolist()) if rng.random() < alpha else parameter
+            for parameter in parameters
+        )
+        yield trial, Profile.from_counts(ballots.items()), parameters[-1][-1]
 
 
 def _trial_profiles(cfg: ExperimentConfig, model: AlphaIC):

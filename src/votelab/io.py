@@ -9,8 +9,12 @@ All formats are line-oriented with a size header:
 * digraph: ``m e`` then ``e`` lines ``u v`` for the arc ``u -> v``;
 * exact-cover instance: ``q s`` then ``s`` lines of 3 element indices.
 
-Readers raise ``ValueError`` on malformed input; writers round-trip
-exactly.
+Readers raise ``ValueError`` on malformed input. A profile is read as
+its distinct ballots with counts, and writing it lists each distinct
+ballot's copies together, so a written profile reads back equal as a
+ballot multiset, not line for line. A profile built agent by agent, such
+as a sampled one, is written in agent order. The other formats
+round-trip exactly.
 """
 
 from __future__ import annotations

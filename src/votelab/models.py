@@ -197,7 +197,12 @@ class ParameterProfile:
 
 
 def sample_profile(pp: ParameterProfile, rng: np.random.Generator) -> Profile:
-    """One independent ballot per unit of weight, agents in entry order."""
+    """One independent ballot per unit of weight, agents in entry order.
+
+    The profile keeps the agents' ballots as ``rankings``, which is what
+    :func:`~votelab.reductions.top_slice_matches` and the ``sample``
+    command read.
+    """
     if not pp.is_integral:
         raise ValueError("sampling needs integer weights; scale and round first")
     ballots = []

@@ -140,9 +140,13 @@ class DodgsonReductionOutput:
     layout: DodgsonReductionLayout
 
 
-def _fill_ascending(head: Sequence[int], m: int) -> Ranking:
-    rest = [x for x in range(m) if x not in set(head)]
-    return Ranking(tuple(head) + tuple(rest))
+def _fill_ascending(head: Sequence[int], m: int) -> tuple[int, ...]:
+    """The order ``head`` followed by every other alternative, ascending."""
+    taken = set(head)
+    # A list, not a generator: tuple() over a generator allocates and then
+    # resizes, which strands thousands of freed tuples on CPython's
+    # per-size free lists and grows peak memory over a long reduction sweep.
+    return (*head, *[x for x in range(m) if x not in taken])
 
 
 def x3c_to_dodgson(inst: X3CInstance) -> DodgsonReductionOutput:
@@ -159,7 +163,8 @@ def x3c_to_dodgson(inst: X3CInstance) -> DodgsonReductionOutput:
       the critical one, added until each lead is exactly one vote.
 
     Unconstrained ballot segments are filled in ascending index so the
-    output is deterministic.
+    output is deterministic. Ballots are emitted as order rows with
+    counts, in block order.
     """
     q, s = inst.q, inst.s
     element_alts = tuple(range(q))
@@ -169,7 +174,7 @@ def x3c_to_dodgson(inst: X3CInstance) -> DodgsonReductionOutput:
     m1 = 2 * q + s + 1
     layout = DodgsonReductionLayout(element_alts, companion_alts, subset_alts, critical)
 
-    counted: list[tuple[Ranking, int]] = []
+    counted: list[tuple[tuple[int, ...], int]] = []
     for j, sub in enumerate(inst.subsets):
         head = list(sub) + [subset_alts[j], critical]
         counted.append((_fill_ascending(head, m1), 1))
@@ -227,12 +232,20 @@ def build_padded_parameter_profile(
     if isinstance(model, PartialAltRandomization) and model.K < m1:
         raise ValueError(f"K={model.K} below reduction width {m1}")
     padded = out.profile if m_total == m1 else app_last(out.profile, m_total - m1)
+    # app_last pads each distinct ranking in place, so entry i extends
+    # agent i of out.profile.rankings.
     entries = tuple((r, Fraction(1)) for r in padded.rankings)
     return ParameterProfile(entries, model)
 
 
 def top_slice_matches(sampled: Profile, reference: Profile) -> bool:
-    """Agent-wise: does every sampled ballot open with its reference ballot?"""
+    """Agent-wise: does every sampled ballot open with its reference ballot?
+
+    Agents pair up by index in ``rankings``, so both profiles must have
+    the same ``n``; otherwise this raises ``ValueError``.
+    """
+    if sampled.n != reference.n:
+        raise ValueError(f"sampled profile has {sampled.n} agents, reference has {reference.n}")
     width = reference.m
     return all(
         s.order[:width] == r.order

@@ -432,14 +432,17 @@ class Committee:
         return len(self.members)
 
 
-def _satisfaction_table(p: Profile, committee: Committee, alpha: DPSF) -> list[list[int]]:
-    """Per-voter satisfaction for each member, members in sorted order."""
+def _satisfaction_table(p: Profile, committee: Committee, alpha: DPSF) -> list[tuple[list[int], int]]:
+    """Satisfaction for each member, members in sorted order, with its voter count.
+
+    One row per distinct ranking of ``p``.
+    """
     members = sorted(committee.members)
     for c in members:
         if not 0 <= c < p.m:
             raise ValueError(f"committee member {c} out of range")
     alpha.check_decreasing(p.m)
-    return [[alpha(r.position(c) + 1) for c in members] for r in p.rankings]
+    return [([alpha(r.position(c) + 1) for c in members], count) for r, count in p.grouped.items()]
 
 
 def cc_score(
@@ -456,11 +459,10 @@ def cc_score(
     """
     alpha = alpha or linear_dpsf()
     table = _satisfaction_table(p, committee, alpha)
-    per_voter = [max(row) for row in table]
     if aggregator == "sum":
-        return sum(per_voter)
+        return sum(max(row) * count for row, count in table)
     if aggregator == "min":
-        return min(per_voter)
+        return min(max(row) for row, _ in table)
     raise ValueError(f"unknown aggregator {aggregator!r}")
 
 
@@ -551,7 +553,8 @@ def monroe_score(
     voter-member pairs that reach it still admit a balanced assignment.
     """
     alpha = alpha or linear_dpsf()
-    table = _satisfaction_table(p, committee, alpha)
+    # The assignment places voters one by one: one row per voter.
+    table = [row for row, count in _satisfaction_table(p, committee, alpha) for _ in range(count)]
 
     if aggregator == "sum":
         return _balanced_assignment(table)  # never None: any voter may serve any member

@@ -4,8 +4,10 @@ Oracles here deliberately avoid the package's solver code paths: the
 Kemeny oracle enumerates all rankings, the Kemeny block table is the
 subset DP as a plain loop, the assignment oracles enumerate raw
 assignment functions or solve a slot-replicated linear assignment with
-SciPy, and the pairwise-disagreement and margin oracles count pairs
-ballot by ballot. Expected values in tests are frozen from these.
+SciPy, the pairwise-disagreement and margin oracles count pairs ballot by
+ballot (or distinct ballot by distinct ballot, times its count), and the
+random-parameter sampler draws agent by agent through ``models.sample``.
+Expected values in tests are frozen from these.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
-from votelab import Committee, Profile, Ranking, linear_dpsf
+from votelab import Committee, Profile, Ranking, linear_dpsf, sample
 
 
 def random_ranking(rng: np.random.Generator, m: int) -> Ranking:
@@ -43,8 +45,12 @@ def votes_brute(p: Profile, a: int, b: int) -> int:
 
 
 def margins_brute(p) -> list[list]:
-    """Net pairwise margins summed entry by entry; weighted entries keep their ``Fraction``."""
-    entries = [(r, 1) for r in p.rankings] if isinstance(p, Profile) else p.entries
+    """Net pairwise margins summed entry by entry, in pure Python.
+
+    An unweighted profile's entries are its distinct rankings with their
+    counts; weighted entries keep their ``Fraction``.
+    """
+    entries = p.grouped.items() if isinstance(p, Profile) else p.entries
     rows = [[0] * p.m for _ in range(p.m)]
     for r, w in entries:
         for a, b in itertools.permutations(range(p.m), 2):
@@ -181,6 +187,21 @@ def monroe_lsa(p: Profile, committee: Committee, aggregator: str) -> int:
         if allowed[rows, cols].all() and mandatory[cols].sum() == k * low:
             return int(level)
     raise AssertionError("the lowest level admits every assignment")
+
+
+def random_parameter_profiles_per_agent(seed: int, trials: int, m: int, n: int, model):
+    """(profile, target) per trial for the ``random_profile`` adversary, agent by agent.
+
+    Each trial's generator is spawned from the seed as the harness does;
+    every agent gets a uniform parameter ranking, then every agent draws
+    one ballot from ``model`` at that parameter. The target is the last
+    parameter's bottom alternative.
+    """
+    for child in np.random.SeedSequence(seed).spawn(trials):
+        rng = np.random.default_rng(child)
+        parameters = [random_ranking(rng, m) for _ in range(n)]
+        ballots = tuple(sample(model, parameter, rng) for parameter in parameters)
+        yield Profile(ballots), parameters[-1].order[-1]
 
 
 @pytest.fixture

@@ -19,10 +19,11 @@ from votelab import (
     iter_app_last,
     kt_distance,
     kt_profile_distance,
+    core,
     top_k,
     wmg,
 )
-from conftest import condorcet_brute, deficit_brute, kt_brute, margins_brute
+from conftest import condorcet_brute, deficit_brute, kt_brute, margins_brute, random_profile
 
 st_m = st.integers(3, 6)
 
@@ -283,6 +284,64 @@ class TestMarginKernel:
         graph = wmg(wp)
         assert graph is wmg(wp)
         assert [list(row) for row in graph.margins] == margins_brute(wp)
+
+    @given(
+        st.integers(3, 10).flatmap(
+            lambda m: st.lists(
+                st.tuples(st_ranking(m), st.integers(0, 10**6)), min_size=1, max_size=12
+            ).map(lambda pairs: pairs + pairs[::3])  # repeat some rankings
+        ).filter(lambda pairs: any(count for _, count in pairs))
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_counts_match_brute_tally(self, pairs):
+        p = Profile.from_counts(pairs)
+        expected = Counter()
+        for r, count in pairs:
+            expected[r] += count
+        assert p.grouped == {r: count for r, count in expected.items() if count}
+        assert p.n == sum(count for _, count in pairs)
+        assert [list(row) for row in wmg(p).margins] == margins_brute(p)
+
+    def test_blocks_of_rows_add_up(self, rng, monkeypatch):
+        p = random_profile(rng, 6, 40)
+        expected = margins_brute(p)
+        monkeypatch.setattr(core, "_KERNEL_CELLS", 3 * 6 * 6)  # three rows per step
+        assert [list(row) for row in wmg(Profile(p.rankings)).margins] == expected
+
+    def test_huge_counts_cost_nothing_per_voter(self):
+        big = 10**12
+        p = Profile.from_counts([(ABC, big)])
+        assert p.n == big
+        assert wmg(p).margins == ((0, big, big), (-big, 0, big), (-big, -big, 0))
+
+    def test_int64_overflow_rejected(self):
+        with pytest.raises(ValueError):
+            Profile.from_counts([(ABC, 2**62), (CBA, 2**62)])
+
+
+class TestProfileRepresentation:
+    def test_equality_is_multiset_equality(self):
+        assert Profile((ABC, CBA, ABC)) == Profile((ABC, ABC, CBA))
+        assert hash(Profile((ABC, CBA, ABC))) == hash(Profile.of([[2, 1, 0], [0, 1, 2], [0, 1, 2]]))
+        assert Profile((ABC, CBA)) != Profile((ABC, ABC))
+
+    def test_agent_order_kept_only_when_given(self):
+        assert Profile((ABC, CBA, ABC)).rankings == (ABC, CBA, ABC)
+        assert Profile.of([[0, 1, 2], [2, 1, 0], [0, 1, 2]]).rankings == (ABC, ABC, CBA)
+        assert Profile.from_counts([(CBA, 1), ((0, 1, 2), 2), (CBA, 0)]).rankings == (CBA, ABC, ABC)
+
+    def test_from_counts_checks_multiplicities(self):
+        with pytest.raises(ValueError):
+            Profile.from_counts([(ABC, -1)])
+        with pytest.raises(ValueError):
+            Profile.from_counts([(ABC, 0)])
+        with pytest.raises(TypeError):
+            Profile.from_counts([(ABC, 1.5)])
+
+    def test_app_last_keeps_counts(self):
+        p = Profile.from_counts([(ABC, 10**9), (CBA, 3)])
+        padded = app_last(p, 2)
+        assert padded.grouped == {Ranking.of([0, 1, 2, 3, 4]): 10**9, Ranking.of([2, 1, 0, 3, 4]): 3}
 
 
 class TestBackwardArcs:

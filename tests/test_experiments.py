@@ -1,13 +1,17 @@
+import hashlib
 import json
 import math
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from votelab import AlphaIC
 from votelab.experiments import (
     ExperimentConfig,
     TopBreakNoise,
+    _trial_profiles,
     run_cover_driver,
     run_concentration_tails,
     run_top_preservation,
@@ -15,6 +19,7 @@ from votelab.experiments import (
     run_experiment,
     write_report,
 )
+from conftest import random_parameter_profiles_per_agent
 
 ALPHA_IC = {"model": "alpha_ic", "alpha": "2/3"}
 Q3 = {"q": 3, "subsets": [[0, 1, 2]]}
@@ -82,6 +87,23 @@ class TestDefinitelyRate:
         )
         report = run_definitely_rate(cfg)
         assert len(report.rows) == 40
+
+
+class TestRandomProfileAdversary:
+    @pytest.mark.parametrize("seed", [0, 7, 2026])
+    @pytest.mark.parametrize("m", [3, 4, 5])
+    def test_matches_per_agent_sampling(self, seed, m):
+        model = AlphaIC(m, Fraction(m - 1, m))
+        cfg = ExperimentConfig(
+            claim="definitely_rate", trials=4, seed=seed, m=m, n=60,
+            model={"model": "alpha_ic", "alpha": str(model.alpha)}, adversary="random_profile",
+        )
+        produced = list(_trial_profiles(cfg, model))
+        reference = list(random_parameter_profiles_per_agent(seed, 4, m, 60, model))
+        assert [trial for trial, _, _ in produced] == list(range(4))
+        for (_, profile, target), (expected, expected_target) in zip(produced, reference):
+            assert Counter(profile.rankings) == Counter(expected.rankings)
+            assert target == expected_target
 
 
 class TestClaim1:
@@ -235,3 +257,70 @@ class TestReports:
         lines = Path(paths["csv"]).read_text().strip().splitlines()
         assert len(lines) == 31  # header + trials
         assert lines[0].startswith("trial,")
+
+
+# Small seeded runs of every claim, both adversaries for the noise claims.
+# The digests date from per-agent profiles and the pure-Python margin tally,
+# so they pin each sampler's draws, every answer and the report format
+# independently of the count-based code.
+PINNED_REPORTS = [
+    (
+        dict(claim="definitely_rate", trials=20, seed=5, m=4, n=500,
+             model={"model": "alpha_ic", "alpha": "3/4"}, plot_data=True),
+        "1e209667d3bc8c80c25347fbffefabc5bba443de3bee22f663fad164a535e74f",
+    ),
+    (
+        dict(claim="definitely_rate", trials=8, seed=6, m=4, n=200,
+             model={"model": "alpha_ic", "alpha": "3/4"}, adversary="random_profile"),
+        "0198d04989191d3906bb715750d505cd73517f675888438f1a3b68544a6f75ce",
+    ),
+    (
+        dict(claim="concentration", trials=20, seed=7, m=3, n=300, model=ALPHA_IC),
+        "de8ffb50519148aab0c69f8e2ca8e018eefe1d50188ddb73f8206987010f7586",
+    ),
+    (
+        dict(claim="concentration", trials=8, seed=8, m=5, n=150,
+             model={"model": "alpha_ic", "alpha": "4/5"}, adversary="random_profile"),
+        "5a624c469a46480ac5e66493115a94fdc2203804f49b458e016c98b8ee228aa2",
+    ),
+    (
+        dict(claim="top_preservation", trials=30, seed=9, instance=Q6_YES,
+             model={"model": "top_break", "K": "2*m1*n"}, pad=2, plot_data=True),
+        "8de7077f41b9c710402be988baea43fd2b499971625169340fdab7f4bd96f090",
+    ),
+    (
+        dict(claim="top_preservation", trials=10, seed=10, instance=Q6_NO,
+             model={"model": "alpha_ic", "alpha": "1/2"}, pad=1),
+        "8db65008785f65ec80deb092edbdc027c3338b1fbeb89f3948c8863632da0d69",
+    ),
+    (
+        dict(claim="cover_driver", trials=20, seed=11, instance=Q6_NO,
+             model={"model": "top_break", "K": "2*m1*n"}, pad=2),
+        "5e7cac9d9963c9ed0e654fc5c012f78e50d84b4ffd0be89118735cf5c98c2e5b",
+    ),
+    (
+        dict(claim="cover_driver", trials=10, seed=12, instance=Q6_YES,
+             model={"model": "partial_alt", "K": "m1"}, pad=2),
+        "6be4b30ba5209bd412ce2553574c32736eb47be356a39418101cbe45c89327ea",
+    ),
+]
+
+
+def report_digest(paths: dict) -> str:
+    """SHA-256 over each written file's name and bytes, files in key order."""
+    digest = hashlib.sha256()
+    for key in sorted(paths):
+        path = Path(paths[key])
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "config, expected",
+    PINNED_REPORTS,
+    ids=[f"{c['claim']}-{c.get('adversary', c.get('model', {}).get('model'))}-{c['seed']}"
+         for c, _ in PINNED_REPORTS],
+)
+def test_seeded_report_bytes_pinned(tmp_path, config, expected):
+    paths = write_report(run_experiment(ExperimentConfig(**config)), tmp_path)
+    assert report_digest(paths) == expected

@@ -147,6 +147,14 @@ class TestPaddedParameterProfile:
             sampled = sample_profile(pp, rng)
             assert top_slice_matches(sampled, out.profile)
 
+    def test_top_slice_needs_equal_agent_counts(self):
+        # Agents pair up by index, so a shorter sample would leave agents unchecked.
+        abc = Ranking.of([0, 1, 2])
+        with pytest.raises(ValueError):
+            top_slice_matches(Profile((abc,)), Profile((abc, abc)))
+        with pytest.raises(ValueError):
+            top_slice_matches(Profile((abc, abc)), Profile((abc,)))
+
     def test_tail_actually_shuffles(self, rng):
         out = x3c_to_dodgson(SINGLETON)
         m1 = out.profile.m

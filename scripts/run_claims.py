@@ -29,6 +29,11 @@ def configs(seed: int, trials: int):
         claim="cover_driver", trials=min(trials, 1000), seed=seed, instance=q6_no,
         model={"model": "top_break", "K": "2*m1*n"}, pad=2,
     )
+    # A success bound that is neither vacuous nor 1: 1 - 8 exp(-n/1800) ~ 0.906.
+    yield ExperimentConfig(
+        claim="definitely_rate", trials=trials, seed=seed, m=5, n=8000,
+        model={"model": "alpha_ic", "alpha": "4/5"},
+    )
 
 
 def main() -> int:

@@ -75,7 +75,6 @@ from .rules_exact import (
     DPSF,
     cc_score,
     committee_decision,
-    dodgson_score_bfs_oracle,
     dodgson_score_exact,
     dodgson_score_within,
     kemeny_best,

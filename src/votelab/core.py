@@ -257,6 +257,13 @@ class WMG:
                 if self.margins[a][b] != -self.margins[b][a]:
                     raise ValueError("margin matrix must be antisymmetric")
 
+    @classmethod
+    def _trusted(cls, margins: tuple[tuple[int, ...], ...]) -> "WMG":
+        """Wrap a matrix that is antisymmetric by construction, skipping the checks."""
+        graph = object.__new__(cls)
+        object.__setattr__(graph, "margins", margins)
+        return graph
+
     @property
     def m(self) -> int:
         return len(self.margins)
@@ -444,10 +451,11 @@ def _margin_kernel(p: Profile) -> WMG:
 
     ``pos[i, a]`` is the position of ``a`` in distinct ranking ``i``. Row
     ``i``'s count goes to ``wins[a, b]`` exactly when ``a`` sits above ``b``
-    there, and the margin is ``wins - wins.T``. No entry exceeds ``n``, so
-    int64 is exact. Rows go in blocks of at most ``_KERNEL_CELLS`` pair
-    comparisons, which bounds the temporaries for profiles with many
-    distinct rankings.
+    there, and the margin is ``wins - wins.T``: antisymmetric with a zero
+    diagonal by construction, so it skips :class:`WMG`'s checks. No entry
+    exceeds ``n``, so int64 is exact. Rows go in blocks of at most
+    ``_KERNEL_CELLS`` pair comparisons, which bounds the temporaries for
+    profiles with many distinct rankings.
     """
     m, distinct = p.m, len(p.grouped)
     orders = itertools.chain.from_iterable(r.order for r in p.grouped)
@@ -460,7 +468,7 @@ def _margin_kernel(p: Profile) -> WMG:
         above = (block[:, :, None] < block[:, None, :]).reshape(len(block), m * m)
         wins += counts[start : start + step] @ above
     wins = wins.reshape(m, m)
-    return WMG(tuple(map(tuple, (wins - wins.T).tolist())))
+    return WMG._trusted(tuple(map(tuple, (wins - wins.T).tolist())))
 
 
 def _weighted_margins(p: WeightedProfile) -> WMG:

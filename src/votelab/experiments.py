@@ -38,7 +38,7 @@ from .greedy_dodgson import Decision, greedy_dodgson, immediately_above_count
 from .models import AlphaIC, PartialAltRandomization, _spec_number, all_rankings, model_from_spec
 from .reductions import (
     X3CInstance,
-    x3c_via_dodgson,
+    _decide_sampled,
     build_padded_parameter_profile,
     top_slice_matches,
     x3c_bruteforce,
@@ -231,18 +231,30 @@ def _random_parameter_trial_profiles(cfg: ExperimentConfig, model: AlphaIC):
     The generator is consumed exactly as drawing each agent's parameter
     and then each agent's ballot through ``AlphaIC.sample`` would: all
     ``n`` parameter permutations first, then per agent one uniform number
-    and, when it falls below ``alpha``, one more permutation. Ballots are
-    tallied as plain orders, so a :class:`Ranking` is built only once per
+    and, when it falls below ``alpha``, one more permutation. The batched
+    calls draw the same numbers: ``permutation(m)``, ``shuffle`` of a
+    list and ``permuted`` along an axis all run one Fisher-Yates pass per
+    length-``m`` row, one bounded draw per position from the last down,
+    and ``permuted`` takes the rows of its ``(n, m)`` array in order. So
+    one ``permuted`` call yields all ``n`` parameters, and shuffling
+    ``range(m)`` in place yields one resampled ballot. Ballots are tallied
+    as plain orders, so a :class:`Ranking` is built only once per
     distinct ballot.
     """
     m, n = cfg.m, cfg.n
     alpha = float(model.alpha)
+    identity = np.tile(np.arange(m), (n, 1))
     for trial, rng in enumerate(_trial_rngs(cfg)):
-        parameters = [tuple(rng.permutation(m).tolist()) for _ in range(n)]
-        ballots = Counter(
-            tuple(rng.permutation(m).tolist()) if rng.random() < alpha else parameter
-            for parameter in parameters
-        )
+        parameters = list(map(tuple, rng.permuted(identity, axis=1).tolist()))
+
+        def ballot(parameter: tuple[int, ...]) -> tuple[int, ...]:
+            if rng.random() < alpha:
+                order = list(range(m))
+                rng.shuffle(order)
+                return tuple(order)
+            return parameter
+
+        ballots = Counter(map(ballot, parameters))
         yield trial, Profile.from_counts(ballots.items()), parameters[-1][-1]
 
 
@@ -524,9 +536,14 @@ def run_top_preservation(cfg: ExperimentConfig) -> TrialReport:
 
 
 def run_cover_driver(cfg: ExperimentConfig) -> TrialReport:
-    """One-sidedness and NO-rate of the randomized exact-cover driver."""
+    """One-sidedness and NO-rate of the randomized exact-cover driver.
+
+    The reduction and its padded parameter profile are built once; each
+    trial is one :func:`~votelab.reductions.x3c_via_dodgson` draw on them.
+    """
     started = time.perf_counter()
     inst, out, model = _padded_reduction(cfg)
+    pp = build_padded_parameter_profile(out, model, model.m)
     expected_yes = x3c_bruteforce(inst)
     m1 = out.profile.m
 
@@ -537,7 +554,7 @@ def run_cover_driver(cfg: ExperimentConfig) -> TrialReport:
     no_flags = []
     no_count = 0
     for trial, rng in enumerate(_trial_rngs(cfg)):
-        answer = x3c_via_dodgson(inst, exact_decider, model, rng)
+        answer = _decide_sampled(out, pp, exact_decider, rng)
         no_count += answer is Decision.NO
         no_flags.append({"no": int(answer is Decision.NO)})
         rows.append({"trial": trial, "answer": answer.value})

@@ -269,6 +269,20 @@ def x3c_via_dodgson(
     """
     out = x3c_to_dodgson(inst)
     pp = build_padded_parameter_profile(out, model, model.m)
+    return _decide_sampled(out, pp, dodgson_decider, rng)
+
+
+def _decide_sampled(
+    out: DodgsonReductionOutput,
+    pp: ParameterProfile,
+    dodgson_decider: Callable[[Profile, int, int], Decision],
+    rng: np.random.Generator,
+) -> Decision:
+    """One draw of :func:`x3c_via_dodgson` from an already built reduction.
+
+    ``pp`` must be ``out``'s padded parameter profile. Callers that run
+    many trials on one instance build both once and call this per trial.
+    """
     sampled = sample_profile(pp, rng)
     if not top_slice_matches(sampled, out.profile):
         return Decision.YES

@@ -9,22 +9,22 @@ Dodgson scores are computed over "lift vectors": per ballot, raising the
 target alternative by ``k`` adjacent swaps passes exactly the ``k``
 alternatives sitting directly above it. The search is a dynamic program
 over the vector of still-missing majority votes, with branch-and-bound
-pruning on partial swap counts; its optimality over raw swap sequences is
-checked against an unrestricted breadth-first oracle at tiny scale rather
-than assumed.
+pruning on partial swap counts. Its optimality over raw swap sequences
+is not assumed: the test suite checks it against an unrestricted
+breadth-first search over swaps at small scale, and the DP's search
+against an integer program over lift-vector counts.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, NoReturn, Optional, Sequence
 
 import numpy as np
 
-from .core import Profile, Ranking, condorcet_winner, deficit, wmg
+from .core import Profile, Ranking, deficit, wmg
 from .errors import BudgetExceededError
 
 __all__ = [
@@ -33,7 +33,6 @@ __all__ = [
     "linear_dpsf",
     "dodgson_score_exact",
     "dodgson_score_within",
-    "dodgson_score_bfs_oracle",
     "young_score_exact",
     "kemeny_best",
     "kemeny_score_of_alternative",
@@ -44,7 +43,6 @@ __all__ = [
 ]
 
 DEFAULT_DODGSON_BUDGET = 5_000_000  # DP expansions
-DEFAULT_BFS_STATE_BUDGET = 2_000_000
 DEFAULT_YOUNG_BUDGET = 2**21  # search nodes: every profile with n <= 20 fits
 DEFAULT_KEMENY_BUDGET = 1 << 16  # subset-DP states: m <= 16
 DEFAULT_COMMITTEE_BUDGET = 1_000_000  # committees enumerated by the decision problem
@@ -173,45 +171,6 @@ def dodgson_score_exact(p: Profile, a: int, *, budget: int = DEFAULT_DODGSON_BUD
     if score is None:
         raise RuntimeError("dodgson search without a cutoff ended with no score")
     return score
-
-
-def dodgson_score_bfs_oracle(
-    p: Profile,
-    a: int,
-    *,
-    max_m: int = 4,
-    max_n: int = 3,
-    state_budget: int = DEFAULT_BFS_STATE_BUDGET,
-) -> int:
-    """Shortest swap path to Condorcet-winnerhood, any pair, any ballot.
-
-    Unrestricted breadth-first search over whole-profile states; exists
-    purely to certify the lift-vector solver on tiny instances.
-    """
-    _require_rule_scale(p)
-    if p.m > max_m or p.n > max_n:
-        raise BudgetExceededError(
-            f"bfs oracle limited to m<={max_m}, n<={max_n} (got m={p.m}, n={p.n})"
-        )
-    start = tuple(r.order for r in p.rankings)
-    dist = {start: 0}
-    queue = deque([start])
-    while queue:
-        state = queue.popleft()
-        d = dist[state]
-        if condorcet_winner(Profile.of(state)) == a:
-            return d
-        if len(dist) > state_budget:
-            raise BudgetExceededError("bfs oracle exceeded its state budget")
-        for voter, order in enumerate(state):
-            for i in range(len(order) - 1):
-                swapped = list(order)
-                swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
-                nxt = state[:voter] + (tuple(swapped),) + state[voter + 1 :]
-                if nxt not in dist:
-                    dist[nxt] = d + 1
-                    queue.append(nxt)
-    raise AssertionError("swap graph is connected; unreachable")
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
 """Shared fixtures and independent brute-force oracles.
 
 Oracles here deliberately avoid the package's solver code paths: the
-Kemeny oracle enumerates all rankings, the Kemeny block table is the
-subset DP as a plain loop, the assignment oracles enumerate raw
-assignment functions or solve a slot-replicated linear assignment with
-SciPy, the pairwise-disagreement and margin oracles count pairs ballot by
-ballot (or distinct ballot by distinct ballot, times its count), and the
+Dodgson oracles search raw adjacent swaps breadth-first or solve an
+integer program over lift-vector counts with SciPy, the Kemeny oracle
+enumerates all rankings, the Kemeny block table is the subset DP as a
+plain loop, the assignment oracles enumerate raw assignment functions or
+solve a slot-replicated linear assignment with SciPy, the
+pairwise-disagreement and margin oracles count pairs ballot by ballot (or
+distinct ballot by distinct ballot, times its count), and the
 random-parameter sampler draws agent by agent through ``models.sample``.
 Expected values in tests are frozen from these.
 """
@@ -14,12 +16,16 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import deque
+from typing import Optional
 
 import numpy as np
 import pytest
-from scipy.optimize import linear_sum_assignment
+from scipy.optimize import Bounds, LinearConstraint, linear_sum_assignment, milp
 
-from votelab import Committee, Profile, Ranking, linear_dpsf, sample
+from votelab import BudgetExceededError, Committee, Profile, Ranking, linear_dpsf, sample
+
+DEFAULT_BFS_STATE_BUDGET = 2_000_000
 
 
 def random_ranking(rng: np.random.Generator, m: int) -> Ranking:
@@ -67,6 +73,95 @@ def condorcet_brute(p: Profile):
         if all(2 * votes_brute(p, a, b) > p.n for b in range(p.m) if b != a):
             return a
     return None
+
+
+def dodgson_score_bfs_oracle(
+    p: Profile,
+    a: int,
+    *,
+    max_m: int = 4,
+    max_n: int = 3,
+    state_budget: int = DEFAULT_BFS_STATE_BUDGET,
+) -> int:
+    """Shortest swap path to Condorcet-winnerhood, any pair, any ballot.
+
+    Unrestricted breadth-first search over whole-profile states; the only
+    check that restricting Dodgson lifts to lift vectors loses no optimum.
+    Profiles above ``max_m`` or ``max_n``, or searches past
+    ``state_budget`` states, raise ``BudgetExceededError``.
+    """
+    if p.m < 3:
+        raise ValueError("rule computations require at least 3 alternatives")
+    if p.m > max_m or p.n > max_n:
+        raise BudgetExceededError(
+            f"bfs oracle limited to m<={max_m}, n<={max_n} (got m={p.m}, n={p.n})"
+        )
+    start = tuple(r.order for r in p.rankings)
+    dist = {start: 0}
+    queue = deque([start])
+    while queue:
+        state = queue.popleft()
+        d = dist[state]
+        if condorcet_brute(Profile.of(state)) == a:
+            return d
+        if len(dist) > state_budget:
+            raise BudgetExceededError("bfs oracle exceeded its state budget")
+        for voter, order in enumerate(state):
+            for i in range(len(order) - 1):
+                swapped = list(order)
+                swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
+                nxt = state[:voter] + (tuple(swapped),) + state[voter + 1 :]
+                if nxt not in dist:
+                    dist[nxt] = d + 1
+                    queue.append(nxt)
+    raise AssertionError("swap graph is connected; unreachable")
+
+
+def dodgson_ilp(p: Profile, a: int) -> int:
+    """Dodgson score as an integer program over lift-vector counts.
+
+    Bartholdi, Tovey and Trick (1989): one variable per distinct ballot
+    and lift ``k``, counting the copies of that ballot in which ``a`` moves
+    up ``k`` places at cost ``k``; copies are capped by the ballot's count,
+    and each rival short of a majority needs its deficit covered by lifts
+    that pass it. Every lift is a variable, not only the ones the DP keeps.
+    """
+    rivals = [b for b in range(p.m) if b != a]
+    deficits = {b: deficit_brute(p, a, b) for b in rivals}
+    short = [b for b in rivals if deficits[b] > 0]
+    if not short:
+        return 0
+    variables = []  # (distinct ballot index, alternatives passed)
+    for i, r in enumerate(p.grouped):
+        above = r.order[: r.position(a)][::-1]  # nearest to a first
+        variables += [(i, above[:k]) for k in range(1, len(above) + 1)]
+    cost = np.array([len(passed) for _, passed in variables], dtype=float)
+    caps = np.zeros((len(p.grouped), len(variables)))
+    covers = np.zeros((len(short), len(variables)))
+    for j, (i, passed) in enumerate(variables):
+        caps[i, j] = 1
+        for row, b in enumerate(short):
+            covers[row, j] = b in passed
+    constraints = [
+        LinearConstraint(caps, 0, list(p.grouped.values())),
+        LinearConstraint(covers, [deficits[b] for b in short], np.inf),
+    ]
+    res = milp(
+        cost,
+        constraints=constraints,
+        integrality=np.ones(len(variables)),
+        bounds=Bounds(0, np.inf),
+        options={"mip_rel_gap": 0},
+    )
+    if not res.success:
+        raise AssertionError(f"lifting to the top of every ballot is feasible: {res.message}")
+    return int(round(cost @ np.round(res.x)))
+
+
+def dodgson_within_ilp(p: Profile, a: int, cutoff: Optional[int]) -> Optional[int]:
+    """The ILP score, or ``None`` above ``cutoff``, as ``dodgson_score_within`` answers."""
+    score = dodgson_ilp(p, a)
+    return None if cutoff is not None and score > cutoff else score
 
 
 def kemeny_brute(p: Profile) -> tuple[Ranking, int]:

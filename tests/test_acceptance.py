@@ -19,7 +19,7 @@ from scipy.stats import chi2
 import votelab as vl
 from votelab import kemeny_decision
 from votelab.experiments import ExperimentConfig, run_experiment, write_report
-from conftest import kemeny_brute, random_profile, random_ranking
+from conftest import dodgson_score_bfs_oracle, kemeny_brute, random_profile, random_ranking
 
 SEED = 20260810
 
@@ -37,7 +37,7 @@ def test_c01_dodgson_oracle_equivalence():
         p = vl.Profile.of(combo)
         for a in range(3):
             checked += 1
-            if vl.dodgson_score_exact(p, a) != vl.dodgson_score_bfs_oracle(p, a):
+            if vl.dodgson_score_exact(p, a) != dodgson_score_bfs_oracle(p, a):
                 mismatches += 1
     elapsed = time.perf_counter() - started
     assert mismatches == 0

@@ -10,6 +10,7 @@ from votelab import (
     DimensionError,
     Profile,
     Ranking,
+    WMG,
     WeightedProfile,
     app_last,
     apply_permutation,
@@ -255,6 +256,16 @@ class TestCondorcetAndDeficit:
             assert zero_everywhere == (winner == a)
 
 
+def assert_margin_matrix(graph: WMG) -> None:
+    """What ``WMG``'s constructor checks, which the kernel's output skips."""
+    m = graph.m
+    assert all(len(row) == m for row in graph.margins)
+    for a in range(m):
+        assert graph.margin(a, a) == 0
+        for b in range(m):
+            assert graph.margin(a, b) == -graph.margin(b, a)
+
+
 class TestMarginKernel:
     """The cached margin matrix against ballot-by-ballot recounts."""
 
@@ -263,6 +274,7 @@ class TestMarginKernel:
     def test_matches_per_ballot_oracles(self, p):
         graph = wmg(p)
         assert graph is wmg(p)
+        assert_margin_matrix(graph)
         assert [list(row) for row in graph.margins] == margins_brute(p)
         for a, b in itertools.permutations(range(p.m), 2):
             assert deficit(p, a, b) == deficit_brute(p, a, b)
@@ -300,7 +312,17 @@ class TestMarginKernel:
             expected[r] += count
         assert p.grouped == {r: count for r, count in expected.items() if count}
         assert p.n == sum(count for _, count in pairs)
+        assert_margin_matrix(wmg(p))
         assert [list(row) for row in wmg(p).margins] == margins_brute(p)
+
+    @pytest.mark.parametrize(
+        "margins",
+        [((0, 1),), ((1, 0), (0, 0)), ((0, 1), (1, 0))],
+        ids=["not_square", "nonzero_diagonal", "not_antisymmetric"],
+    )
+    def test_public_constructor_keeps_checks(self, margins):
+        with pytest.raises(ValueError):
+            WMG(margins)
 
     def test_blocks_of_rows_add_up(self, rng, monkeypatch):
         p = random_profile(rng, 6, 40)

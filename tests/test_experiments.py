@@ -6,12 +6,15 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from votelab import AlphaIC
+from votelab import AlphaIC, Decision, dodgson_score_within, experiments, reductions
 from votelab.experiments import (
     ExperimentConfig,
     TopBreakNoise,
+    _padded_reduction,
     _trial_profiles,
+    _trial_rngs,
     run_cover_driver,
     run_concentration_tails,
     run_top_preservation,
@@ -104,6 +107,24 @@ class TestRandomProfileAdversary:
         for (_, profile, target), (expected, expected_target) in zip(produced, reference):
             assert Counter(profile.rankings) == Counter(expected.rankings)
             assert target == expected_target
+
+    @given(
+        m=st.integers(3, 7),
+        n=st.integers(1, 300),
+        tenths_above_floor=st.integers(0, 10),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_batched_draws_match_per_agent_sampling(self, m, n, tenths_above_floor, seed):
+        # alpha runs from the regime floor 1 - 1/m (0 tenths) up to 1 (10 tenths).
+        floor = 1 - Fraction(1, m)
+        model = AlphaIC(m, floor + (1 - floor) * Fraction(tenths_above_floor, 10))
+        cfg = ExperimentConfig(
+            claim="definitely_rate", trials=2, seed=seed, m=m, n=n,
+            model={"model": "alpha_ic", "alpha": str(model.alpha)}, adversary="random_profile",
+        )
+        produced = [(profile, target) for _, profile, target in _trial_profiles(cfg, model)]
+        assert produced == list(random_parameter_profiles_per_agent(seed, 2, m, n, model))
 
 
 class TestClaim1:
@@ -221,6 +242,50 @@ class TestAlgorithm1Run:
         assert report.summary["frequencies"]["no_rate"] >= 1 / 6
 
 
+class TestCoverDriverTrials:
+    CONFIGS = [
+        dict(instance=Q6_NO, model={"model": "top_break", "K": "2*m1*n"}, pad=2),
+        dict(instance=Q6_NO, model={"model": "partial_alt", "K": "m1"}, pad=2),
+        dict(instance=Q6_NO, model={"model": "alpha_ic", "alpha": "1/2"}, pad=1),
+        dict(instance=Q6_YES, model={"model": "top_break", "K": "m1"}, pad=2),
+    ]
+
+    @pytest.mark.parametrize("spec", CONFIGS, ids=["top_break", "partial_alt", "alpha_ic", "yes"])
+    def test_each_trial_is_one_driver_call(self, spec):
+        cfg = ExperimentConfig(claim="cover_driver", trials=30, seed=21, **spec)
+        report = run_cover_driver(cfg)
+        inst, _, model = _padded_reduction(cfg)
+
+        def decider(p, a, t):
+            return Decision.YES if dodgson_score_within(p, a, t) is not None else Decision.NO
+
+        expected = [
+            reductions.x3c_via_dodgson(inst, decider, model, rng).value
+            for rng in _trial_rngs(cfg)
+        ]
+        assert [row["answer"] for row in report.rows] == expected
+
+    def test_reduction_built_once_per_config(self, monkeypatch):
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("x3c_to_dodgson", "build_padded_parameter_profile"):
+            wrapper = counted(name, getattr(reductions, name))
+            for module in (reductions, experiments):
+                monkeypatch.setattr(module, name, wrapper)
+        cfg = ExperimentConfig(
+            claim="cover_driver", trials=25, seed=4, instance=Q6_NO,
+            model={"model": "top_break", "K": "2*m1*n"}, pad=2,
+        )
+        run_cover_driver(cfg)
+        assert calls == {"x3c_to_dodgson": 1, "build_padded_parameter_profile": 1}
+
+
 class TestReports:
     def _cfg(self, seed=11, **over):
         base = dict(
@@ -302,6 +367,18 @@ PINNED_REPORTS = [
         dict(claim="cover_driver", trials=10, seed=12, instance=Q6_YES,
              model={"model": "partial_alt", "K": "m1"}, pad=2),
         "6be4b30ba5209bd412ce2553574c32736eb47be356a39418101cbe45c89327ea",
+    ),
+    # Taken from the per-agent sampler and the per-trial reduction build.
+    (
+        dict(claim="definitely_rate", trials=10, seed=13, m=7, n=60,
+             model={"model": "alpha_ic", "alpha": "6/7"}, adversary="random_profile",
+             plot_data=True),
+        "b7fb8a3945d463092cef31d29c124b783e6e37ca4bcdd0369aeee4dd56260b46",
+    ),
+    (
+        dict(claim="cover_driver", trials=12, seed=14, instance=Q6_NO,
+             model={"model": "partial_alt", "K": "m1"}, pad=2),
+        "6caa4eb615de6067a7ff00bc2c599183005be08715f8454d1232e8148b976c45",
     ),
 ]
 

@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,9 +15,9 @@ from votelab import (
     cc_score,
     committee_decision,
     condorcet_winner,
-    dodgson_score_bfs_oracle,
     dodgson_score_exact,
     dodgson_score_within,
+    enumerate_x3c_instances,
     kemeny_best,
     kemeny_decision,
     kemeny_score_of_alternative,
@@ -24,10 +25,13 @@ from votelab import (
     linear_dpsf,
     monroe_score,
     permute_profile,
+    x3c_to_dodgson,
     young_score_exact,
 )
 from conftest import (
     cc_brute,
+    dodgson_score_bfs_oracle,
+    dodgson_within_ilp,
     kemeny_alt_brute,
     kemeny_brute,
     kemeny_table_loop,
@@ -61,6 +65,32 @@ class TestDodgsonExact:
             p = Profile.of(combo)
             for a in range(3):
                 assert dodgson_score_exact(p, a) == dodgson_score_bfs_oracle(p, a)
+
+    @pytest.mark.parametrize("m, max_n, profiles", [(4, 4, 20), (5, 3, 8)])
+    def test_matches_bfs_on_random_profiles(self, rng, m, max_n, profiles):
+        # The BFS is the one check of the lift-vector restriction itself;
+        # its state budget holds at these scales.
+        for _ in range(profiles):
+            p = random_profile(rng, m, int(rng.integers(1, max_n + 1)))
+            for a in range(m):
+                expected = dodgson_score_bfs_oracle(p, a, max_m=m, max_n=max_n)
+                assert dodgson_score_exact(p, a) == expected
+
+    @given(st_profile(3, 7, 25), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_lift_count_ilp(self, p, data):
+        a = data.draw(st.integers(0, p.m - 1), label="a")
+        cutoff = data.draw(st.none() | st.integers(0, p.m * p.n), label="cutoff")
+        assert dodgson_score_within(p, a, cutoff) == dodgson_within_ilp(p, a, cutoff)
+
+    def test_matches_lift_count_ilp_on_reduction_profiles(self):
+        instances = list(enumerate_x3c_instances(6, 6))
+        picks = np.random.default_rng(20261018).choice(len(instances), 24, replace=False)
+        for i in picks.tolist():
+            out = x3c_to_dodgson(instances[i])
+            p, a = out.profile, out.critical
+            for cutoff in (None, out.threshold):
+                assert dodgson_score_within(p, a, cutoff) == dodgson_within_ilp(p, a, cutoff)
 
     def test_app_last_invariance(self, rng):
         for _ in range(25):

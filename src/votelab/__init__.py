@@ -17,7 +17,6 @@ from .core import (
     backward_arcs,
     condorcet_winner,
     deficit,
-    iter_app_last,
     kt_distance,
     kt_profile_distance,
     permute_profile,
@@ -45,13 +44,10 @@ from .models import (
     all_rankings,
     induced_weighted_profile,
     model_from_spec,
-    permuted_parameter,
-    pmf,
     sample,
     sample_profile,
     scale_round_parameter_profile,
     three_cycle_max_weight,
-    wmg_of_distribution,
 )
 from .reductions import (
     DodgsonReductionOutput,

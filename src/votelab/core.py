@@ -17,12 +17,13 @@ Conventions used by the whole package:
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -40,7 +41,6 @@ __all__ = [
     "apply_permutation",
     "permute_profile",
     "app_last",
-    "iter_app_last",
     "wmg",
     "condorcet_winner",
     "deficit",
@@ -223,7 +223,7 @@ class WeightedProfile:
     @cached_property
     def wmg(self) -> "WMG":
         """Pairwise margins, tallied once per profile; read them via :func:`wmg`."""
-        return _weighted_margins(self)
+        return _margin_kernel(self)
 
 
 AnyProfile = Union[Profile, WeightedProfile]
@@ -258,7 +258,7 @@ class WMG:
                     raise ValueError("margin matrix must be antisymmetric")
 
     @classmethod
-    def _trusted(cls, margins: tuple[tuple[int, ...], ...]) -> "WMG":
+    def _trusted(cls, margins: tuple[tuple[Union[int, Fraction], ...], ...]) -> "WMG":
         """Wrap a matrix that is antisymmetric by construction, skipping the checks."""
         graph = object.__new__(cls)
         object.__setattr__(graph, "margins", margins)
@@ -389,52 +389,19 @@ def permute_profile(sigma: Sequence[int], p: Profile) -> Profile:
     return Profile.from_counts((apply_permutation(sigma, r), c) for r, c in p.grouped.items())
 
 
-def _canonical_tail(m: int, m_prime: int) -> tuple[int, ...]:
-    return tuple(range(m, m + m_prime))
-
-
-def app_last(
-    p: Profile,
-    m_prime: int,
-    tail_orders: Optional[Sequence[Sequence[int]]] = None,
-) -> Profile:
+def app_last(p: Profile, m_prime: int) -> Profile:
     """Append ``m_prime`` fresh alternatives below every ballot.
 
     Each output ballot keeps its original order on the first ``m``
-    alternatives followed by the given per-voter tail (default: ascending
-    index). The ascending default is an arbitrary-but-deterministic
-    choice; every member of the appended family shares the properties
-    callers rely on. The default pads each distinct ranking once and keeps
-    the counts; per-voter tails pair up with ``p.rankings`` agent by agent.
+    alternatives followed by the new ones in ascending index, an
+    arbitrary-but-deterministic member of the appended family that shares
+    every property callers rely on. Each distinct ranking is padded once
+    and keeps its count, so the output's grouped order matches ``p``'s.
     """
     if m_prime < 1:
         raise ValueError("m_prime must be positive")
-    m = p.m
-    canonical = _canonical_tail(m, m_prime)
-    if tail_orders is None:
-        return Profile.from_counts((r.order + canonical, c) for r, c in p.grouped.items())
-    if len(tail_orders) != p.n:
-        raise ValueError("need one tail order per voter")
-    new_alts = set(canonical)
-    tails = []
-    for t in tail_orders:
-        tt = tuple(t)
-        if set(tt) != new_alts or len(tt) != m_prime:
-            raise ValueError(f"tail {tt!r} is not a permutation of the new alternatives")
-        tails.append(tt)
-    return Profile(tuple(Ranking(r.order + t) for r, t in zip(p.rankings, tails)))
-
-
-def iter_app_last(p: Profile, m_prime: int) -> Iterator[Profile]:
-    """Yield every profile obtainable by appending ``m_prime`` alternatives.
-
-    There are ``(m_prime!)**n`` tail assignments, one profile each;
-    assignments that differ only in which of two equal ballots gets which
-    tail yield equal profiles. Intended for tiny enumerations.
-    """
-    tail_perms = list(itertools.permutations(_canonical_tail(p.m, m_prime)))
-    for combo in itertools.product(tail_perms, repeat=p.n):
-        yield app_last(p, m_prime, combo)
+    tail = tuple(range(p.m, p.m + m_prime))
+    return Profile.from_counts((r.order + tail, c) for r, c in p.grouped.items())
 
 
 def wmg(p: AnyProfile) -> WMG:
@@ -446,48 +413,41 @@ def wmg(p: AnyProfile) -> WMG:
     return p.wmg
 
 
-def _margin_kernel(p: Profile) -> WMG:
-    """Margins of an unweighted profile, in numpy over its distinct rankings.
+def _margin_kernel(p: AnyProfile) -> WMG:
+    """Margins of a (weighted) profile, in numpy over its distinct rankings.
 
-    ``pos[i, a]`` is the position of ``a`` in distinct ranking ``i``. Row
-    ``i``'s count goes to ``wins[a, b]`` exactly when ``a`` sits above ``b``
+    ``pos[i, a]`` is the position of ``a`` in ranking ``i``. Row ``i``'s
+    weight goes to ``wins[a, b]`` exactly when ``a`` sits above ``b``
     there, and the margin is ``wins - wins.T``: antisymmetric with a zero
-    diagonal by construction, so it skips :class:`WMG`'s checks. No entry
-    exceeds ``n``, so int64 is exact. Rows go in blocks of at most
-    ``_KERNEL_CELLS`` pair comparisons, which bounds the temporaries for
-    profiles with many distinct rankings.
+    diagonal by construction, so it skips :class:`WMG`'s checks. A
+    :class:`Profile`'s weights are its int64 counts, exact because no
+    entry exceeds ``n``. A :class:`WeightedProfile`'s weights are brought
+    to one common denominator and tallied as Python ints in an object
+    array, so every margin is an exact ``Fraction`` and the tally adds
+    ints, not rationals. Rows go in blocks of at most ``_KERNEL_CELLS``
+    pair comparisons, which bounds the temporaries for profiles with many
+    distinct rankings.
     """
-    m, distinct = p.m, len(p.grouped)
-    orders = itertools.chain.from_iterable(r.order for r in p.grouped)
+    items = _weighted_items(p)
+    m, distinct = p.m, len(items)
+    orders = itertools.chain.from_iterable(r.order for r, _ in items)
     pos = np.argsort(np.fromiter(orders, np.intp, distinct * m).reshape(distinct, m), axis=1)
-    counts = np.fromiter(p.grouped.values(), np.int64, distinct)
-    wins = np.zeros(m * m, dtype=np.int64)
+    if isinstance(p, Profile):
+        scale, weights = None, np.fromiter(p.grouped.values(), np.int64, distinct)
+    else:
+        scale = math.lcm(*(Fraction(w).denominator for _, w in items))
+        weights = np.array([int(w * scale) for _, w in items], dtype=object)
+    wins = 0
     step = max(1, _KERNEL_CELLS // (m * m))
     for start in range(0, distinct, step):
         block = pos[start : start + step]
         above = (block[:, :, None] < block[:, None, :]).reshape(len(block), m * m)
-        wins += counts[start : start + step] @ above
+        wins = wins + weights[start : start + step] @ above
     wins = wins.reshape(m, m)
-    return WMG._trusted(tuple(map(tuple, (wins - wins.T).tolist())))
-
-
-def _weighted_margins(p: WeightedProfile) -> WMG:
-    """Margins of a weighted profile, summed entry by entry in exact ``Fraction``."""
-    m = p.m
-    rows = [[Fraction(0)] * m for _ in range(m)]
-    for r, w in p.entries:
-        pos = r.positions
-        for a in range(m):
-            pa = pos[a]
-            for b in range(a + 1, m):
-                if pa < pos[b]:
-                    rows[a][b] += w
-                else:
-                    rows[a][b] -= w
-    for a in range(m):
-        for b in range(a + 1, m):
-            rows[b][a] = -rows[a][b]
-    return WMG(tuple(tuple(row) for row in rows))
+    rows = (wins - wins.T).tolist()
+    if scale is not None:
+        rows = [[Fraction(v, scale) for v in row] for row in rows]
+    return WMG._trusted(tuple(map(tuple, rows)))
 
 
 def condorcet_winner(p: Profile) -> Optional[int]:

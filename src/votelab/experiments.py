@@ -33,7 +33,7 @@ from typing import Optional, get_args, get_type_hints
 
 import numpy as np
 
-from .core import Profile, Ranking, wmg
+from .core import _MAX_VOTERS, Profile, Ranking, wmg
 from .greedy_dodgson import Decision, greedy_dodgson, immediately_above_count
 from .models import AlphaIC, PartialAltRandomization, _spec_number, all_rankings, model_from_spec
 from .reductions import (
@@ -92,6 +92,10 @@ class ExperimentConfig:
             raise ValueError("m must be at least 3")
         if self.n is not None and self.n < 1:
             raise ValueError("n must be at least 1")
+        if self.n is not None and self.n > _MAX_VOTERS:
+            raise ValueError(f"config field 'n' must be at most {_MAX_VOTERS}, got {self.n}")
+        if self.seed < 0:
+            raise ValueError(f"config field 'seed' must be non-negative, got {self.seed}")
         if self.claim not in CLAIM_RUNNERS:
             raise ValueError(f"unknown claim {self.claim!r}")
         if self.adversary not in ("shared_bottom", "random_profile"):

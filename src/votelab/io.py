@@ -31,7 +31,6 @@ __all__ = [
     "write_profile",
     "read_weighted_profile",
     "write_weighted_profile",
-    "read_any_profile",
     "read_digraph",
     "write_digraph",
     "read_x3c",
@@ -104,14 +103,6 @@ def write_weighted_profile(p: WeightedProfile, path: PathLike) -> None:
     for r, w in p.entries:
         lines.append(f"{w.numerator}/{w.denominator} " + " ".join(map(str, r.order)))
     Path(path).write_text("\n".join(lines) + "\n")
-
-
-def read_any_profile(path: PathLike) -> Union[Profile, WeightedProfile]:
-    """Weighted when the first ballot line opens with a weight token."""
-    lines = _data_lines(Path(path).read_text())
-    if len(lines) >= 2 and "/" in lines[1].split()[0]:
-        return read_weighted_profile(path)
-    return read_profile(path)
 
 
 def read_digraph(path: PathLike) -> Digraph:

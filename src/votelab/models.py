@@ -19,11 +19,11 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence, Union
+from typing import Callable, Union
 
 import numpy as np
 
-from .core import Profile, Ranking, WMG, WeightedProfile, apply_permutation, wmg
+from .core import Profile, Ranking, WMG, WeightedProfile, wmg
 from .errors import BudgetExceededError, DimensionError
 
 __all__ = [
@@ -31,11 +31,8 @@ __all__ = [
     "PartialAltRandomization",
     "PreferenceModel",
     "ParameterProfile",
-    "pmf",
     "sample",
-    "permuted_parameter",
     "sample_profile",
-    "wmg_of_distribution",
     "three_cycle_max_weight",
     "scale_round_parameter_profile",
     "induced_weighted_profile",
@@ -143,23 +140,9 @@ class PartialAltRandomization:
 PreferenceModel = Union[AlphaIC, PartialAltRandomization]
 
 
-def pmf(model, parameter: Ranking, r: Ranking) -> Fraction:
-    """Exact probability that the model emits ``r`` given the parameter."""
-    return model.pmf(parameter, r)
-
-
 def sample(model, parameter: Ranking, rng: np.random.Generator) -> Ranking:
     """One draw from the model's distribution at this parameter."""
     return model.sample(parameter, rng)
-
-
-def permuted_parameter(sigma: Sequence[int], parameter: Ranking) -> Ranking:
-    """Parameter of the relabeled distribution.
-
-    Both built-in models are neutral: relabeling alternatives in the
-    distribution equals relabeling them in the parameter.
-    """
-    return apply_permutation(sigma, parameter)
 
 
 @dataclass(frozen=True)
@@ -212,18 +195,13 @@ def sample_profile(pp: ParameterProfile, rng: np.random.Generator) -> Profile:
     return Profile(tuple(ballots))
 
 
-def wmg_of_distribution(model, parameter: Ranking) -> WMG:
-    """Expected margin matrix of one draw, in exact rationals."""
-    return model.distribution_wmg(parameter)
-
-
 def three_cycle_max_weight(model, parameter: Ranking) -> Fraction:
     """Heaviest directed triangle in the distribution's margin matrix.
 
     The weight of the cycle ``a -> b -> c -> a`` is the signed sum of its
     three edge margins.
     """
-    graph = wmg_of_distribution(model, parameter)
+    graph = model.distribution_wmg(parameter)
     if graph.m < 3:
         raise ValueError("need at least 3 alternatives")
     best = None
@@ -266,7 +244,7 @@ def induced_weighted_profile(pp: ParameterProfile) -> WeightedProfile:
     weights: dict[Ranking, Fraction] = {}
     for parameter, w in pp.entries:
         for r in all_rankings(pp.m):
-            prob = pmf(pp.model, parameter, r)
+            prob = pp.model.pmf(parameter, r)
             if prob > 0:
                 weights[r] = weights.get(r, Fraction(0)) + w * prob
     entries = tuple(sorted(weights.items(), key=lambda kv: kv[0].order))

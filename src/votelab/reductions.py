@@ -97,10 +97,10 @@ class X3CInstance:
         return len(self.subsets)
 
 
-def x3c_bruteforce(inst: X3CInstance, *, budget: int = 25) -> bool:
+def x3c_bruteforce(inst: X3CInstance, *, max_s: int = 25) -> bool:
     """Does some subcollection partition the ground set? Exhaustive."""
-    if inst.s > budget:
-        raise BudgetExceededError(f"exact-cover enumeration limited to s<={budget}")
+    if inst.s > max_s:
+        raise BudgetExceededError(f"exact-cover enumeration limited to s<={max_s}")
     need = inst.q // 3
     ground = frozenset(range(inst.q))
     for chosen in itertools.combinations(inst.subsets, need):
@@ -217,7 +217,11 @@ def x3c_to_dodgson(inst: X3CInstance) -> DodgsonReductionOutput:
 def build_padded_parameter_profile(
     out: DodgsonReductionOutput, model, m_total: int
 ) -> ParameterProfile:
-    """Unit-weight parameters: reduction ballots with dummies appended.
+    """Reduction ballots with dummies appended, one entry per distinct ballot.
+
+    Each entry weighs its ballot's count, so sampling draws the agents in
+    the order of ``out.profile.rankings``, which a count-built reduction
+    profile lists grouped.
 
     With a top-``K``-preserving model and ``K`` at least the reduction
     width, sampling reproduces the reduction profile's top slice with
@@ -232,9 +236,7 @@ def build_padded_parameter_profile(
     if isinstance(model, PartialAltRandomization) and model.K < m1:
         raise ValueError(f"K={model.K} below reduction width {m1}")
     padded = out.profile if m_total == m1 else app_last(out.profile, m_total - m1)
-    # app_last pads each distinct ranking in place, so entry i extends
-    # agent i of out.profile.rankings.
-    entries = tuple((r, Fraction(1)) for r in padded.rankings)
+    entries = tuple((r, Fraction(count)) for r, count in padded.grouped.items())
     return ParameterProfile(entries, model)
 
 

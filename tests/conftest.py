@@ -8,7 +8,8 @@ plain loop, the assignment oracles enumerate raw assignment functions or
 solve a slot-replicated linear assignment with SciPy, the
 pairwise-disagreement and margin oracles count pairs ballot by ballot (or
 distinct ballot by distinct ballot, times its count), and the
-random-parameter sampler draws agent by agent through ``models.sample``.
+random-parameter sampler and the padded parameter profile draw agent by
+agent through ``models.sample``.
 Expected values in tests are frozen from these.
 """
 
@@ -17,13 +18,23 @@ from __future__ import annotations
 import itertools
 import math
 from collections import deque
+from fractions import Fraction
 from typing import Optional
 
 import numpy as np
 import pytest
 from scipy.optimize import Bounds, LinearConstraint, linear_sum_assignment, milp
 
-from votelab import BudgetExceededError, Committee, Profile, Ranking, linear_dpsf, sample
+from votelab import (
+    BudgetExceededError,
+    Committee,
+    ParameterProfile,
+    Profile,
+    Ranking,
+    app_last,
+    linear_dpsf,
+    sample,
+)
 
 DEFAULT_BFS_STATE_BUDGET = 2_000_000
 
@@ -297,6 +308,16 @@ def random_parameter_profiles_per_agent(seed: int, trials: int, m: int, n: int, 
         parameters = [random_ranking(rng, m) for _ in range(n)]
         ballots = tuple(sample(model, parameter, rng) for parameter in parameters)
         yield Profile(ballots), parameters[-1].order[-1]
+
+
+def padded_parameter_profile_per_agent(out, model, pad: int) -> ParameterProfile:
+    """One unit-weight parameter per agent of the reduction profile padded by ``pad``.
+
+    Entry ``i`` is agent ``i`` of ``app_last(out.profile, pad)`` (the
+    profile itself when ``pad`` is 0), so sampling draws agent by agent.
+    """
+    padded = out.profile if pad == 0 else app_last(out.profile, pad)
+    return ParameterProfile(tuple((r, Fraction(1)) for r in padded.rankings), model)
 
 
 @pytest.fixture

@@ -198,9 +198,9 @@ def test_c08_sampler_fidelity_chi_square():
                 if kind == "partial_alt":
                     assert vl.top_k(drawn, model.K) == vl.top_k(parameter, model.K)
             support = [
-                (r, vl.pmf(model, parameter, r))
+                (r, model.pmf(parameter, r))
                 for r in vl.all_rankings(m)
-                if vl.pmf(model, parameter, r) > 0
+                if model.pmf(parameter, r) > 0
             ]
             assert all(r in dict(support) for r in draws)
             statistic = sum(

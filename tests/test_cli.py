@@ -58,7 +58,6 @@ class TestRoundTrips:
         path = tmp_path / "p.wprofile"
         vio.write_weighted_profile(p, path)
         assert vio.read_weighted_profile(path) == p
-        assert vio.read_any_profile(path) == p
 
     def test_digraph(self, tmp_path):
         g = Digraph.of(4, [(0, 1), (2, 3)])
@@ -380,6 +379,9 @@ class TestMalformedJson:
             ),
             ("experiment", {**TOP_CONFIG, "instance": {"q": 3, "subsets": [[0, 1, "a"]]}}, "'a'"),
             ("experiment", {**TOP_CONFIG, "model": {"model": "top_break", "K": [1]}}, "[1]"),
+            ("experiment", {**SMALL_CONFIG, "seed": -5}, "'seed' must be non-negative, got -5"),
+            ("experiment", {**SMALL_CONFIG, "n": 2**63}, f"'n' must be at most {2**63 - 1}, got {2**63}"),
+            ("experiment", {**SMALL_CONFIG, "n": 10**30}, f"'n' must be at most {2**63 - 1}, got {10**30}"),
         ],
     )
     def test_rejected_as_input_error(self, capsys, tmp_path, command, payload, named):

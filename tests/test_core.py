@@ -3,7 +3,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from votelab import (
     Digraph,
@@ -17,7 +17,6 @@ from votelab import (
     backward_arcs,
     condorcet_winner,
     deficit,
-    iter_app_last,
     kt_distance,
     kt_profile_distance,
     core,
@@ -176,20 +175,6 @@ class TestAppLast:
             assert after.order[: p.m] == before.order
             assert set(after.order[p.m :]) == {3, 4}
 
-    def test_family_size(self):
-        p = Profile((ABC, CBA))
-        members = set(iter_app_last(p, 2))
-        assert len(members) == 4  # (2!)^2
-
-    def test_malformed_tail_rejected(self):
-        p = Profile((ABC,))
-        with pytest.raises(ValueError):
-            app_last(p, 2, tail_orders=[(3, 3)])
-        with pytest.raises(ValueError):
-            app_last(p, 2, tail_orders=[(2, 3)])
-        with pytest.raises(ValueError):
-            app_last(p, 2, tail_orders=[(3, 4), (3, 4)])
-
 
 class TestWmg:
     def test_unanimous(self):
@@ -287,14 +272,19 @@ class TestMarginKernel:
                 st.tuples(st_ranking(m), st.fractions(0, 5, max_denominator=7)),
                 min_size=1,
                 max_size=8,
-            )
+            ).map(lambda entries: entries + entries[::3])  # repeat some rankings
         ).filter(lambda entries: sum(w for _, w in entries) > 0)
+    )
+    @example(  # a common denominator far past int64
+        [(Ranking.of([0, 1, 2]), Fraction(1, 2**70)), (Ranking.of([2, 0, 1]), Fraction(5, 3**50))]
     )
     @settings(max_examples=60, deadline=None)
     def test_weighted_matches_per_entry_sum(self, entries):
         wp = WeightedProfile(tuple(entries))
         graph = wmg(wp)
         assert graph is wmg(wp)
+        assert all(type(v) is Fraction for row in graph.margins for v in row)
+        assert_margin_matrix(graph)
         assert [list(row) for row in graph.margins] == margins_brute(wp)
 
     @given(
@@ -329,6 +319,8 @@ class TestMarginKernel:
         expected = margins_brute(p)
         monkeypatch.setattr(core, "_KERNEL_CELLS", 3 * 6 * 6)  # three rows per step
         assert [list(row) for row in wmg(Profile(p.rankings)).margins] == expected
+        wp = WeightedProfile(tuple((r, Fraction(i + 1, 3)) for i, r in enumerate(p.rankings)))
+        assert [list(row) for row in wmg(wp).margins] == margins_brute(wp)
 
     def test_huge_counts_cost_nothing_per_voter(self):
         big = 10**12

@@ -205,7 +205,7 @@ class TestClaim2:
 
     def test_top_break_sampler_distribution(self):
         noise = TopBreakNoise(4, 4)
-        from votelab import Ranking, all_rankings, pmf
+        from votelab import Ranking, all_rankings
 
         parameter = Ranking.of([2, 0, 1, 3])
         total = sum(noise.pmf(parameter, r) for r in all_rankings(4))

@@ -17,15 +17,12 @@ from votelab import (
     apply_permutation,
     induced_weighted_profile,
     model_from_spec,
-    permuted_parameter,
-    pmf,
     sample,
     sample_profile,
     scale_round_parameter_profile,
     three_cycle_max_weight,
     top_k,
     wmg,
-    wmg_of_distribution,
 )
 from conftest import random_ranking
 
@@ -37,7 +34,7 @@ def enumerated_wmg(model, parameter):
     m = model.m
     rows = [[Fraction(0)] * m for _ in range(m)]
     for r in all_rankings(m):
-        prob = pmf(model, parameter, r)
+        prob = model.pmf(parameter, r)
         for a in range(m):
             for b in range(m):
                 if a != b and r.prefers(a, b):
@@ -52,30 +49,30 @@ class TestPmf:
     def test_alpha_one_is_uniform(self):
         model = AlphaIC(3, Fraction(1))
         for r in all_rankings(3):
-            assert pmf(model, ABC, r) == Fraction(1, 6)
+            assert model.pmf(ABC, r) == Fraction(1, 6)
 
     def test_alpha_zero_is_point_mass(self):
         model = AlphaIC(3, Fraction(0))
-        assert pmf(model, ABC, ABC) == 1
-        assert pmf(model, ABC, Ranking.of([2, 1, 0])) == 0
+        assert model.pmf(ABC, ABC) == 1
+        assert model.pmf(ABC, Ranking.of([2, 1, 0])) == 0
 
     def test_alpha_two_thirds_parameter_mass(self):
         # uniform share alpha/m! plus point mass 1-alpha
         model = AlphaIC(3, Fraction(2, 3))
-        assert pmf(model, ABC, ABC) == Fraction(2, 18) + Fraction(1, 3) == Fraction(4, 9)
-        assert pmf(model, ABC, Ranking.of([1, 0, 2])) == Fraction(1, 9)
+        assert model.pmf(ABC, ABC) == Fraction(2, 18) + Fraction(1, 3) == Fraction(4, 9)
+        assert model.pmf(ABC, Ranking.of([1, 0, 2])) == Fraction(1, 9)
 
     def test_partial_alt_values(self):
         model = PartialAltRandomization(4, 2)
         parameter = Ranking.of([3, 1, 0, 2])
-        assert pmf(model, parameter, Ranking.of([3, 1, 2, 0])) == Fraction(1, 2)
-        assert pmf(model, parameter, Ranking.of([1, 3, 0, 2])) == 0
+        assert model.pmf(parameter, Ranking.of([3, 1, 2, 0])) == Fraction(1, 2)
+        assert model.pmf(parameter, Ranking.of([1, 3, 0, 2])) == 0
 
     @pytest.mark.parametrize("m", [3, 4, 5])
     def test_sums_to_one_both_models(self, m, rng):
         parameter = random_ranking(rng, m)
         for model in (AlphaIC(m, Fraction(3, 7)), PartialAltRandomization(m, 2)):
-            total = sum(pmf(model, parameter, r) for r in all_rankings(m))
+            total = sum(model.pmf(parameter, r) for r in all_rankings(m))
             assert total == 1
 
     def test_alpha_ic_mass_floor(self):
@@ -83,11 +80,11 @@ class TestPmf:
         model = AlphaIC(m, Fraction(1) - Fraction(1, m))
         floor = Fraction(m - 1, m * math.factorial(m))
         for r in all_rankings(m):
-            assert pmf(model, random_ranking(np.random.default_rng(1), m), r) >= floor
+            assert model.pmf(random_ranking(np.random.default_rng(1), m), r) >= floor
 
     def test_dimension_error(self):
         with pytest.raises(DimensionError):
-            pmf(AlphaIC(3, Fraction(1, 2)), ABC, Ranking.of([0, 1, 2, 3]))
+            AlphaIC(3, Fraction(1, 2)).pmf(ABC, Ranking.of([0, 1, 2, 3]))
 
 
 class TestSample:
@@ -116,7 +113,7 @@ class TestSample:
 
 class TestNeutrality:
     def test_identity_permutation(self):
-        assert permuted_parameter((0, 1, 2), ABC) == ABC
+        assert apply_permutation((0, 1, 2), ABC) == ABC
 
     def test_pmf_identity_100_triples(self, rng):
         for _ in range(100):
@@ -125,17 +122,17 @@ class TestNeutrality:
             parameter = random_ranking(rng, m)
             r = random_ranking(rng, m)
             sigma = tuple(int(x) for x in rng.permutation(m))
-            assert pmf(
-                model, permuted_parameter(sigma, parameter), apply_permutation(sigma, r)
-            ) == pmf(model, parameter, r)
+            assert model.pmf(
+                apply_permutation(sigma, parameter), apply_permutation(sigma, r)
+            ) == model.pmf(parameter, r)
         model = PartialAltRandomization(4, 2)
         for _ in range(100):
             parameter = random_ranking(rng, 4)
             r = random_ranking(rng, 4)
             sigma = tuple(int(x) for x in rng.permutation(4))
-            assert pmf(
-                model, permuted_parameter(sigma, parameter), apply_permutation(sigma, r)
-            ) == pmf(model, parameter, r)
+            assert model.pmf(
+                apply_permutation(sigma, parameter), apply_permutation(sigma, r)
+            ) == model.pmf(parameter, r)
 
     def test_sampling_equivalence_empirical(self):
         # relabel-then-sample vs sample-then-relabel, same distribution
@@ -149,7 +146,7 @@ class TestNeutrality:
             apply_permutation(sigma, sample(model, parameter, rng1)) for _ in range(n)
         )
         right = Counter(
-            sample(model, permuted_parameter(sigma, parameter), rng2) for _ in range(n)
+            sample(model, apply_permutation(sigma, parameter), rng2) for _ in range(n)
         )
         support = set(left) | set(right)
         tv = sum(abs(left.get(r, 0) - right.get(r, 0)) for r in support) / (2 * n)
@@ -174,7 +171,7 @@ class TestSampleProfile:
         # point mass (1-alpha) plus the uniform sliver alpha/m!
         m = 3
         model = AlphaIC(m, Fraction(1) - Fraction(1, m))
-        mass = pmf(model, ABC, ABC)
+        mass = model.pmf(ABC, ABC)
         assert mass == (1 - model.alpha) + model.alpha / math.factorial(m)
 
     def test_fractional_weights_rejected(self, rng):
@@ -186,26 +183,26 @@ class TestSampleProfile:
 
 class TestDistributionWmg:
     def test_alpha_one_all_zero(self):
-        graph = wmg_of_distribution(AlphaIC(3, Fraction(1)), ABC)
+        graph = AlphaIC(3, Fraction(1)).distribution_wmg(ABC)
         assert all(
             graph.margin(a, b) == 0 for a in range(3) for b in range(3) if a != b
         )
 
     def test_alpha_zero_signs(self):
-        graph = wmg_of_distribution(AlphaIC(3, Fraction(0)), ABC)
+        graph = AlphaIC(3, Fraction(0)).distribution_wmg(ABC)
         assert graph.margin(0, 1) == 1 and graph.margin(2, 0) == -1
 
     def test_inverse_power_noise_edge_weight(self):
         m, d = 4, 2
         alpha = Fraction(1) - Fraction(1, m**d)
-        graph = wmg_of_distribution(AlphaIC(m, alpha), Ranking.of([0, 1, 2, 3]))
+        graph = AlphaIC(m, alpha).distribution_wmg(Ranking.of([0, 1, 2, 3]))
         assert graph.margin(0, 1) == Fraction(1, m**d)
 
     @pytest.mark.parametrize("m", [3, 4])
     def test_closed_forms_match_enumeration(self, m, rng):
         parameter = random_ranking(rng, m)
         for model in (AlphaIC(m, Fraction(2, 5)), PartialAltRandomization(m, 2)):
-            closed = wmg_of_distribution(model, parameter)
+            closed = model.distribution_wmg(parameter)
             oracle = enumerated_wmg(model, parameter)
             for a in range(m):
                 for b in range(m):
@@ -226,7 +223,7 @@ class TestThreeCycleWeight:
         m = 4
         model = AlphaIC(m, Fraction(1) - Fraction(1, m))
         parameter = Ranking.of([0, 1, 2, 3])
-        graph = wmg_of_distribution(model, parameter)
+        graph = model.distribution_wmg(parameter)
         top_triangle = (
             graph.margin(0, 1) + graph.margin(1, 2) + graph.margin(2, 0)
         )

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from votelab import (
+    AlphaIC,
     BudgetExceededError,
     ConstructionError,
     Decision,
@@ -36,7 +37,8 @@ from votelab import (
     x3c_to_dodgson,
     young_score_exact,
 )
-from conftest import random_ranking
+from votelab.experiments import TopBreakNoise
+from conftest import padded_parameter_profile_per_agent, random_ranking
 
 SINGLETON = X3CInstance.of(3, [[0, 1, 2]])
 Q6_YES = X3CInstance.of(6, [[0, 1, 2], [3, 4, 5]])
@@ -86,7 +88,7 @@ class TestX3CInstance:
     def test_bruteforce_budget(self):
         inst = X3CInstance.of(9, list(itertools.combinations(range(9), 3))[:30])
         with pytest.raises(BudgetExceededError):
-            x3c_bruteforce(inst, budget=29)
+            x3c_bruteforce(inst, max_s=29)
 
     def test_enumeration_counts(self):
         assert len(list(enumerate_x3c_instances(3, 6))) == 1
@@ -146,6 +148,31 @@ class TestPaddedParameterProfile:
         for _ in range(10):
             sampled = sample_profile(pp, rng)
             assert top_slice_matches(sampled, out.profile)
+
+    @pytest.mark.parametrize("inst", [SINGLETON, Q6_YES, Q6_NO], ids=["q3", "q6_yes", "q6_no"])
+    @pytest.mark.parametrize("pad", [0, 1, 2])
+    def test_grouped_entries_sample_as_per_agent(self, inst, pad):
+        # One entry per distinct padded ballot, weighted by its count, draws
+        # the same ballots in the same agent order as one unit entry per agent.
+        out = x3c_to_dodgson(inst)
+        m1, m_total = out.profile.m, out.profile.m + pad
+        models = (
+            AlphaIC(m_total, Fraction(1, 2)),
+            PartialAltRandomization(m_total, m1),
+            TopBreakNoise(m_total, 8),
+        )
+        for model in models:
+            grouped = build_padded_parameter_profile(out, model, m_total)
+            per_agent = padded_parameter_profile_per_agent(out, model, pad)
+            assert len(grouped.entries) == len(out.profile.grouped)
+            assert grouped.total_weight == per_agent.total_weight == out.profile.n
+            for seed in range(6):
+                drawn = sample_profile(grouped, np.random.default_rng(seed))
+                expected = sample_profile(per_agent, np.random.default_rng(seed))
+                assert drawn.rankings == expected.rankings
+                assert top_slice_matches(drawn, out.profile) == top_slice_matches(
+                    expected, out.profile
+                )
 
     def test_top_slice_needs_equal_agent_counts(self):
         # Agents pair up by index, so a shorter sample would leave agents unchecked.

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -88,7 +89,11 @@ def _cmd_score(args) -> int:
     elif args.rule in ("cc", "monroe"):
         score_fn = cc_score if args.rule == "cc" else monroe_score
         if args.committee:
-            members = Committee.of(int(x) for x in args.committee.split(","))
+            listed = [int(x) for x in args.committee.split(",")]
+            repeated = [c for c, times in Counter(listed).items() if times > 1]
+            if repeated:
+                raise ValueError(f"--committee names member {repeated[0]} more than once")
+            members = Committee.of(listed)
             result["score"] = score_fn(profile, members, None, args.aggregator)
         elif args.k is not None and args.threshold is not None:
             yes = committee_decision(

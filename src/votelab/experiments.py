@@ -28,14 +28,24 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
+from itertools import accumulate
 from pathlib import Path
 from typing import Optional, get_args, get_type_hints
 
 import numpy as np
 
 from .core import _MAX_VOTERS, Profile, Ranking, wmg
+from .errors import BudgetExceededError
 from .greedy_dodgson import Decision, greedy_dodgson, immediately_above_count
-from .models import AlphaIC, PartialAltRandomization, _spec_number, all_rankings, model_from_spec
+from .models import (
+    MAX_ENUMERATION_M,
+    AlphaIC,
+    PartialAltRandomization,
+    _spec_number,
+    all_rankings,
+    model_from_spec,
+    sample_profile,
+)
 from .reductions import (
     X3CInstance,
     _decide_sampled,
@@ -94,8 +104,9 @@ class ExperimentConfig:
             raise ValueError("n must be at least 1")
         if self.n is not None and self.n > _MAX_VOTERS:
             raise ValueError(f"config field 'n' must be at most {_MAX_VOTERS}, got {self.n}")
-        if self.seed < 0:
-            raise ValueError(f"config field 'seed' must be non-negative, got {self.seed}")
+        for name, value in (("seed", self.seed), ("pad", self.pad)):
+            if value < 0:
+                raise ValueError(f"config field {name!r} must be non-negative, got {value}")
         if self.claim not in CLAIM_RUNNERS:
             raise ValueError(f"unknown claim {self.claim!r}")
         if self.adversary not in ("shared_bottom", "random_profile"):
@@ -185,9 +196,23 @@ def _check(
     }
 
 
+def _rate_check(name: str, rate: float, trials: int, bound: float, **extra) -> dict:
+    """``rate`` against ``bound`` less three standard errors of ``trials`` draws."""
+    se = _binomial_se(rate, trials)
+    threshold = bound - SLACK_SIGMAS * se
+    return _check(name, rate, threshold, "lower_bound", bound=bound, standard_error=se, **extra)
+
+
 def _trial_rngs(cfg: ExperimentConfig) -> list[np.random.Generator]:
     children = np.random.SeedSequence(cfg.seed).spawn(cfg.trials)
     return [np.random.default_rng(c) for c in children]
+
+
+def _report(cfg, started, rows, flags, checks, frequencies, bounds) -> TrialReport:
+    """Summarize a run; the plot series is the running mean of the 0/1 ``flags``."""
+    series = [(i, hits / i) for i, hits in enumerate(accumulate(flags), start=1)]
+    summary = dict(checks=checks, frequencies=frequencies, bounds=bounds, plot_series=series)
+    return TrialReport(cfg, rows, summary, time.perf_counter() - started)
 
 
 # ---------------------------------------------------------------------------
@@ -214,9 +239,12 @@ def _shared_parameter_trial_profiles(cfg: ExperimentConfig, model: AlphaIC):
     agents and queries its bottom alternative. Since every score in play
     depends only on the ballot multiset, drawing per-type counts from the
     exact multinomial is distribution-identical to sampling agents one by
-    one.
+    one. The ranking space is enumerated, so ``m`` is capped as for
+    :func:`~votelab.models.induced_weighted_profile`.
     """
     m, n = cfg.m, cfg.n
+    if m > MAX_ENUMERATION_M:
+        raise BudgetExceededError(f"shared_bottom enumeration limited to m<={MAX_ENUMERATION_M}")
     rankings = all_rankings(m)
     parameter = rankings[0]  # ascending order: bottom alternative is m-1
     target = m - 1
@@ -283,32 +311,22 @@ def run_definitely_rate(cfg: ExperimentConfig) -> TrialReport:
     model = _require_alpha_regime(cfg)
     m, n = cfg.m, cfg.n
 
-    rows = []
-    definite = 0
+    rows, flags = [], []
     for trial, profile, target in _trial_profiles(cfg, model):
         result = greedy_dodgson(profile, target)
-        definite += result.is_definite
-        rows.append(
-            {
-                "trial": trial,
-                "definitely": int(result.is_definite),
-                "score_lower_bound": result.score,
-            }
-        )
+        flags.append(int(result.is_definite))
+        rows.append({"trial": trial, "definitely": flags[-1], "score_lower_bound": result.score})
 
-    rate = definite / cfg.trials
+    rate = sum(flags) / cfg.trials
     exponent, tail = _tail_exponent_bound(m, n)
     bound = 1.0 - 2 * (m - 1) * tail
-    se = _binomial_se(rate, cfg.trials)
     checks = [
-        _check(
+        _rate_check(
             "definitely_rate_vs_success_bound",
             rate,
-            bound - SLACK_SIGMAS * se,
-            "lower_bound",
+            cfg.trials,
+            bound,
             vacuous=bound <= 0.0,
-            bound=bound,
-            standard_error=se,
             exponent=str(-exponent),
         ),
         # The coarser failure allowance permits up to 1/m uncertified
@@ -321,13 +339,9 @@ def run_definitely_rate(cfg: ExperimentConfig) -> TrialReport:
             informational=True,
         ),
     ]
-    summary = {
-        "checks": checks,
-        "frequencies": {"definitely_rate": rate, "maybe_rate": 1.0 - rate},
-        "bounds": {"success_bound": bound, "tail_exponent": str(-exponent)},
-        "plot_series": _cumulative_series(rows, "definitely"),
-    }
-    return TrialReport(cfg, rows, summary, time.perf_counter() - started)
+    frequencies = {"definitely_rate": rate, "maybe_rate": 1.0 - rate}
+    bounds = {"success_bound": bound, "tail_exponent": str(-exponent)}
+    return _report(cfg, started, rows, flags, checks, frequencies, bounds)
 
 
 def _worst_label_rate(events: dict[int, int], rivals: dict[int, int]) -> tuple[float, float]:
@@ -352,11 +366,8 @@ def run_concentration_tails(cfg: ExperimentConfig) -> TrialReport:
     beta = (Fraction(3, 4) - Fraction(1, 2 * m)) * Fraction(n, m)
     prec_limit = Fraction(n, 2) + beta
 
-    rival_counts: dict[int, int] = {}
-    exceed_counts: dict[int, int] = {}
-    scarce_counts: dict[int, int] = {}
-    rows = []
-    any_event = []
+    rival_counts, exceed_counts, scarce_counts = Counter(), Counter(), Counter()
+    rows, flags = [], []
     for trial, profile, target in _trial_profiles(cfg, model):
         margins = wmg(profile)
         row = {"trial": trial}
@@ -364,53 +375,31 @@ def run_concentration_tails(cfg: ExperimentConfig) -> TrialReport:
         for b in range(m):
             if b == target:
                 continue
-            rival_counts[b] = rival_counts.get(b, 0) + 1
+            rival_counts[b] += 1
             outranked = (profile.n + margins.margin(b, target)) // 2
             adjacent = immediately_above_count(profile, target, b)
             row[f"outranked_by_{b}"] = outranked
             row[f"directly_above_{b}"] = adjacent
             if outranked > prec_limit:
-                exceed_counts[b] = exceed_counts.get(b, 0) + 1
+                exceed_counts[b] += 1
                 hit = 1
             if adjacent < beta:
-                scarce_counts[b] = scarce_counts.get(b, 0) + 1
+                scarce_counts[b] += 1
                 hit = 1
-        any_event.append({"event": hit})
+        flags.append(hit)
         rows.append(row)
 
     exponent, tail_bound = _tail_exponent_bound(m, n)
-    worst_exceed, exceed_se = _worst_label_rate(exceed_counts, rival_counts)
-    worst_scarce, scarce_se = _worst_label_rate(scarce_counts, rival_counts)
-    checks = [
-        _check(
-            "majority_overshoot_tail",
-            worst_exceed,
-            tail_bound + SLACK_SIGMAS * exceed_se,
-            "upper_bound",
-            bound=tail_bound,
-        ),
-        _check(
-            "adjacency_shortfall_tail",
-            worst_scarce,
-            tail_bound + SLACK_SIGMAS * scarce_se,
-            "upper_bound",
-            bound=tail_bound,
-        ),
-    ]
-    summary = {
-        "checks": checks,
-        "frequencies": {
-            "majority_overshoot_tail": worst_exceed,
-            "adjacency_shortfall_tail": worst_scarce,
-        },
-        "bounds": {
-            "tail_bound": tail_bound,
-            "tail_exponent": str(-exponent),
-            "beta": str(beta),
-        },
-        "plot_series": _cumulative_series(any_event, "event"),
-    }
-    return TrialReport(cfg, rows, summary, time.perf_counter() - started)
+    checks, frequencies = [], {}
+    tails = {"majority_overshoot_tail": exceed_counts, "adjacency_shortfall_tail": scarce_counts}
+    for name, counts in tails.items():
+        worst, se = _worst_label_rate(counts, rival_counts)
+        checks.append(
+            _check(name, worst, tail_bound + SLACK_SIGMAS * se, "upper_bound", bound=tail_bound)
+        )
+        frequencies[name] = worst
+    bounds = {"tail_bound": tail_bound, "tail_exponent": str(-exponent), "beta": str(beta)}
+    return _report(cfg, started, rows, flags, checks, frequencies, bounds)
 
 
 @dataclass(frozen=True)
@@ -472,37 +461,26 @@ def _padded_reduction(cfg: ExperimentConfig):
     return inst, out, model_from_spec(spec, m1 + cfg.pad)
 
 
+def _preserves_top_slice(model, m1: int) -> bool:
+    """Whether every draw keeps the top ``m1`` slice: randomization below it only."""
+    return isinstance(model, PartialAltRandomization) and model.K >= m1
+
+
 def run_top_preservation(cfg: ExperimentConfig) -> TrialReport:
     """Frequency of exact top-slice preservation vs. the 1/2 bound."""
-    from .models import sample_profile
-
     started = time.perf_counter()
     _, out, model = _padded_reduction(cfg)
     m1, agents = out.profile.m, out.profile.n
     pp = build_padded_parameter_profile(out, model, model.m)
 
-    rows = []
-    preserved = 0
+    rows, flags = [], []
     for trial, rng in enumerate(_trial_rngs(cfg)):
-        sampled = sample_profile(pp, rng)
-        hit = top_slice_matches(sampled, out.profile)
-        preserved += hit
-        rows.append({"trial": trial, "top_slice_preserved": int(hit)})
+        flags.append(int(top_slice_matches(sample_profile(pp, rng), out.profile)))
+        rows.append({"trial": trial, "top_slice_preserved": flags[-1]})
 
-    rate = preserved / cfg.trials
-    se = _binomial_se(rate, cfg.trials)
-    checks = [
-        _check(
-            "preservation_rate_vs_half",
-            rate,
-            0.5 - SLACK_SIGMAS * se,
-            "lower_bound",
-            bound=0.5,
-            standard_error=se,
-        )
-    ]
-    deterministic = isinstance(model, PartialAltRandomization) and model.K >= m1
-    if deterministic:
+    rate = sum(flags) / cfg.trials
+    checks = [_rate_check("preservation_rate_vs_half", rate, cfg.trials, 0.5)]
+    if _preserves_top_slice(model, m1):
         checks.append(_check("preservation_rate_exact_one", rate, 1.0, "exact"))
     if isinstance(model, TopBreakNoise):
         # Per-agent success compounds exactly to (1 - 1/K)^n.
@@ -511,7 +489,7 @@ def run_top_preservation(cfg: ExperimentConfig) -> TrialReport:
             _check(
                 "preservation_rate_vs_compounded_rate",
                 rate,
-                float(compounded) - SLACK_SIGMAS * se,
+                float(compounded) - SLACK_SIGMAS * _binomial_se(rate, cfg.trials),
                 "lower_bound",
                 bound=float(compounded),
                 informational=True,
@@ -530,13 +508,9 @@ def run_top_preservation(cfg: ExperimentConfig) -> TrialReport:
                     chain_holds=bool(compounded >= floor >= Fraction(1, 2)),
                 )
             )
-    summary = {
-        "checks": checks,
-        "frequencies": {"preservation_rate": rate},
-        "bounds": {"half": 0.5, "reduction_width": m1, "agents": agents},
-        "plot_series": _cumulative_series(rows, "top_slice_preserved"),
-    }
-    return TrialReport(cfg, rows, summary, time.perf_counter() - started)
+    frequencies = {"preservation_rate": rate}
+    bounds = {"half": 0.5, "reduction_width": m1, "agents": agents}
+    return _report(cfg, started, rows, flags, checks, frequencies, bounds)
 
 
 def run_cover_driver(cfg: ExperimentConfig) -> TrialReport:
@@ -549,59 +523,26 @@ def run_cover_driver(cfg: ExperimentConfig) -> TrialReport:
     inst, out, model = _padded_reduction(cfg)
     pp = build_padded_parameter_profile(out, model, model.m)
     expected_yes = x3c_bruteforce(inst)
-    m1 = out.profile.m
 
     def exact_decider(p: Profile, a: int, t: int) -> Decision:
         return Decision.YES if dodgson_score_within(p, a, t) is not None else Decision.NO
 
-    rows = []
-    no_flags = []
-    no_count = 0
+    rows, flags = [], []
     for trial, rng in enumerate(_trial_rngs(cfg)):
         answer = _decide_sampled(out, pp, exact_decider, rng)
-        no_count += answer is Decision.NO
-        no_flags.append({"no": int(answer is Decision.NO)})
+        flags.append(int(answer is Decision.NO))
         rows.append({"trial": trial, "answer": answer.value})
 
-    no_rate = no_count / cfg.trials
-    checks = []
+    no_rate = sum(flags) / cfg.trials
     if expected_yes:
-        checks.append(
-            _check("yes_instance_zero_wrong_no", no_rate, 0.0, "exact")
-        )
+        checks = [_check("yes_instance_zero_wrong_no", no_rate, 0.0, "exact")]
     else:
-        se = _binomial_se(no_rate, cfg.trials)
-        checks.append(
-            _check(
-                "no_rate_vs_one_sixth",
-                no_rate,
-                1.0 / 6.0 - SLACK_SIGMAS * se,
-                "lower_bound",
-                bound=1.0 / 6.0,
-                standard_error=se,
-            )
-        )
-        if isinstance(model, PartialAltRandomization) and model.K >= m1:
+        checks = [_rate_check("no_rate_vs_one_sixth", no_rate, cfg.trials, 1.0 / 6.0)]
+        if _preserves_top_slice(model, out.profile.m):
             checks.append(_check("no_rate_exact_one", no_rate, 1.0, "exact"))
-    summary = {
-        "checks": checks,
-        "frequencies": {"no_rate": no_rate, "yes_rate": 1.0 - no_rate},
-        "bounds": {
-            "expected_answer": "yes" if expected_yes else "no",
-            "one_sixth": 1.0 / 6.0,
-        },
-        "plot_series": _cumulative_series(no_flags, "no"),
-    }
-    return TrialReport(cfg, rows, summary, time.perf_counter() - started)
-
-
-def _cumulative_series(rows: list[dict], key: str) -> list[tuple[int, float]]:
-    series = []
-    hits = 0
-    for i, row in enumerate(rows, start=1):
-        hits += row[key]
-        series.append((i, hits / i))
-    return series
+    frequencies = {"no_rate": no_rate, "yes_rate": 1.0 - no_rate}
+    bounds = {"expected_answer": "yes" if expected_yes else "no", "one_sixth": 1.0 / 6.0}
+    return _report(cfg, started, rows, flags, checks, frequencies, bounds)
 
 
 CLAIM_RUNNERS = {

@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 import votelab
 from votelab import Digraph, Profile, Ranking, WeightedProfile, X3CInstance
 from votelab.cli import main
+from votelab.experiments import ExperimentConfig
 from votelab import io as vio
 from votelab import rules_exact
 
@@ -155,6 +156,12 @@ class TestScoreCommand:
         )
         assert code == 0 and result["decision"] == "yes"
 
+    @pytest.mark.parametrize("rule", ["cc", "monroe"])
+    def test_committee_naming_a_member_twice_rejected(self, capsys, unanimous, rule):
+        code = main(["score", rule, "--profile", unanimous, "--committee", "0,2,0"])
+        assert code == 1
+        assert "member 0 more than once" in capsys.readouterr().err
+
 
 class TestExitCodes:
     def test_missing_file_is_input_error(self, capsys):
@@ -180,6 +187,18 @@ class TestExitCodes:
         code = main(["score", *argv, "--profile", unanimous, "--budget", "0"])
         assert code == 2
         assert "exceeded its budget of 0 " in capsys.readouterr().err
+
+    def test_shared_bottom_enumeration_capped(self, capsys, tmp_path, monkeypatch):
+        # shared_bottom enumerates all m! rankings (362,880 at m=9); the cap
+        # applies before the ranking space is built.
+        enumerated = []
+        monkeypatch.setattr(votelab.experiments, "all_rankings", enumerated.append)
+        config = {**SMALL_CONFIG, "m": 9, "model": {"model": "alpha_ic", "alpha": "8/9"}}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        assert main(["experiment", "--config", str(cfg_path), "--out-dir", str(tmp_path)]) == 2
+        assert "limited to m<=8" in capsys.readouterr().err
+        assert enumerated == []
 
     def test_negative_budget_is_input_error(self, capsys, unanimous):
         code = main(["score", "kemeny", "--profile", unanimous, "--budget", "-1"])
@@ -342,6 +361,20 @@ class TestExperimentCommand:
         assert len({len(line.split(",")) for line in lines}) == 1
         assert any("" in line.split(",") for line in lines[1:])
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("seed", -1), ("pad", -1), ("n", 2**63 - 1), ("n", 2**63), ("trials", 0), ("m", 2)],
+    )
+    def test_schema_accepts_exactly_what_the_config_accepts(self, field, value):
+        config = {**SMALL_CONFIG, field: value}
+        try:
+            ExperimentConfig.from_dict(config)
+            accepted = True
+        except ValueError:
+            accepted = False
+        schema = load_schema("experiment_config.schema.json")
+        assert jsonschema.Draft202012Validator(schema).is_valid(config) == accepted
+
     def test_malformed_config_is_input_error(self, capsys, tmp_path):
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text('{"claim": "definitely_rate"')
@@ -382,6 +415,7 @@ class TestMalformedJson:
             ("experiment", {**SMALL_CONFIG, "seed": -5}, "'seed' must be non-negative, got -5"),
             ("experiment", {**SMALL_CONFIG, "n": 2**63}, f"'n' must be at most {2**63 - 1}, got {2**63}"),
             ("experiment", {**SMALL_CONFIG, "n": 10**30}, f"'n' must be at most {2**63 - 1}, got {10**30}"),
+            ("experiment", {**TOP_CONFIG, "pad": -1}, "'pad' must be non-negative, got -1"),
         ],
     )
     def test_rejected_as_input_error(self, capsys, tmp_path, command, payload, named):

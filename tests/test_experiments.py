@@ -380,7 +380,34 @@ PINNED_REPORTS = [
              model={"model": "partial_alt", "K": "m1"}, pad=2),
         "6caa4eb615de6067a7ff00bc2c599183005be08715f8454d1232e8148b976c45",
     ),
+    # Pinned configs above again with plot_data, which is not hashed: the
+    # same CSV and JSON bytes plus the plot series of claims that write none.
+    (
+        dict(claim="concentration", trials=20, seed=7, m=3, n=300, model=ALPHA_IC,
+             plot_data=True),
+        "aad241c7b893d4e76b701cfe9d808e181d349326c524883006590488653d7ff2",
+    ),
+    (
+        dict(claim="concentration", trials=8, seed=8, m=5, n=150,
+             model={"model": "alpha_ic", "alpha": "4/5"}, adversary="random_profile",
+             plot_data=True),
+        "cf079869734a80f3fc3df8b4d4c66867f2eaa6afc53bd26df3846f9c4f7247a9",
+    ),
+    (
+        dict(claim="cover_driver", trials=20, seed=11, instance=Q6_NO,
+             model={"model": "top_break", "K": "2*m1*n"}, pad=2, plot_data=True),
+        "0f6b41a0a1b664ca452493b55f29b9ac7a8eb1ed2950f2f888724af4a67140df",
+    ),
 ]
+
+
+def pinned_ids(entries) -> list[str]:
+    """Claim, adversary or model, and seed; a repeated one gains "-dat"."""
+    ids = []
+    for c, _ in entries:
+        key = f"{c['claim']}-{c.get('adversary', c.get('model', {}).get('model'))}-{c['seed']}"
+        ids.append(f"{key}-dat" if key in ids else key)
+    return ids
 
 
 def report_digest(paths: dict) -> str:
@@ -395,8 +422,7 @@ def report_digest(paths: dict) -> str:
 @pytest.mark.parametrize(
     "config, expected",
     PINNED_REPORTS,
-    ids=[f"{c['claim']}-{c.get('adversary', c.get('model', {}).get('model'))}-{c['seed']}"
-         for c, _ in PINNED_REPORTS],
+    ids=pinned_ids(PINNED_REPORTS),
 )
 def test_seeded_report_bytes_pinned(tmp_path, config, expected):
     paths = write_report(run_experiment(ExperimentConfig(**config)), tmp_path)

@@ -413,15 +413,28 @@ def wmg(p: AnyProfile) -> WMG:
     return p.wmg
 
 
+def _ranks_above(pos: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    """``out[i, a, j]``: whether ballot ``i`` ranks ``a`` above position ``ref[i, j]``.
+
+    ``pos[i, a]`` is the 0-based position of ``a`` in ballot ``i``, and
+    ``ref`` holds positions of the same ballots; a smaller position is
+    more preferred. This one comparison is every tally of who beats whom:
+    the margin kernel passes ``ref = pos``, and the greedy tally table
+    passes the target's column.
+    """
+    return pos[:, :, None] < ref[:, None, :]
+
+
 def _margin_kernel(p: AnyProfile) -> WMG:
     """Margins of a (weighted) profile, in numpy over its distinct rankings.
 
     ``pos[i, a]`` is the position of ``a`` in ranking ``i``. Row ``i``'s
     weight goes to ``wins[a, b]`` exactly when ``a`` sits above ``b``
-    there, and the margin is ``wins - wins.T``: antisymmetric with a zero
-    diagonal by construction, so it skips :class:`WMG`'s checks. A
-    :class:`Profile`'s weights are its int64 counts, exact because no
-    entry exceeds ``n``. A :class:`WeightedProfile`'s weights are brought
+    there (:func:`_ranks_above`), and the margin is ``wins - wins.T``:
+    antisymmetric with a zero diagonal by construction, so it skips
+    :class:`WMG`'s checks. A :class:`Profile`'s weights are its int64
+    counts, exact because no entry exceeds ``n``. A
+    :class:`WeightedProfile`'s weights are brought
     to one common denominator and tallied as Python ints in an object
     array, so every margin is an exact ``Fraction`` and the tally adds
     ints, not rationals. Rows go in blocks of at most ``_KERNEL_CELLS``
@@ -441,7 +454,7 @@ def _margin_kernel(p: AnyProfile) -> WMG:
     step = max(1, _KERNEL_CELLS // (m * m))
     for start in range(0, distinct, step):
         block = pos[start : start + step]
-        above = (block[:, :, None] < block[:, None, :]).reshape(len(block), m * m)
+        above = _ranks_above(block, block).reshape(len(block), m * m)
         wins = wins + weights[start : start + step] @ above
     wins = wins.reshape(m, m)
     rows = (wins - wins.T).tolist()

@@ -34,9 +34,9 @@ from typing import Optional, get_args, get_type_hints
 
 import numpy as np
 
-from .core import _MAX_VOTERS, Profile, Ranking, wmg
+from .core import _MAX_VOTERS, Profile, Ranking
 from .errors import BudgetExceededError
-from .greedy_dodgson import Decision, greedy_dodgson, immediately_above_count
+from .greedy_dodgson import Decision, _certify, _tally_table
 from .models import (
     MAX_ENUMERATION_M,
     AlphaIC,
@@ -232,15 +232,16 @@ def _require_alpha_regime(cfg: ExperimentConfig) -> AlphaIC:
     return model
 
 
-def _shared_parameter_trial_profiles(cfg: ExperimentConfig, model: AlphaIC):
-    """Yield (trial, profile, target) with every agent on one worst-case parameter.
+def _shared_parameter_trials(cfg: ExperimentConfig, model: AlphaIC):
+    """Yield (orders, counts, target) with every agent on one worst-case parameter.
 
     The structurally worst adversary shares a single ranking across all
     agents and queries its bottom alternative. Since every score in play
     depends only on the ballot multiset, drawing per-type counts from the
     exact multinomial is distribution-identical to sampling agents one by
     one. The ranking space is enumerated, so ``m`` is capped as for
-    :func:`~votelab.models.induced_weighted_profile`.
+    :func:`~votelab.models.induced_weighted_profile`; every trial yields
+    the same ``orders`` array of all ``m!`` rankings.
     """
     m, n = cfg.m, cfg.n
     if m > MAX_ENUMERATION_M:
@@ -252,31 +253,31 @@ def _shared_parameter_trial_profiles(cfg: ExperimentConfig, model: AlphaIC):
     probs = np.full(len(rankings), uniform_share)
     probs[rankings.index(parameter)] += 1.0 - float(model.alpha)
     probs /= probs.sum()
-    for trial, rng in enumerate(_trial_rngs(cfg)):
-        counts = rng.multinomial(n, probs)
-        yield trial, Profile.from_counts(zip(rankings, counts.tolist())), target
+    orders = np.array([r.order for r in rankings])
+    for rng in _trial_rngs(cfg):
+        yield orders, rng.multinomial(n, probs), target
 
 
-def _random_parameter_trial_profiles(cfg: ExperimentConfig, model: AlphaIC):
+def _random_parameter_trials(cfg: ExperimentConfig, model: AlphaIC):
     """Per-agent random parameters; the target is the final agent's bottom.
 
-    The generator is consumed exactly as drawing each agent's parameter
-    and then each agent's ballot through ``AlphaIC.sample`` would: all
-    ``n`` parameter permutations first, then per agent one uniform number
-    and, when it falls below ``alpha``, one more permutation. The batched
-    calls draw the same numbers: ``permutation(m)``, ``shuffle`` of a
-    list and ``permuted`` along an axis all run one Fisher-Yates pass per
-    length-``m`` row, one bounded draw per position from the last down,
-    and ``permuted`` takes the rows of its ``(n, m)`` array in order. So
-    one ``permuted`` call yields all ``n`` parameters, and shuffling
-    ``range(m)`` in place yields one resampled ballot. Ballots are tallied
-    as plain orders, so a :class:`Ranking` is built only once per
-    distinct ballot.
+    Yields each trial's distinct ballots as the rows of ``orders``, their
+    ``counts`` and the target. The generator is consumed exactly as
+    drawing each agent's parameter and then each agent's ballot through
+    ``AlphaIC.sample`` would: all ``n`` parameter permutations first, then
+    per agent one uniform number and, when it falls below ``alpha``, one
+    more permutation. The batched calls draw the same numbers:
+    ``permutation(m)``, ``shuffle`` of a list and ``permuted`` along an
+    axis all run one Fisher-Yates pass per length-``m`` row, one bounded
+    draw per position from the last down, and ``permuted`` takes the rows
+    of its ``(n, m)`` array in order. So one ``permuted`` call yields all
+    ``n`` parameters, and shuffling ``range(m)`` in place yields one
+    resampled ballot. Ballots are tallied as plain orders.
     """
     m, n = cfg.m, cfg.n
     alpha = float(model.alpha)
     identity = np.tile(np.arange(m), (n, 1))
-    for trial, rng in enumerate(_trial_rngs(cfg)):
+    for rng in _trial_rngs(cfg):
         parameters = list(map(tuple, rng.permuted(identity, axis=1).tolist()))
 
         def ballot(parameter: tuple[int, ...]) -> tuple[int, ...]:
@@ -287,13 +288,34 @@ def _random_parameter_trial_profiles(cfg: ExperimentConfig, model: AlphaIC):
             return parameter
 
         ballots = Counter(map(ballot, parameters))
-        yield trial, Profile.from_counts(ballots.items()), parameters[-1][-1]
+        counts = np.fromiter(ballots.values(), np.int64, len(ballots))
+        yield np.array(list(ballots)), counts, parameters[-1][-1]
 
 
-def _trial_profiles(cfg: ExperimentConfig, model: AlphaIC):
+def _trial_ballots(cfg: ExperimentConfig, model: AlphaIC):
     if cfg.adversary == "shared_bottom":
-        return _shared_parameter_trial_profiles(cfg, model)
-    return _random_parameter_trial_profiles(cfg, model)
+        return _shared_parameter_trials(cfg, model)
+    return _random_parameter_trials(cfg, model)
+
+
+def _trial_tallies(cfg: ExperimentConfig, model: AlphaIC) -> tuple[list[int], np.ndarray]:
+    """Each trial's target and its ``2m`` greedy tallies, one row per trial.
+
+    A trial's row is its ballot counts times the target's tally table
+    (:func:`~votelab.greedy_dodgson._tally_table`): columns ``b`` count
+    the voters ranking ``b`` over the target, columns ``m + b`` the
+    ballots with ``b`` directly above it. No :class:`Profile` is built.
+    A table is built only when the ballots or the target change, so
+    ``shared_bottom`` builds one per config.
+    """
+    targets, rows = [], []
+    table_orders = table_target = table = None
+    for orders, counts, target in _trial_ballots(cfg, model):
+        if orders is not table_orders or target != table_target:
+            table, table_orders, table_target = _tally_table(orders, target), orders, target
+        targets.append(target)
+        rows.append(counts @ table)
+    return targets, np.array(rows)
 
 
 def _tail_exponent_bound(m: int, n: int) -> tuple[Fraction, float]:
@@ -311,11 +333,13 @@ def run_definitely_rate(cfg: ExperimentConfig) -> TrialReport:
     model = _require_alpha_regime(cfg)
     m, n = cfg.m, cfg.n
 
-    rows, flags = [], []
-    for trial, profile, target in _trial_profiles(cfg, model):
-        result = greedy_dodgson(profile, target)
-        flags.append(int(result.is_definite))
-        rows.append({"trial": trial, "definitely": flags[-1], "score_lower_bound": result.score})
+    _, tallies = _trial_tallies(cfg, model)
+    scores, definite = _certify(n, n - tallies[:, :m], tallies[:, m:])
+    flags = definite.astype(int).tolist()
+    rows = [
+        {"trial": trial, "definitely": flag, "score_lower_bound": score}
+        for trial, (flag, score) in enumerate(zip(flags, scores.tolist()))
+    ]
 
     rate = sum(flags) / cfg.trials
     exponent, tail = _tail_exponent_bound(m, n)
@@ -368,16 +392,15 @@ def run_concentration_tails(cfg: ExperimentConfig) -> TrialReport:
 
     rival_counts, exceed_counts, scarce_counts = Counter(), Counter(), Counter()
     rows, flags = [], []
-    for trial, profile, target in _trial_profiles(cfg, model):
-        margins = wmg(profile)
+    targets, tallies = _trial_tallies(cfg, model)
+    for trial, (target, tally) in enumerate(zip(targets, tallies.tolist())):
         row = {"trial": trial}
         hit = 0
         for b in range(m):
             if b == target:
                 continue
             rival_counts[b] += 1
-            outranked = (profile.n + margins.margin(b, target)) // 2
-            adjacent = immediately_above_count(profile, target, b)
+            outranked, adjacent = tally[b], tally[m + b]
             row[f"outranked_by_{b}"] = outranked
             row[f"directly_above_{b}"] = adjacent
             if outranked > prec_limit:

@@ -12,7 +12,9 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .core import Profile, deficit
+import numpy as np
+
+from .core import Profile, _ranks_above, wmg
 
 __all__ = [
     "Certainty",
@@ -55,12 +57,45 @@ def immediately_above_count(p: Profile, a: int, b: int) -> int:
     """Ballots in which ``b`` sits in the position directly above ``a``."""
     if a == b:
         raise ValueError("need two distinct alternatives")
+    if not (0 <= a < p.m and 0 <= b < p.m):
+        raise ValueError(f"alternatives ({a},{b}) out of range 0..{p.m - 1}")
     total = 0
     for r, count in p.grouped.items():
         pos = r.positions
         if pos[b] == pos[a] - 1:
             total += count
     return total
+
+
+def _tally_table(orders: np.ndarray, a: int) -> np.ndarray:
+    """The target ``a``'s two greedy tallies per ranking, as one int64 row each.
+
+    Row ``i`` describes ``orders[i]`` (alternatives most-preferred first)
+    in ``2m`` columns: column ``b`` is 1 when the ranking puts ``b`` above
+    ``a``, by the margin kernel's comparison, and column ``m + b`` is 1
+    when ``b`` sits directly above ``a``. For ranking counts ``c``,
+    ``c @ table`` holds the voters ranking each ``b`` over ``a`` and each
+    ``b``'s :func:`immediately_above_count`; ``a``'s own entries are 0.
+    """
+    pos = np.argsort(orders, axis=1)
+    at = pos[:, [a]]
+    adjacent = pos == at - 1
+    return np.concatenate((_ranks_above(pos, at)[:, :, 0], adjacent), axis=1).astype(np.int64)
+
+
+def _certify(n: int, votes, adjacent) -> tuple:
+    """Greedy score and certificate of a target from its per-rival tallies.
+
+    ``votes[..., b]`` counts the voters ranking the target above rival
+    ``b`` and ``adjacent[..., b]`` the ballots with ``b`` directly above
+    it. Rival ``b`` is owed ``max(0, n//2 + 1 - votes)`` votes; the score
+    is the sum of what is owed, and it is definite iff every adjacency
+    count covers what its rival is owed. The last axis runs over rivals,
+    so one call takes one row or a stack of trials; a column for the
+    target itself, with ``n`` votes, owes nothing. Scores are Python ints.
+    """
+    owed = np.maximum(0, n // 2 + 1 - np.asarray(votes, dtype=np.int64))
+    return owed.sum(axis=-1, dtype=object), (np.asarray(adjacent) >= owed).all(axis=-1)
 
 
 def greedy_dodgson(p: Profile, a: int) -> GreedyResult:
@@ -78,16 +113,12 @@ def greedy_dodgson(p: Profile, a: int) -> GreedyResult:
         raise ValueError("rule computations require at least 3 alternatives")
     if not 0 <= a < p.m:
         raise ValueError(f"alternative {a} out of range")
-    total = 0
-    certified = True
-    for b in range(p.m):
-        if b == a:
-            continue
-        owed = deficit(p, a, b)
-        total += owed
-        if owed > 0 and immediately_above_count(p, a, b) < owed:
-            certified = False
-    return GreedyResult(total, Certainty.DEFINITELY if certified else Certainty.MAYBE)
+    rivals = [b for b in range(p.m) if b != a]
+    margins = wmg(p).margins[a]
+    votes = [(p.n + margins[b]) // 2 for b in rivals]
+    adjacent = [immediately_above_count(p, a, b) for b in rivals]
+    score, definite = _certify(p.n, votes, adjacent)
+    return GreedyResult(score, Certainty.DEFINITELY if definite else Certainty.MAYBE)
 
 
 def semirandom_dodgson_decision(p: Profile, a: int, t: int) -> Decision:

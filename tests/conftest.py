@@ -2,7 +2,9 @@
 
 Oracles here deliberately avoid the package's solver code paths: the
 Dodgson oracles search raw adjacent swaps breadth-first or solve an
-integer program over lift-vector counts with SciPy, the Kemeny oracle
+integer program over lift-vector counts with SciPy, the greedy oracle
+counts deficits and adjacency ballot by ballot, the Young oracle solves
+an integer program over kept ballots with SciPy, the Kemeny oracle
 enumerates all rankings, the Kemeny block table is the subset DP as a
 plain loop, the assignment oracles enumerate raw assignment functions or
 solve a slot-replicated linear assignment with SciPy, the
@@ -23,6 +25,7 @@ from typing import Optional
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 from scipy.optimize import Bounds, LinearConstraint, linear_sum_assignment, milp
 
 from votelab import (
@@ -45,6 +48,19 @@ def random_ranking(rng: np.random.Generator, m: int) -> Ranking:
 
 def random_profile(rng: np.random.Generator, m: int, n: int) -> Profile:
     return Profile(tuple(random_ranking(rng, m) for _ in range(n)))
+
+
+def st_pooled_profile(min_m: int, max_m: int, max_n: int, max_pool: int = 6):
+    """Profiles of ``1..max_n`` ballots drawn from a pool of at most ``max_pool``
+    rankings, so that ballots repeat at every size."""
+
+    def ballots(m: int):
+        pool = st.lists(st.permutations(range(m)), min_size=1, max_size=max_pool)
+        return pool.flatmap(
+            lambda orders: st.lists(st.sampled_from(orders), min_size=1, max_size=max_n)
+        ).map(Profile.of)
+
+    return st.integers(min_m, max_m).flatmap(ballots)
 
 
 def kt_brute(r1: Ranking, r2: Ranking) -> int:
@@ -77,6 +93,25 @@ def margins_brute(p) -> list[list]:
 
 def deficit_brute(p: Profile, a: int, b: int) -> int:
     return max(0, p.n // 2 + 1 - votes_brute(p, a, b))
+
+
+def greedy_brute(p: Profile, a: int) -> tuple[int, bool]:
+    """Greedy Dodgson score and certificate, ballot by ballot.
+
+    Deficits come from :func:`votes_brute`; a rival's adjacency count is
+    the number of ballots whose entry right before ``a`` is that rival.
+    """
+    score, definite = 0, True
+    for b in range(p.m):
+        if b == a:
+            continue
+        owed = deficit_brute(p, a, b)
+        adjacent = sum(
+            1 for r in p.rankings if r.order.index(a) > 0 and r.order[r.order.index(a) - 1] == b
+        )
+        score += owed
+        definite = definite and adjacent >= owed
+    return score, definite
 
 
 def condorcet_brute(p: Profile):
@@ -173,6 +208,31 @@ def dodgson_within_ilp(p: Profile, a: int, cutoff: Optional[int]) -> Optional[in
     """The ILP score, or ``None`` above ``cutoff``, as ``dodgson_score_within`` answers."""
     score = dodgson_ilp(p, a)
     return None if cutoff is not None and score > cutoff else score
+
+
+def young_ilp(p: Profile, a: int) -> int:
+    """Young score as an integer program over the distinct ballots.
+
+    One integer variable per distinct ballot counts the copies kept, capped
+    by the ballot's count; each rival ``b`` gets one row asking the kept
+    ballots to put ``a`` over ``b`` by a strict majority (kept ballots
+    preferring ``a`` minus those preferring ``b``, at least 1). The kept
+    total is maximized; an infeasible program scores 0.
+    """
+    ballots = list(p.grouped)
+    rows = [[1 if r.prefers(a, b) else -1 for r in ballots] for b in range(p.m) if b != a]
+    res = milp(
+        -np.ones(len(ballots)),
+        constraints=[LinearConstraint(np.array(rows, dtype=float), 1, np.inf)],
+        integrality=np.ones(len(ballots)),
+        bounds=Bounds(0, list(p.grouped.values())),
+        options={"mip_rel_gap": 0},
+    )
+    if res.status == 2:  # infeasible
+        return 0
+    if not res.success:
+        raise AssertionError(f"young ILP did not solve: {res.message}")
+    return int(round(-res.fun))
 
 
 def kemeny_brute(p: Profile) -> tuple[Ranking, int]:

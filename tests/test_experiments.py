@@ -5,16 +5,30 @@ from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from votelab import AlphaIC, Decision, dodgson_score_within, experiments, reductions
+from votelab import (
+    AlphaIC,
+    Decision,
+    Profile,
+    Ranking,
+    all_rankings,
+    dodgson_score_within,
+    experiments,
+    greedy_dodgson,
+    immediately_above_count,
+    reductions,
+    wmg,
+)
 from votelab.experiments import (
     ExperimentConfig,
     TopBreakNoise,
     _padded_reduction,
-    _trial_profiles,
+    _trial_ballots,
     _trial_rngs,
+    _trial_tallies,
     run_cover_driver,
     run_concentration_tails,
     run_top_preservation,
@@ -22,6 +36,7 @@ from votelab.experiments import (
     run_experiment,
     write_report,
 )
+from votelab.greedy_dodgson import _tally_table
 from conftest import random_parameter_profiles_per_agent
 
 ALPHA_IC = {"model": "alpha_ic", "alpha": "2/3"}
@@ -92,20 +107,33 @@ class TestDefinitelyRate:
         assert len(report.rows) == 40
 
 
+def ballot_counter(orders, counts) -> Counter:
+    """A trial's distinct ballots (rows of ``orders``) with their counts."""
+    return Counter(dict(zip(map(tuple, orders.tolist()), counts.tolist())))
+
+
+def profile_counter(profile) -> Counter:
+    return Counter({r.order: count for r, count in profile.grouped.items()})
+
+
+def alpha_config(claim, m, n, alpha, adversary, trials=4, seed=0):
+    return ExperimentConfig(
+        claim=claim, trials=trials, seed=seed, m=m, n=n,
+        model={"model": "alpha_ic", "alpha": str(alpha)}, adversary=adversary,
+    )
+
+
 class TestRandomProfileAdversary:
     @pytest.mark.parametrize("seed", [0, 7, 2026])
     @pytest.mark.parametrize("m", [3, 4, 5])
     def test_matches_per_agent_sampling(self, seed, m):
         model = AlphaIC(m, Fraction(m - 1, m))
-        cfg = ExperimentConfig(
-            claim="definitely_rate", trials=4, seed=seed, m=m, n=60,
-            model={"model": "alpha_ic", "alpha": str(model.alpha)}, adversary="random_profile",
-        )
-        produced = list(_trial_profiles(cfg, model))
+        cfg = alpha_config("definitely_rate", m, 60, model.alpha, "random_profile", seed=seed)
+        produced = list(_trial_ballots(cfg, model))
         reference = list(random_parameter_profiles_per_agent(seed, 4, m, 60, model))
-        assert [trial for trial, _, _ in produced] == list(range(4))
-        for (_, profile, target), (expected, expected_target) in zip(produced, reference):
-            assert Counter(profile.rankings) == Counter(expected.rankings)
+        assert len(produced) == 4
+        for (orders, counts, target), (expected, expected_target) in zip(produced, reference):
+            assert ballot_counter(orders, counts) == profile_counter(expected)
             assert target == expected_target
 
     @given(
@@ -119,12 +147,99 @@ class TestRandomProfileAdversary:
         # alpha runs from the regime floor 1 - 1/m (0 tenths) up to 1 (10 tenths).
         floor = 1 - Fraction(1, m)
         model = AlphaIC(m, floor + (1 - floor) * Fraction(tenths_above_floor, 10))
-        cfg = ExperimentConfig(
-            claim="definitely_rate", trials=2, seed=seed, m=m, n=n,
-            model={"model": "alpha_ic", "alpha": str(model.alpha)}, adversary="random_profile",
-        )
-        produced = [(profile, target) for _, profile, target in _trial_profiles(cfg, model)]
-        assert produced == list(random_parameter_profiles_per_agent(seed, 2, m, n, model))
+        cfg = alpha_config("definitely_rate", m, n, model.alpha, "random_profile", 2, seed)
+        produced = [
+            (ballot_counter(orders, counts), target)
+            for orders, counts, target in _trial_ballots(cfg, model)
+        ]
+        reference = [
+            (profile_counter(profile), target)
+            for profile, target in random_parameter_profiles_per_agent(seed, 2, m, n, model)
+        ]
+        assert produced == reference
+
+
+def profile_tallies(profile, target) -> list[int]:
+    """The ``2m`` tallies of a trial read off a :class:`Profile`: voters
+    ranking each ``b`` over the target (from the margin matrix), then each
+    ``b``'s adjacency count (0 for the target itself)."""
+    rivals = [b for b in range(profile.m) if b != target]
+    tallies = [0] * (2 * profile.m)
+    for b in rivals:
+        tallies[b] = (profile.n + wmg(profile).margin(b, target)) // 2
+        tallies[profile.m + b] = immediately_above_count(profile, target, b)
+    return tallies
+
+
+def assert_trial_matches_profile(tally, profile, target, row):
+    assert tally == profile_tallies(profile, target)
+    expected = greedy_dodgson(profile, target)
+    assert (row["score_lower_bound"], row["definitely"]) == (expected.score, expected.is_definite)
+
+
+class TestTrialTallies:
+    """Each trial's tallies and greedy answer equal those of its :class:`Profile`."""
+
+    @pytest.mark.parametrize("seed", [1, 31])
+    @pytest.mark.parametrize("m, n", [(3, 1), (4, 60), (5, 200), (7, 40)])
+    def test_random_profile_matches_per_agent_profiles(self, seed, m, n):
+        model = AlphaIC(m, Fraction(m - 1, m))
+        cfg = alpha_config("definitely_rate", m, n, model.alpha, "random_profile", seed=seed)
+        targets, tallies = _trial_tallies(cfg, model)
+        rows = run_definitely_rate(cfg).rows
+        reference = random_parameter_profiles_per_agent(seed, cfg.trials, m, n, model)
+        for tally, target, row, (profile, expected_target) in zip(
+            tallies.tolist(), targets, rows, reference, strict=True
+        ):
+            assert target == expected_target
+            assert_trial_matches_profile(tally, profile, target, row)
+
+    @pytest.mark.parametrize("m", [3, 4, 5, 6, 7, 8])
+    @pytest.mark.parametrize("n", [1, 2, 45])
+    def test_shared_bottom_matches_multinomial_profiles(self, m, n):
+        model = AlphaIC(m, 1 - Fraction(1, m))
+        cfg = alpha_config("definitely_rate", m, n, model.alpha, "shared_bottom", 3, 100 * m + n)
+        rankings = all_rankings(m)
+        # Every agent on the ascending ranking, resampled uniformly w.p. alpha.
+        probs = np.full(len(rankings), float(model.alpha) / math.factorial(m))
+        probs[rankings.index(Ranking(tuple(range(m))))] += 1 - float(model.alpha)
+        probs /= probs.sum()
+        draws = [rng.multinomial(n, probs) for rng in _trial_rngs(cfg)]
+        targets, tallies = _trial_tallies(cfg, model)
+        rows = run_definitely_rate(cfg).rows
+        for tally, target, row, counts in zip(tallies.tolist(), targets, rows, draws, strict=True):
+            assert target == m - 1
+            profile = Profile.from_counts(zip(rankings, counts.tolist()))
+            assert_trial_matches_profile(tally, profile, target, row)
+
+    def test_shared_bottom_builds_one_table_per_config(self, monkeypatch):
+        built = []
+
+        def counted(orders, target):
+            built.append(target)
+            return _tally_table(orders, target)
+
+        monkeypatch.setattr(experiments, "_tally_table", counted)
+        run_definitely_rate(alpha_config("definitely_rate", 4, 50, "3/4", "shared_bottom", 9))
+        assert built == [3]
+        built.clear()
+        run_definitely_rate(alpha_config("definitely_rate", 4, 50, "3/4", "random_profile", 9))
+        assert len(built) == 9
+
+    def test_concentration_rows_match_profiles(self):
+        m, n = 4, 80
+        model = AlphaIC(m, Fraction(3, 4))
+        cfg = alpha_config("concentration", m, n, model.alpha, "random_profile", 6, 17)
+        rows = run_concentration_tails(cfg).rows
+        reference = random_parameter_profiles_per_agent(17, cfg.trials, m, n, model)
+        for row, (profile, target) in zip(rows, reference, strict=True):
+            expected = profile_tallies(profile, target)
+            for b in range(m):
+                if b == target:
+                    assert f"outranked_by_{b}" not in row
+                else:
+                    assert row[f"outranked_by_{b}"] == expected[b]
+                    assert row[f"directly_above_{b}"] == expected[m + b]
 
 
 class TestClaim1:
@@ -205,8 +320,6 @@ class TestClaim2:
 
     def test_top_break_sampler_distribution(self):
         noise = TopBreakNoise(4, 4)
-        from votelab import Ranking, all_rankings
-
         parameter = Ranking.of([2, 0, 1, 3])
         total = sum(noise.pmf(parameter, r) for r in all_rankings(4))
         assert total == 1

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings
 
 from votelab import (
     Certainty,
@@ -13,7 +14,7 @@ from votelab import (
     permute_profile,
     semirandom_dodgson_decision,
 )
-from conftest import random_profile
+from conftest import greedy_brute, random_profile, st_pooled_profile
 
 DEFINITE = Profile.of([[1, 0, 2], [1, 0, 2], [0, 1, 2]])
 MAYBE = Profile.of([[1, 2, 0], [1, 2, 0], [0, 1, 2]])
@@ -37,6 +38,11 @@ class TestImmediatelyAbove:
         with pytest.raises(ValueError):
             immediately_above_count(Profile.of([[0, 1, 2]]), 2, 2)
 
+    @pytest.mark.parametrize("a, b", [(0, 5), (5, 0), (-1, 0), (0, -1), (3, 1)])
+    def test_rejects_out_of_range_pair(self, a, b):
+        with pytest.raises(ValueError, match=rf"\({a},{b}\) out of range 0\.\.2"):
+            immediately_above_count(Profile.of([[0, 1, 2], [2, 1, 0]]), a, b)
+
 
 class TestGreedy:
     def test_condorcet_winner(self):
@@ -53,10 +59,26 @@ class TestGreedy:
         assert result.certainty is Certainty.DEFINITELY
         assert dodgson_score_exact(DEFINITE, 0) == 1
 
+    def test_score_past_int64_at_the_voter_limit(self):
+        # the target is last on every ballot, so each rival is owed n//2 + 1
+        # votes and the sum passes 2**63 - 1; it must not wrap
+        n = 2**63 - 1
+        p = Profile.from_counts([((1, 2, 0), n // 2 + 1), ((2, 1, 0), n // 2)])
+        result = greedy_dodgson(p, 0)
+        assert result.score == 2 * (n // 2 + 1) == 2**63
+        assert result.certainty is Certainty.MAYBE
+
     def test_maybe_case(self):
         assert deficit(MAYBE, 0, 1) == 1
         assert immediately_above_count(MAYBE, 0, 1) == 0
         assert greedy_dodgson(MAYBE, 0).certainty is Certainty.MAYBE
+
+    @given(st_pooled_profile(3, 8, 40))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_ballot_by_ballot_oracle(self, p):
+        for a in range(p.m):
+            result = greedy_dodgson(p, a)
+            assert (result.score, result.is_definite) == greedy_brute(p, a)
 
     def test_soundness_and_lower_bound_sampled(self, rng):
         for _ in range(400):

@@ -39,6 +39,8 @@ from conftest import (
     monroe_lsa,
     random_profile,
     random_ranking,
+    st_pooled_profile,
+    young_ilp,
 )
 
 ABC = Ranking.of([0, 1, 2])
@@ -160,6 +162,12 @@ class TestYoung:
             base = young_score_exact(p, a)
             for extra in (1, 2):
                 assert young_score_exact(app_last(p, extra), a) == base
+
+    @given(st_pooled_profile(3, 6, 20, max_pool=8))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_kept_ballot_ilp(self, p):
+        for a in range(p.m):
+            assert young_score_exact(p, a) == young_ilp(p, a)
 
     def test_budget_error(self):
         # one class of 21 ballots: the root and its 22 children

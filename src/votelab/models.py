@@ -116,8 +116,10 @@ class PartialAltRandomization:
         tail = parameter.order[self.K :]
         if not tail:
             return parameter
-        shuffled = tuple(int(tail[i]) for i in rng.permutation(len(tail)))
-        return Ranking(head + shuffled)
+        # One Fisher-Yates pass, the same draws as rng.permutation(len(tail)).
+        shuffled = list(tail)
+        rng.shuffle(shuffled)
+        return Ranking(head + tuple(shuffled))
 
     def distribution_wmg(self, parameter: Ranking) -> WMG:
         # Pairs fully inside the shuffled tail are symmetric; every other
@@ -270,6 +272,9 @@ def model_from_spec(spec: dict, m: int):
 
 def _spec_number(spec: dict, key: str, convert: Callable, what: str = "model spec"):
     value = spec.get(key)
+    # JSON true would convert to 1; a bool is not a number here.
+    if isinstance(value, bool):
+        raise ValueError(f"{what} {key!r} must be a number, got {value!r}")
     try:
         return convert(value)
     except (TypeError, ValueError, OverflowError):

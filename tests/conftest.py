@@ -5,13 +5,15 @@ Dodgson oracles search raw adjacent swaps breadth-first or solve an
 integer program over lift-vector counts with SciPy, the greedy oracle
 counts deficits and adjacency ballot by ballot, the Young oracle solves
 an integer program over kept ballots with SciPy, the Kemeny oracle
-enumerates all rankings, the Kemeny block table is the subset DP as a
+enumerates all rankings or solves an integer program over pairwise
+orders with SciPy, the Kemeny block table is the subset DP as a
 plain loop, the assignment oracles enumerate raw assignment functions or
 solve a slot-replicated linear assignment with SciPy, the
 pairwise-disagreement and margin oracles count pairs ballot by ballot (or
 distinct ballot by distinct ballot, times its count), and the
 random-parameter sampler and the padded parameter profile draw agent by
-agent through ``models.sample``.
+agent through ``models.sample``; the partial-alternative sampler indexes
+its tail through a drawn permutation.
 Expected values in tests are frozen from these.
 """
 
@@ -256,6 +258,54 @@ def kemeny_brute(p: Profile) -> tuple[Ranking, int]:
     return Ranking(best_order), best_score
 
 
+def kemeny_ilp(p: Profile, top: Optional[int] = None) -> tuple[Ranking, int]:
+    """A profile-closest ranking and its disagreement, as an integer program.
+
+    Conitzer, Davenport and Kalagnanam (2006): one binary variable per pair
+    ``i < j``, 1 when ``i`` goes above ``j``; the pair costs the ballots
+    that disagree with the chosen order. For every triple ``i < j < k``,
+    ``0 <= x_ij + x_jk - x_ik <= 1`` rules out both 3-cycles, which makes
+    the pairwise order a ranking. With ``top`` given, every pair with
+    ``top`` is fixed to put it first.
+    """
+    m = p.m
+    pairs = list(itertools.combinations(range(m), 2))
+    index = {pair: v for v, pair in enumerate(pairs)}
+    above = np.zeros((m, m), dtype=np.int64)  # above[i][j]: ballots putting i over j
+    for r, count in p.grouped.items():
+        for i, j in pairs:
+            if r.prefers(i, j):
+                above[i][j] += count
+            else:
+                above[j][i] += count
+    # x_ij = 1 costs the ballots with j over i; x_ij = 0 costs those with i over j.
+    cost = np.array([above[j][i] - above[i][j] for i, j in pairs], dtype=float)
+    constant = int(sum(above[i][j] for i, j in pairs))
+    triples = np.zeros((math.comb(m, 3), len(pairs)))
+    for row, (i, j, k) in enumerate(itertools.combinations(range(m), 3)):
+        triples[row, [index[i, j], index[j, k], index[i, k]]] = (1, 1, -1)
+    low, high = np.zeros(len(pairs)), np.ones(len(pairs))
+    if top is not None:
+        for v, (i, j) in enumerate(pairs):
+            if top in (i, j):
+                low[v] = high[v] = int(top == i)
+    res = milp(
+        cost,
+        constraints=[LinearConstraint(triples, 0, 1)],
+        integrality=np.ones(len(pairs)),
+        bounds=Bounds(low, high),
+        options={"mip_rel_gap": 0},
+    )
+    if not res.success:
+        raise AssertionError(f"every ranking is feasible: {res.message}")
+    x = np.round(res.x).astype(int)
+    first = np.zeros((m, m), dtype=np.int64)  # first[i][j]: i goes above j
+    for (i, j), chosen in zip(pairs, x):
+        first[i][j], first[j][i] = chosen, 1 - chosen
+    order = tuple(sorted(range(m), key=lambda i: -first[i].sum()))
+    return Ranking(order), constant + int(round(cost @ x))
+
+
 def kemeny_table_loop(p: Profile) -> list[int]:
     """Best internal disagreement of every block of alternatives, one block at a time."""
     m = p.m
@@ -368,6 +418,14 @@ def random_parameter_profiles_per_agent(seed: int, trials: int, m: int, n: int, 
         parameters = [random_ranking(rng, m) for _ in range(n)]
         ballots = tuple(sample(model, parameter, rng) for parameter in parameters)
         yield Profile(ballots), parameters[-1].order[-1]
+
+
+def partial_alt_sample_by_index(model, parameter: Ranking, rng: np.random.Generator) -> Ranking:
+    """One ``PartialAltRandomization`` ballot, the tail indexed through ``rng.permutation``."""
+    head, tail = parameter.order[: model.K], parameter.order[model.K :]
+    if not tail:
+        return parameter
+    return Ranking(head + tuple(int(tail[i]) for i in rng.permutation(len(tail))))
 
 
 def padded_parameter_profile_per_agent(out, model, pad: int) -> ParameterProfile:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -279,6 +280,37 @@ class TestSampleCommand:
         assert vio.read_profile(out) == Profile.of([[0, 1, 2], [0, 1, 2], [2, 1, 0]])
 
 
+    @pytest.mark.parametrize(
+        "spec, digest",
+        [
+            ('{"model": "alpha_ic", "alpha": "1/2"}',
+             "6a645d034a85750c9502667ff7ef1797018f7c01d37e198c405bb4a083efde5d"),
+            ('{"model": "partial_alt", "K": 2}',
+             "0e944c585cde559063a241e2922067a955b77d57400c07e7431412e791972a8e"),
+            ('{"model": "partial_alt", "K": 5}',
+             "b3b179f4212a32c3ccb0ad4ffc0d5c1fc5805af04cac206cb7b3e17263ec0bad"),
+        ],
+        ids=["alpha_ic", "partial_alt_tail", "partial_alt_full_width"],
+    )
+    def test_pinned_output_bytes(self, capsys, tmp_path, spec, digest):
+        # Frozen output: a sampler rewrite must keep every ballot of a seeded draw.
+        params = tmp_path / "params.wprofile"
+        vio.write_weighted_profile(
+            WeightedProfile(tuple(
+                (Ranking.of(order), Fraction(weight))
+                for order, weight in [([0, 1, 2, 3, 4], 7), ([4, 2, 0, 3, 1], 5), ([3, 1, 4, 0, 2], 8)]
+            )),
+            params,
+        )
+        out = tmp_path / "sampled.profile"
+        code, _ = run_cli(
+            capsys, "sample", "--model", spec, "--params", str(params),
+            "--out", str(out), "--seed", "20260810",
+        )
+        assert code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 class TestReduceCommand:
     def test_x3c_dodgson_writes_artifacts(self, capsys, tmp_path):
         inst_path = tmp_path / "i.x3c"
@@ -416,6 +448,28 @@ class TestMalformedJson:
             ("experiment", {**SMALL_CONFIG, "n": 2**63}, f"'n' must be at most {2**63 - 1}, got {2**63}"),
             ("experiment", {**SMALL_CONFIG, "n": 10**30}, f"'n' must be at most {2**63 - 1}, got {10**30}"),
             ("experiment", {**TOP_CONFIG, "pad": -1}, "'pad' must be non-negative, got -1"),
+            ("sample", {"model": "alpha_ic", "alpha": True}, "'alpha' must be a number, got True"),
+            ("sample", {"model": "partial_alt", "K": True}, "'K' must be a number, got True"),
+            (
+                "experiment",
+                {**SMALL_CONFIG, "model": {"model": "alpha_ic", "alpha": True}},
+                "'alpha' must be a number, got True",
+            ),
+            (
+                "experiment",
+                {**TOP_CONFIG, "model": {"model": "partial_alt", "K": False}},
+                "'K' must be a number, got False",
+            ),
+            (
+                "experiment",
+                {**TOP_CONFIG, "model": {"model": "top_break", "K": True}},
+                "'K' must be a number, got True",
+            ),
+            (
+                "experiment",
+                {**TOP_CONFIG, "instance": {"q": True, "subsets": [[0, 1, 2]]}},
+                "'q' must be a number, got True",
+            ),
         ],
     )
     def test_rejected_as_input_error(self, capsys, tmp_path, command, payload, named):

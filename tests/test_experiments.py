@@ -20,6 +20,7 @@ from votelab import (
     greedy_dodgson,
     immediately_above_count,
     reductions,
+    sample_profile,
     wmg,
 )
 from votelab.experiments import (
@@ -361,9 +362,13 @@ class TestCoverDriverTrials:
         dict(instance=Q6_NO, model={"model": "partial_alt", "K": "m1"}, pad=2),
         dict(instance=Q6_NO, model={"model": "alpha_ic", "alpha": "1/2"}, pad=1),
         dict(instance=Q6_YES, model={"model": "top_break", "K": "m1"}, pad=2),
+        # Almost every sampled multiset is new here, so the decision memo misses.
+        dict(instance=Q6_NO, model={"model": "partial_alt", "K": "m1"}, pad=4),
     ]
 
-    @pytest.mark.parametrize("spec", CONFIGS, ids=["top_break", "partial_alt", "alpha_ic", "yes"])
+    @pytest.mark.parametrize(
+        "spec", CONFIGS, ids=["top_break", "partial_alt", "alpha_ic", "yes", "partial_alt_pad4"]
+    )
     def test_each_trial_is_one_driver_call(self, spec):
         cfg = ExperimentConfig(claim="cover_driver", trials=30, seed=21, **spec)
         report = run_cover_driver(cfg)
@@ -377,6 +382,39 @@ class TestCoverDriverTrials:
             for rng in _trial_rngs(cfg)
         ]
         assert [row["answer"] for row in report.rows] == expected
+
+    @pytest.mark.parametrize(
+        "spec, repeats",
+        [
+            (dict(model={"model": "top_break", "K": "2*m1*n"}, pad=2), True),
+            (dict(model={"model": "partial_alt", "K": "m1"}, pad=4), False),
+        ],
+        ids=["top_break", "partial_alt_pad4"],
+    )
+    def test_each_distinct_matched_multiset_decided_once(self, monkeypatch, spec, repeats):
+        def multiset(p):
+            return frozenset((r.order, c) for r, c in p.grouped.items())
+
+        calls = []
+
+        def counted(p, a, t):
+            calls.append(multiset(p))
+            return dodgson_score_within(p, a, t)
+
+        monkeypatch.setattr(experiments, "dodgson_score_within", counted)
+        cfg = ExperimentConfig(claim="cover_driver", trials=40, seed=5, instance=Q6_NO, **spec)
+        run_cover_driver(cfg)
+
+        _, out, model = _padded_reduction(cfg)
+        pp = reductions.build_padded_parameter_profile(out, model, model.m)
+        matched = [
+            multiset(sampled)
+            for sampled in (sample_profile(pp, rng) for rng in _trial_rngs(cfg))
+            if reductions.top_slice_matches(sampled, out.profile)
+        ]
+        assert len(calls) == len(set(calls))
+        assert set(calls) == set(matched)
+        assert (len(set(matched)) < len(matched)) == repeats
 
     def test_reduction_built_once_per_config(self, monkeypatch):
         calls = Counter()

@@ -24,7 +24,7 @@ from votelab import (
     top_k,
     wmg,
 )
-from conftest import random_ranking
+from conftest import partial_alt_sample_by_index, random_ranking
 
 ABC = Ranking.of([0, 1, 2])
 
@@ -151,6 +151,20 @@ class TestNeutrality:
         support = set(left) | set(right)
         tv = sum(abs(left.get(r, 0) - right.get(r, 0)) for r in support) / (2 * n)
         assert tv < 0.05
+
+
+class TestPartialAltSampler:
+    @pytest.mark.parametrize("tail", [0, 1, 2, 5])
+    def test_same_ballots_and_generator_state_as_index_form(self, tail):
+        model = PartialAltRandomization(3 + tail, 3)
+        parameter = Ranking(tuple(range(model.m))[::-1])
+        for seed in range(200):
+            shuffled, indexed = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(3):
+                assert sample(model, parameter, shuffled) == partial_alt_sample_by_index(
+                    model, parameter, indexed
+                )
+            assert shuffled.bit_generator.state == indexed.bit_generator.state
 
 
 class TestSampleProfile:

@@ -34,6 +34,7 @@ from conftest import (
     dodgson_within_ilp,
     kemeny_alt_brute,
     kemeny_brute,
+    kemeny_ilp,
     kemeny_table_loop,
     monroe_brute,
     monroe_lsa,
@@ -243,6 +244,21 @@ class TestKemeny:
         assert type(score) is int and score == best[-1]
         assert all(type(x) is int for x in ranking.order)
         assert type(kemeny_score_of_alternative(p, ranking.order[0])) is int
+
+    @given(st_pooled_profile(3, 10, 30))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_ilp_with_repeated_ballots(self, p):
+        ranking, score = kemeny_best(p)
+        ilp_ranking, ilp_score = kemeny_ilp(p)
+        assert score == ilp_score == kt_profile_distance(p, ilp_ranking)
+        assert kt_profile_distance(p, ranking) == score
+        for a in range(p.m):
+            top_ranking, top_score = kemeny_ilp(p, top=a)
+            assert top_ranking.order[0] == a
+            assert kemeny_score_of_alternative(p, a) == top_score
+            assert kt_profile_distance(p, top_ranking) == top_score
+        assert kemeny_decision(p, ilp_score)
+        assert not kemeny_decision(p, ilp_score - 1)
 
 
 class TestCcScore:

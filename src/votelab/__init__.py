@@ -41,6 +41,7 @@ from .models import (
     AlphaIC,
     ParameterProfile,
     PartialAltRandomization,
+    TopBreakNoise,
     all_rankings,
     induced_weighted_profile,
     model_from_spec,

@@ -34,23 +34,23 @@ from typing import Optional, get_args, get_type_hints
 
 import numpy as np
 
-from .core import _MAX_VOTERS, Profile, Ranking
+from .core import _MAX_VOTERS, Profile
 from .errors import BudgetExceededError
 from .greedy_dodgson import Decision, _certify, _tally_table
 from .models import (
     MAX_ENUMERATION_M,
     AlphaIC,
     PartialAltRandomization,
+    TopBreakNoise,
     _spec_number,
     all_rankings,
     model_from_spec,
-    sample_profile,
 )
 from .reductions import (
     X3CInstance,
     _decide_sampled,
+    _matched_draw,
     build_padded_parameter_profile,
-    top_slice_matches,
     x3c_bruteforce,
     x3c_to_dodgson,
 )
@@ -261,35 +261,21 @@ def _shared_parameter_trials(cfg: ExperimentConfig, model: AlphaIC):
 def _random_parameter_trials(cfg: ExperimentConfig, model: AlphaIC):
     """Per-agent random parameters; the target is the final agent's bottom.
 
-    Yields each trial's distinct ballots as the rows of ``orders``, their
-    ``counts`` and the target. The generator is consumed exactly as
-    drawing each agent's parameter and then each agent's ballot through
-    ``AlphaIC.sample`` would: all ``n`` parameter permutations first, then
-    per agent one uniform number and, when it falls below ``alpha``, one
-    more permutation. The batched calls draw the same numbers:
-    ``permutation(m)``, ``shuffle`` of a list and ``permuted`` along an
-    axis all run one Fisher-Yates pass per length-``m`` row, one bounded
-    draw per position from the last down, and ``permuted`` takes the rows
-    of its ``(n, m)`` array in order. So one ``permuted`` call yields all
-    ``n`` parameters, and shuffling ``range(m)`` in place yields one
-    resampled ballot. Ballots are tallied as plain orders.
+    Yields every agent's ballot as one row of ``orders`` with count 1,
+    and the target. The generator is consumed exactly as drawing each
+    agent's parameter with ``permutation(m)`` and then each agent's ballot
+    through ``AlphaIC.sample`` would: one ``permuted`` call over an
+    ``(n, m)`` identity array draws all ``n`` parameters, since it runs
+    the same Fisher-Yates pass row by row, and
+    :meth:`~votelab.models.AlphaIC.sample_orders` draws the ballots.
+    The tallies add up row by row, so no ballot is counted or grouped.
     """
     m, n = cfg.m, cfg.n
-    alpha = float(model.alpha)
     identity = np.tile(np.arange(m), (n, 1))
+    ones = np.ones(n, dtype=np.int64)
     for rng in _trial_rngs(cfg):
-        parameters = list(map(tuple, rng.permuted(identity, axis=1).tolist()))
-
-        def ballot(parameter: tuple[int, ...]) -> tuple[int, ...]:
-            if rng.random() < alpha:
-                order = list(range(m))
-                rng.shuffle(order)
-                return tuple(order)
-            return parameter
-
-        ballots = Counter(map(ballot, parameters))
-        counts = np.fromiter(ballots.values(), np.int64, len(ballots))
-        yield np.array(list(ballots)), counts, parameters[-1][-1]
+        parameters = rng.permuted(identity, axis=1)
+        yield model.sample_orders(parameters, rng), ones, int(parameters[-1, -1])
 
 
 def _trial_ballots(cfg: ExperimentConfig, model: AlphaIC):
@@ -425,38 +411,6 @@ def run_concentration_tails(cfg: ExperimentConfig) -> TrialReport:
     return _report(cfg, started, rows, flags, checks, frequencies, bounds)
 
 
-@dataclass(frozen=True)
-class TopBreakNoise:
-    """Synthetic sampler: keep the parameter, or visibly break its top.
-
-    Emits the parameter with probability exactly ``1 - 1/K``; otherwise
-    moves the parameter's bottom alternative to the front, which changes
-    every top slice. Lets the harness exercise profile-level preservation
-    bounds at chosen per-agent rates.
-    """
-
-    m: int
-    K: int
-
-    def __post_init__(self) -> None:
-        if self.K < 1:
-            raise ValueError("K must be positive")
-
-    def sample(self, parameter: Ranking, rng: np.random.Generator) -> Ranking:
-        if rng.random() < 1.0 / self.K:
-            order = parameter.order
-            return Ranking((order[-1],) + order[:-1])
-        return parameter
-
-    def pmf(self, parameter: Ranking, r: Ranking) -> Fraction:
-        broken = Ranking((parameter.order[-1],) + parameter.order[:-1])
-        if r == parameter:
-            return 1 - Fraction(1, self.K)
-        if r == broken:
-            return Fraction(1, self.K)
-        return Fraction(0)
-
-
 def _padded_reduction(cfg: ExperimentConfig):
     """The config's exact-cover instance, its Dodgson reduction, and the
     model over the reduction's ``m1`` alternatives plus ``cfg.pad``.
@@ -498,7 +452,7 @@ def run_top_preservation(cfg: ExperimentConfig) -> TrialReport:
 
     rows, flags = [], []
     for trial, rng in enumerate(_trial_rngs(cfg)):
-        flags.append(int(top_slice_matches(sample_profile(pp, rng), out.profile)))
+        flags.append(int(_matched_draw(out, pp, rng) is not None))
         rows.append({"trial": trial, "top_slice_preserved": flags[-1]})
 
     rate = sum(flags) / cfg.trials
@@ -543,11 +497,13 @@ def run_cover_driver(cfg: ExperimentConfig) -> TrialReport:
     trial is one :func:`~votelab.reductions.x3c_via_dodgson` draw on them.
     Every trial samples and checks its top slice, but each distinct sampled
     ballot multiset goes to the Dodgson threshold query once per run: the
-    answer is kept under the multiset, which is exact because the score of
-    a profile does not depend on the order of its ballots. This pays off
-    because matched profiles repeat: in seeded runs of 1,000 trials at pad 2,
-    ``top_break`` yields 1 distinct multiset and ``partial_alt`` 8 or 32; at
-    pad 4 ``partial_alt`` repeats almost none.
+    answer is kept under the multiset of sampled rows, which is exact
+    because the score of a profile does not depend on the order of its
+    ballots. A multiset already decided builds no :class:`Ranking` or
+    :class:`Profile`. This pays off because matched profiles repeat: in
+    seeded runs of 1,000 trials at pad 2, ``top_break`` yields 1 distinct
+    multiset and ``partial_alt`` 8 or 32; at pad 4 ``partial_alt`` repeats
+    almost none.
     """
     started = time.perf_counter()
     inst, out, model = _padded_reduction(cfg)
@@ -556,10 +512,11 @@ def run_cover_driver(cfg: ExperimentConfig) -> TrialReport:
     # Keyed by plain (order, count) tuples, so no Ranking or Profile stays alive.
     decided: dict[frozenset, Decision] = {}
 
-    def exact_decider(p: Profile, a: int, t: int) -> Decision:
-        key = frozenset((r.order, c) for r, c in p.grouped.items())
+    def exact_decider(counted: Counter) -> Decision:
+        key = frozenset(counted.items())
         if key not in decided:
-            within = dodgson_score_within(p, a, t) is not None
+            p = Profile.from_counts(counted.items())
+            within = dodgson_score_within(p, out.critical, out.threshold) is not None
             decided[key] = Decision.YES if within else Decision.NO
         return decided[key]
 

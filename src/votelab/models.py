@@ -7,10 +7,16 @@ Two built-in families, both parameterized by a full ranking:
 * :class:`PartialAltRandomization` keeps the parameter's top-``K`` fixed
   and shuffles the remaining tail uniformly.
 
+A third, synthetic one, :class:`TopBreakNoise`, breaks the parameter's
+top with a chosen per-agent probability.
+
 Probabilities are exact rationals. Samplers take an injected
 ``numpy.random.Generator`` so every experiment records and replays its
 seed. A parameter profile is a weighted collection of parameters; with
 integer weights it samples one independent ballot per unit of weight.
+Each model draws one ballot with ``sample`` and a whole profile with
+``sample_orders``, over an ``(n, m)`` array of agent parameters; both
+consume the generator identically, agent by agent.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Union
 
 import numpy as np
@@ -29,6 +36,7 @@ from .errors import BudgetExceededError, DimensionError
 __all__ = [
     "AlphaIC",
     "PartialAltRandomization",
+    "TopBreakNoise",
     "PreferenceModel",
     "ParameterProfile",
     "sample",
@@ -51,6 +59,11 @@ def all_rankings(m: int) -> list[Ranking]:
 def _check_parameter(model: "PreferenceModel", parameter: Ranking) -> None:
     if parameter.m != model.m:
         raise DimensionError(f"parameter m={parameter.m} vs model m={model.m}")
+
+
+def _check_orders(model: "PreferenceModel", params: np.ndarray) -> None:
+    if params.ndim != 2 or params.shape[1] != model.m:
+        raise DimensionError(f"parameter array of shape {params.shape} vs model m={model.m}")
 
 
 @dataclass(frozen=True)
@@ -83,6 +96,25 @@ class AlphaIC:
         if rng.random() < float(self.alpha):
             return Ranking(tuple(int(x) for x in rng.permutation(self.m)))
         return parameter
+
+    def sample_orders(self, params: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        """One ballot per row of ``params``, agent by agent as :meth:`sample` draws.
+
+        Whether an agent draws a permutation depends on its uniform draw,
+        so the loop stays per agent; shuffling a fresh ``list(range(m))``
+        draws what ``rng.permutation(m)`` does.
+        """
+        _check_orders(self, params)
+        alpha = float(self.alpha)
+        random, shuffle = rng.random, rng.shuffle
+        identity = list(range(self.m))
+        rows = params.tolist()
+        for i in range(len(rows)):
+            if random() < alpha:
+                order = identity[:]
+                shuffle(order)
+                rows[i] = order
+        return np.array(rows, dtype=params.dtype).reshape(params.shape)
 
     def distribution_wmg(self, parameter: Ranking) -> WMG:
         # The uniform share is pairwise symmetric, so margins are the
@@ -121,6 +153,19 @@ class PartialAltRandomization:
         rng.shuffle(shuffled)
         return Ranking(head + tuple(shuffled))
 
+    def sample_orders(self, params: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        """One ballot per row of ``params``, agent by agent as :meth:`sample` draws.
+
+        ``permuted`` along the rows runs one Fisher-Yates pass per row, in
+        row order, the same draws as shuffling each tail on its own; an
+        empty tail draws nothing.
+        """
+        _check_orders(self, params)
+        ballots = params.copy()
+        if self.K < self.m:
+            ballots[:, self.K :] = rng.permuted(params[:, self.K :], axis=1)
+        return ballots
+
     def distribution_wmg(self, parameter: Ranking) -> WMG:
         # Pairs fully inside the shuffled tail are symmetric; every other
         # pair keeps the parameter's orientation with certainty.
@@ -139,7 +184,53 @@ class PartialAltRandomization:
         return WMG(tuple(rows))
 
 
-PreferenceModel = Union[AlphaIC, PartialAltRandomization]
+@dataclass(frozen=True)
+class TopBreakNoise:
+    """Synthetic sampler: keep the parameter, or visibly break its top.
+
+    Emits the parameter with probability exactly ``1 - 1/K``; otherwise
+    moves the parameter's bottom alternative to the front, which changes
+    every top slice. Lets the harness exercise profile-level preservation
+    bounds at chosen per-agent rates.
+    """
+
+    m: int
+    K: int
+
+    def __post_init__(self) -> None:
+        if self.K < 1:
+            raise ValueError("K must be positive")
+
+    def sample(self, parameter: Ranking, rng: np.random.Generator) -> Ranking:
+        _check_parameter(self, parameter)
+        if rng.random() < 1.0 / self.K:
+            order = parameter.order
+            return Ranking((order[-1],) + order[:-1])
+        return parameter
+
+    def sample_orders(self, params: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        """One ballot per row of ``params``: one uniform draw per agent, as :meth:`sample`."""
+        _check_orders(self, params)
+        broken = rng.random(len(params)) < 1.0 / self.K
+        ballots = params.copy()
+        if broken.any():
+            ballots[broken, 0] = params[broken, -1]
+            ballots[broken, 1:] = params[broken, :-1]
+        return ballots
+
+    def pmf(self, parameter: Ranking, r: Ranking) -> Fraction:
+        _check_parameter(self, parameter)
+        if r.m != self.m:
+            raise DimensionError(f"ranking m={r.m} vs model m={self.m}")
+        broken = Ranking((parameter.order[-1],) + parameter.order[:-1])
+        if r == parameter:
+            return 1 - Fraction(1, self.K)
+        if r == broken:
+            return Fraction(1, self.K)
+        return Fraction(0)
+
+
+PreferenceModel = Union[AlphaIC, PartialAltRandomization, TopBreakNoise]
 
 
 def sample(model, parameter: Ranking, rng: np.random.Generator) -> Ranking:
@@ -180,21 +271,33 @@ class ParameterProfile:
     def is_integral(self) -> bool:
         return all(w.denominator == 1 for _, w in self.entries)
 
+    @cached_property
+    def agent_orders(self) -> np.ndarray:
+        """Every agent's parameter order, one row per unit of weight, entries in order.
+
+        Read-only and built once per profile; a model's ``sample_orders``
+        takes it as its parameter array.
+        """
+        if not self.is_integral:
+            raise ValueError("sampling needs integer weights; scale and round first")
+        orders = np.array([r.order for r, _ in self.entries], dtype=np.int64)
+        rows = np.repeat(orders, [int(w) for _, w in self.entries], axis=0)
+        rows.setflags(write=False)
+        return rows
+
 
 def sample_profile(pp: ParameterProfile, rng: np.random.Generator) -> Profile:
     """One independent ballot per unit of weight, agents in entry order.
 
-    The profile keeps the agents' ballots as ``rankings``, which is what
+    The ballots come from the model's ``sample_orders`` over
+    :attr:`ParameterProfile.agent_orders`, so the generator is consumed
+    as drawing each agent through :func:`sample` would. The profile keeps
+    them agent by agent as ``rankings``, which is what
     :func:`~votelab.reductions.top_slice_matches` and the ``sample``
     command read.
     """
-    if not pp.is_integral:
-        raise ValueError("sampling needs integer weights; scale and round first")
-    ballots = []
-    for parameter, weight in pp.entries:
-        for _ in range(int(weight)):
-            ballots.append(sample(pp.model, parameter, rng))
-    return Profile(tuple(ballots))
+    ballots = pp.model.sample_orders(pp.agent_orders, rng).tolist()
+    return Profile(tuple(Ranking(tuple(order)) for order in ballots))
 
 
 def three_cycle_max_weight(model, parameter: Ranking) -> Fraction:
@@ -275,6 +378,10 @@ def _spec_number(spec: dict, key: str, convert: Callable, what: str = "model spe
     # JSON true would convert to 1; a bool is not a number here.
     if isinstance(value, bool):
         raise ValueError(f"{what} {key!r} must be a number, got {value!r}")
+    # int() would truncate 2.5 and Fraction() keep 0.1's binary expansion;
+    # exact inputs are integers or fraction strings.
+    if isinstance(value, float):
+        raise ValueError(f"{what} {key!r} must not be a float, got {value!r}")
     try:
         return convert(value)
     except (TypeError, ValueError, OverflowError):

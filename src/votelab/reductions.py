@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Optional, Sequence, Union
@@ -33,7 +34,7 @@ from .core import (
 )
 from .errors import BudgetExceededError, ConstructionError
 from .greedy_dodgson import Decision
-from .models import ParameterProfile, PartialAltRandomization, sample_profile
+from .models import ParameterProfile, PartialAltRandomization
 
 __all__ = [
     "X3CInstance",
@@ -219,9 +220,11 @@ def build_padded_parameter_profile(
 ) -> ParameterProfile:
     """Reduction ballots with dummies appended, one entry per distinct ballot.
 
-    Each entry weighs its ballot's count, so sampling draws the agents in
-    the order of ``out.profile.rankings``, which a count-built reduction
-    profile lists grouped.
+    Each entry weighs its ballot's count, so the profile's
+    :attr:`~votelab.models.ParameterProfile.agent_orders` lists the agents
+    in the order of ``out.profile.rankings``, which a count-built reduction
+    profile lists grouped, and every row opens with its agent's reduction
+    ballot. Sampling draws the agents in that order.
 
     With a top-``K``-preserving model and ``K`` at least the reduction
     width, sampling reproduces the reduction profile's top slice with
@@ -267,31 +270,54 @@ def x3c_via_dodgson(
     per agent, and answer YES outright if any sampled top slice moved.
     Otherwise ask the decider whether the critical alternative's score is
     within threshold. Decider failures map to YES, which keeps the
-    one-sided guarantee: a NO answer is always correct.
+    one-sided guarantee: a NO answer is always correct. The decider gets
+    the sampled ballots as a count-built profile.
     """
     out = x3c_to_dodgson(inst)
     pp = build_padded_parameter_profile(out, model, model.m)
-    return _decide_sampled(out, pp, dodgson_decider, rng)
+
+    def decide(counted: Counter) -> Decision:
+        return dodgson_decider(Profile.from_counts(counted.items()), out.critical, out.threshold)
+
+    return _decide_sampled(out, pp, decide, rng)
 
 
 def _decide_sampled(
     out: DodgsonReductionOutput,
     pp: ParameterProfile,
-    dodgson_decider: Callable[[Profile, int, int], Decision],
+    decide: Callable[[Counter], Decision],
     rng: np.random.Generator,
 ) -> Decision:
     """One draw of :func:`x3c_via_dodgson` from an already built reduction.
 
     ``pp`` must be ``out``'s padded parameter profile. Callers that run
     many trials on one instance build both once and call this per trial.
+    Only a draw that keeps every top slice goes to ``decide``, as a
+    ``Counter`` of its ballot orders in order of first appearance; no
+    :class:`Ranking` or :class:`Profile` is built here.
     """
-    sampled = sample_profile(pp, rng)
-    if not top_slice_matches(sampled, out.profile):
+    ballots = _matched_draw(out, pp, rng)
+    if ballots is None:
         return Decision.YES
-    answer = dodgson_decider(sampled, out.critical, out.threshold)
-    if answer is Decision.NO:
+    if decide(Counter(map(tuple, ballots.tolist()))) is Decision.NO:
         return Decision.NO
     return Decision.YES
+
+
+def _matched_draw(
+    out: DodgsonReductionOutput, pp: ParameterProfile, rng: np.random.Generator
+) -> Optional[np.ndarray]:
+    """One draw of ``pp``'s ballots in agent order, or ``None`` if a top slice moved.
+
+    ``pp`` must be ``out``'s padded parameter profile, whose agent rows
+    open with the reduction ballots (:func:`build_padded_parameter_profile`),
+    so the draw keeps every top slice iff its first ``m1`` columns equal
+    theirs: :func:`top_slice_matches` on arrays.
+    """
+    params = pp.agent_orders
+    ballots = pp.model.sample_orders(params, rng)
+    width = out.profile.m
+    return ballots if (ballots[:, :width] == params[:, :width]).all() else None
 
 
 # ---------------------------------------------------------------------------

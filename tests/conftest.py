@@ -11,9 +11,10 @@ plain loop, the assignment oracles enumerate raw assignment functions or
 solve a slot-replicated linear assignment with SciPy, the
 pairwise-disagreement and margin oracles count pairs ballot by ballot (or
 distinct ballot by distinct ballot, times its count), and the
-random-parameter sampler and the padded parameter profile draw agent by
-agent through ``models.sample``; the partial-alternative sampler indexes
-its tail through a drawn permutation.
+random-parameter sampler, the padded parameter profile and the
+whole-profile sampler oracles draw agent by agent through
+``models.sample``; the partial-alternative sampler indexes its tail
+through a drawn permutation.
 Expected values in tests are frozen from these.
 """
 
@@ -426,6 +427,19 @@ def partial_alt_sample_by_index(model, parameter: Ranking, rng: np.random.Genera
     if not tail:
         return parameter
     return Ranking(head + tuple(int(tail[i]) for i in rng.permutation(len(tail))))
+
+
+def sample_orders_per_agent(model, params: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """``model.sample_orders`` agent by agent: one ``models.sample`` call per row."""
+    ballots = [sample(model, Ranking(tuple(row)), rng).order for row in params.tolist()]
+    return np.array(ballots, dtype=np.int64).reshape(params.shape)
+
+
+def sample_profile_per_agent(pp: ParameterProfile, rng: np.random.Generator) -> Profile:
+    """``sample_profile`` agent by agent: one ``models.sample`` call per unit of weight."""
+    return Profile(tuple(
+        sample(pp.model, parameter, rng) for parameter, weight in pp.entries for _ in range(int(weight))
+    ))
 
 
 def padded_parameter_profile_per_agent(out, model, pad: int) -> ParameterProfile:

@@ -470,6 +470,24 @@ class TestMalformedJson:
                 {**TOP_CONFIG, "instance": {"q": True, "subsets": [[0, 1, 2]]}},
                 "'q' must be a number, got True",
             ),
+            # Floats: int() would truncate them and Fraction() keep their binary expansion.
+            ("sample", {"model": "partial_alt", "K": 2.5}, "'K' must not be a float, got 2.5"),
+            ("sample", {"model": "alpha_ic", "alpha": 0.1}, "'alpha' must not be a float, got 0.1"),
+            (
+                "experiment",
+                {**SMALL_CONFIG, "model": {"model": "alpha_ic", "alpha": 0.75}},
+                "'alpha' must not be a float, got 0.75",
+            ),
+            (
+                "experiment",
+                {**TOP_CONFIG, "model": {"model": "top_break", "K": 2.0}},
+                "'K' must not be a float, got 2.0",
+            ),
+            (
+                "experiment",
+                {**TOP_CONFIG, "instance": {"q": 3.0, "subsets": [[0, 1, 2]]}},
+                "'q' must not be a float, got 3.0",
+            ),
         ],
     )
     def test_rejected_as_input_error(self, capsys, tmp_path, command, payload, named):

@@ -109,8 +109,11 @@ class TestDefinitelyRate:
 
 
 def ballot_counter(orders, counts) -> Counter:
-    """A trial's distinct ballots (rows of ``orders``) with their counts."""
-    return Counter(dict(zip(map(tuple, orders.tolist()), counts.tolist())))
+    """A trial's ballots (rows of ``orders``) with their counts; repeated rows add up."""
+    tally = Counter()
+    for order, count in zip(map(tuple, orders.tolist()), counts.tolist()):
+        tally[order] += count
+    return tally
 
 
 def profile_counter(profile) -> Counter:
@@ -548,6 +551,35 @@ PINNED_REPORTS = [
         dict(claim="cover_driver", trials=20, seed=11, instance=Q6_NO,
              model={"model": "top_break", "K": "2*m1*n"}, pad=2, plot_data=True),
         "0f6b41a0a1b664ca452493b55f29b9ac7a8eb1ed2950f2f888724af4a67140df",
+    ),
+    # Taken from the per-agent samplers, for draws the configs above never
+    # make: top_break at K=2, where about half the rows rotate; partial_alt
+    # tails of 2 and 1 under top_preservation; and an empty partial_alt tail
+    # (K = m1 + pad = 19), which draws nothing.
+    (
+        dict(claim="top_preservation", trials=30, seed=15, instance=Q6_YES,
+             model={"model": "top_break", "K": 2}, pad=2, plot_data=True),
+        "3640a81fe29b874143c16159f44baafec21bebfc10d9f0fce452dd47184f8257",
+    ),
+    (
+        dict(claim="cover_driver", trials=64, seed=16, instance=Q6_NO,
+             model={"model": "top_break", "K": 2}, pad=2),
+        "f9bba1e051a4a447c590bb979959e72c29a455767351391d3492776b7de405c1",
+    ),
+    (
+        dict(claim="top_preservation", trials=12, seed=17, instance=Q6_NO,
+             model={"model": "partial_alt", "K": "m1"}, pad=2),
+        "4539199415b1b7ac4008bcbb6b674d54c1c1ed2e1de3187143e0700b317c8ecf",
+    ),
+    (
+        dict(claim="top_preservation", trials=12, seed=18, instance=Q6_YES,
+             model={"model": "partial_alt", "K": "m1"}, pad=1),
+        "1e3e8af088a1a3921df20e992fd15e69c64f62c17151cc13eec2bc76cb9cec71",
+    ),
+    (
+        dict(claim="cover_driver", trials=10, seed=19, instance=Q6_NO,
+             model={"model": "partial_alt", "K": 19}, pad=2),
+        "82e19a94803f93ae5559f94040c5ad9555819ff3a392a228179d6c14bd403d48",
     ),
 ]
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from votelab import (
     AlphaIC,
@@ -13,6 +14,7 @@ from votelab import (
     PartialAltRandomization,
     Profile,
     Ranking,
+    TopBreakNoise,
     all_rankings,
     apply_permutation,
     induced_weighted_profile,
@@ -24,7 +26,12 @@ from votelab import (
     top_k,
     wmg,
 )
-from conftest import partial_alt_sample_by_index, random_ranking
+from conftest import (
+    partial_alt_sample_by_index,
+    random_ranking,
+    sample_orders_per_agent,
+    sample_profile_per_agent,
+)
 
 ABC = Ranking.of([0, 1, 2])
 
@@ -85,6 +92,15 @@ class TestPmf:
     def test_dimension_error(self):
         with pytest.raises(DimensionError):
             AlphaIC(3, Fraction(1, 2)).pmf(ABC, Ranking.of([0, 1, 2, 3]))
+
+    def test_top_break_checks_dimensions(self, rng):
+        noise = TopBreakNoise(4, 1)
+        with pytest.raises(DimensionError):
+            noise.sample(ABC, rng)
+        with pytest.raises(DimensionError):
+            noise.pmf(ABC, Ranking.of([2, 0, 1]))
+        with pytest.raises(DimensionError):
+            noise.pmf(Ranking.of([0, 1, 2, 3]), ABC)
 
 
 class TestSample:
@@ -167,6 +183,48 @@ class TestPartialAltSampler:
             assert shuffled.bit_generator.state == indexed.bit_generator.state
 
 
+# Each family draws its model from (m, hypothesis draw); tails are m - K.
+SAMPLER_FAMILIES = {
+    "alpha_ic": lambda m, draw: AlphaIC(m, draw(st.fractions(0, 1, max_denominator=12))),
+    "partial_alt_tail_0": lambda m, draw: PartialAltRandomization(m, m),
+    "partial_alt_tail_1": lambda m, draw: PartialAltRandomization(m, m - 1),
+    "partial_alt_tail_2_up": lambda m, draw: PartialAltRandomization(m, draw(st.integers(1, m - 2))),
+    "top_break_K1": lambda m, draw: TopBreakNoise(m, 1),
+    "top_break_K2": lambda m, draw: TopBreakNoise(m, 2),
+    "top_break_K3": lambda m, draw: TopBreakNoise(m, 3),
+}
+
+
+class TestSampleOrders:
+    @pytest.mark.parametrize("family", list(SAMPLER_FAMILIES))
+    @given(data=st.data(), m=st.integers(3, 7), n=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_per_agent_sample(self, family, data, m, n, seed):
+        # Same ballots in agent order and the same generator state afterwards.
+        model = SAMPLER_FAMILIES[family](m, data.draw)
+        params = np.array(
+            data.draw(st.lists(st.permutations(range(m)), min_size=n, max_size=n)), dtype=np.int64
+        )
+        batched, per_agent = np.random.default_rng(seed), np.random.default_rng(seed)
+        drawn = model.sample_orders(params, batched)
+        expected = sample_orders_per_agent(model, params, per_agent)
+        assert drawn.tolist() == expected.tolist()
+        assert batched.bit_generator.state == per_agent.bit_generator.state
+
+    @pytest.mark.parametrize(
+        "model",
+        [AlphaIC(5, Fraction(1)), PartialAltRandomization(5, 2), TopBreakNoise(5, 1)],
+        ids=["alpha_ic", "partial_alt", "top_break"],
+    )
+    def test_parameters_left_unchanged_and_shape_checked(self, model):
+        params = np.array([[4, 3, 2, 1, 0], [0, 1, 2, 3, 4]], dtype=np.int64)
+        before = params.copy()
+        model.sample_orders(params, np.random.default_rng(0))
+        assert (params == before).all()
+        with pytest.raises(DimensionError):
+            model.sample_orders(params[:, :4], np.random.default_rng(0))
+
+
 class TestSampleProfile:
     def test_point_mass_unanimous(self, rng):
         model = AlphaIC(3, Fraction(0))
@@ -193,6 +251,19 @@ class TestSampleProfile:
         pp = ParameterProfile(((ABC, Fraction(1, 2)),), model)
         with pytest.raises(ValueError):
             sample_profile(pp, rng)
+
+    @pytest.mark.parametrize(
+        "model",
+        [AlphaIC(4, Fraction(2, 3)), PartialAltRandomization(4, 2), TopBreakNoise(4, 2)],
+        ids=["alpha_ic", "partial_alt", "top_break"],
+    )
+    def test_agent_order_matches_per_agent_draws(self, model):
+        entries = ((Ranking.of([3, 1, 0, 2]), Fraction(3)), (Ranking.of([0, 1, 2, 3]), Fraction(2)))
+        pp = ParameterProfile(entries, model)
+        assert pp.agent_orders.tolist() == [[3, 1, 0, 2]] * 3 + [[0, 1, 2, 3]] * 2
+        for seed in range(20):
+            drawn = sample_profile(pp, np.random.default_rng(seed))
+            assert drawn.rankings == sample_profile_per_agent(pp, np.random.default_rng(seed)).rankings
 
 
 class TestDistributionWmg:
@@ -313,6 +384,7 @@ class TestModelSpec:
         assert model == AlphaIC(4, Fraction(2, 3))
         model = model_from_spec({"model": "partial_alt", "K": 2}, 4)
         assert model == PartialAltRandomization(4, 2)
+        assert model_from_spec({"model": "alpha_ic", "alpha": 1}, 4) == AlphaIC(4, Fraction(1))
 
     def test_unknown_rejected(self):
         with pytest.raises(ValueError):
@@ -323,3 +395,17 @@ class TestModelSpec:
             AlphaIC(3, Fraction(3, 2))
         with pytest.raises(ValueError):
             PartialAltRandomization(3, 4)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"model": "partial_alt", "K": 2.5},
+            {"model": "partial_alt", "K": 2.0},
+            {"model": "alpha_ic", "alpha": 0.1},
+            {"model": "alpha_ic", "alpha": 1.0},
+        ],
+    )
+    def test_float_parameters_rejected(self, spec):
+        # A float would truncate (K=2.5 -> 2) or keep its binary expansion.
+        with pytest.raises(ValueError, match="must not be a float"):
+            model_from_spec(spec, 5)

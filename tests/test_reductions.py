@@ -38,7 +38,7 @@ from votelab import (
     young_score_exact,
 )
 from votelab.experiments import TopBreakNoise
-from conftest import padded_parameter_profile_per_agent, random_ranking
+from conftest import padded_parameter_profile_per_agent, random_ranking, sample_profile_per_agent
 
 SINGLETON = X3CInstance.of(3, [[0, 1, 2]])
 Q6_YES = X3CInstance.of(6, [[0, 1, 2], [3, 4, 5]])
@@ -153,7 +153,8 @@ class TestPaddedParameterProfile:
     @pytest.mark.parametrize("pad", [0, 1, 2])
     def test_grouped_entries_sample_as_per_agent(self, inst, pad):
         # One entry per distinct padded ballot, weighted by its count, draws
-        # the same ballots in the same agent order as one unit entry per agent.
+        # the same ballots in the same agent order as one unit entry per agent
+        # drawn through models.sample.
         out = x3c_to_dodgson(inst)
         m1, m_total = out.profile.m, out.profile.m + pad
         models = (
@@ -168,7 +169,7 @@ class TestPaddedParameterProfile:
             assert grouped.total_weight == per_agent.total_weight == out.profile.n
             for seed in range(6):
                 drawn = sample_profile(grouped, np.random.default_rng(seed))
-                expected = sample_profile(per_agent, np.random.default_rng(seed))
+                expected = sample_profile_per_agent(per_agent, np.random.default_rng(seed))
                 assert drawn.rankings == expected.rankings
                 assert top_slice_matches(drawn, out.profile) == top_slice_matches(
                     expected, out.profile

@@ -1,7 +1,7 @@
 """Command-line front end: scoring, sampling, reductions, experiments.
 
-Exit codes: 0 success, 1 malformed input, 2 search budget exceeded,
-3 reduction construction failure, 4 experiment verdict failure.
+Exit codes: 0 success, 1 malformed or too-large input, 2 search budget
+exceeded, 3 reduction construction failure, 4 experiment verdict failure.
 Machine output is JSON on stdout; ``--pretty`` adds a fixed-width table.
 """
 
@@ -20,7 +20,7 @@ from . import io as vio
 from .errors import BudgetExceededError, ConstructionError
 from .experiments import ExperimentConfig, run_experiment, write_report
 from .greedy_dodgson import greedy_dodgson, semirandom_dodgson_decision
-from .models import ParameterProfile, model_from_spec, sample_profile
+from .models import ParameterProfile, model_from_spec
 from .reductions import (
     efas_via_kemeny,
     mcgarvey_profile,
@@ -133,8 +133,8 @@ def _cmd_sample(args) -> int:
     model = model_from_spec(spec, weighted.m)
     pp = ParameterProfile(weighted.entries, model)
     seed = _resolve_seed(args.seed)
-    profile = sample_profile(pp, np.random.default_rng(np.random.SeedSequence(seed)))
-    vio.write_profile(profile, args.out)
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    vio.write_ballots(model.sample_orders(pp.agent_orders, rng).tolist(), args.out)
     sidecar = Path(str(args.out) + ".seed.json")
     sidecar.write_text(json.dumps({"seed": seed, "model": spec}, sort_keys=True) + "\n")
     _emit({"out": str(args.out), "seed": seed, "sidecar": str(sidecar)}, args.pretty)
@@ -263,7 +263,7 @@ def main(argv=None) -> int:
     except ConstructionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONSTRUCTION
-    except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, KeyError, json.JSONDecodeError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

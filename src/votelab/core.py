@@ -105,10 +105,7 @@ class Profile:
     and ``n`` is the sum of the counts. Every solver and the margin kernel
     read ``grouped``, so work grows with the number of distinct rankings,
     not with ``n``. Two profiles are equal when they hold the same multiset.
-
-    ``Profile(rankings)`` takes ballots agent by agent and keeps that
-    sequence as :attr:`rankings`, for callers to whom agent identity
-    matters; :meth:`of` and :meth:`from_counts` count their input instead.
+    All three constructors count their input; no per-agent order is kept.
     """
 
     grouped: dict[Ranking, int]
@@ -116,8 +113,7 @@ class Profile:
     n: int
 
     def __init__(self, rankings: Iterable[Ranking]) -> None:
-        ballots = tuple(rankings)
-        self.__dict__.update(grouped=dict(Counter(ballots)), rankings=ballots)
+        self.__dict__["grouped"] = dict(Counter(rankings))
         self.__post_init__()
 
     def __post_init__(self) -> None:
@@ -161,10 +157,9 @@ class Profile:
 
     @cached_property
     def rankings(self) -> tuple[Ranking, ...]:
-        """Ballots agent by agent: as passed to ``Profile(...)``, else grouped.
+        """``grouped`` expanded into ``n`` entries, each ranking's copies together.
 
-        A profile built from counts expands ``grouped`` here, on first use,
-        into ``n`` entries; only per-voter consumers ask for it.
+        Built on first use; nothing in the package reads it.
         """
         return tuple(itertools.chain.from_iterable(
             itertools.repeat(r, count) for r, count in self.grouped.items()

@@ -59,7 +59,6 @@ from .rules_exact import dodgson_score_within
 __all__ = [
     "ExperimentConfig",
     "TrialReport",
-    "TopBreakNoise",
     "run_definitely_rate",
     "run_concentration_tails",
     "run_top_preservation",

@@ -10,18 +10,19 @@ All formats are line-oriented with a size header:
 * exact-cover instance: ``q s`` then ``s`` lines of 3 element indices.
 
 Readers raise ``ValueError`` on malformed input. A profile is read as
-its distinct ballots with counts, and writing it lists each distinct
-ballot's copies together, so a written profile reads back equal as a
-ballot multiset, not line for line. A profile built agent by agent, such
-as a sampled one, is written in agent order. The other formats
-round-trip exactly.
+its distinct ballots with counts, in order of first appearance, and
+writing it lists each distinct ballot's copies together in ``grouped``
+order, so a written profile reads back with the same ``grouped`` items
+in the same order. Agent order lives in a sampler's ``(n, m)`` arrays,
+not in a profile; :func:`write_ballots` writes such rows line for line.
+The other formats round-trip exactly.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from pathlib import Path
-from typing import Union
+from typing import Sequence, Union
 
 from .core import Digraph, Profile, Ranking, WeightedProfile
 from .reductions import X3CInstance
@@ -29,6 +30,7 @@ from .reductions import X3CInstance
 __all__ = [
     "read_profile",
     "write_profile",
+    "write_ballots",
     "read_weighted_profile",
     "write_weighted_profile",
     "read_digraph",
@@ -68,8 +70,15 @@ def read_profile(path: PathLike) -> Profile:
 
 
 def write_profile(p: Profile, path: PathLike) -> None:
-    lines = [f"{p.m} {p.n}"]
-    lines.extend(" ".join(map(str, r.order)) for r in p.rankings)
+    write_ballots([r.order for r, count in p.grouped.items() for _ in range(count)], path)
+
+
+def write_ballots(rows: Sequence[Sequence[int]], path: PathLike) -> None:
+    """Write one ballot per row, in the given order, in the profile format."""
+    if not rows:
+        raise ValueError("a profile needs at least one ballot")
+    lines = [f"{len(rows[0])} {len(rows)}"]
+    lines.extend(" ".join(map(str, row)) for row in rows)
     Path(path).write_text("\n".join(lines) + "\n")
 
 

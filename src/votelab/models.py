@@ -16,7 +16,8 @@ seed. A parameter profile is a weighted collection of parameters; with
 integer weights it samples one independent ballot per unit of weight.
 Each model draws one ballot with ``sample`` and a whole profile with
 ``sample_orders``, over an ``(n, m)`` array of agent parameters; both
-consume the generator identically, agent by agent.
+consume the generator identically, agent by agent. Agent order lives only
+in those arrays: a :class:`~votelab.core.Profile` keeps counted ballots.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .core import Profile, Ranking, WMG, WeightedProfile, wmg
+from .core import _MAX_VOTERS, Profile, Ranking, WMG, WeightedProfile, wmg
 from .errors import BudgetExceededError, DimensionError
 
 __all__ = [
@@ -280,6 +281,8 @@ class ParameterProfile:
         """
         if not self.is_integral:
             raise ValueError("sampling needs integer weights; scale and round first")
+        if self.total_weight > _MAX_VOTERS:
+            raise ValueError(f"total weight {self.total_weight} exceeds {_MAX_VOTERS} agents")
         orders = np.array([r.order for r, _ in self.entries], dtype=np.int64)
         rows = np.repeat(orders, [int(w) for _, w in self.entries], axis=0)
         rows.setflags(write=False)
@@ -287,17 +290,14 @@ class ParameterProfile:
 
 
 def sample_profile(pp: ParameterProfile, rng: np.random.Generator) -> Profile:
-    """One independent ballot per unit of weight, agents in entry order.
+    """One independent ballot per unit of weight, counted into a profile.
 
     The ballots come from the model's ``sample_orders`` over
     :attr:`ParameterProfile.agent_orders`, so the generator is consumed
-    as drawing each agent through :func:`sample` would. The profile keeps
-    them agent by agent as ``rankings``, which is what
-    :func:`~votelab.reductions.top_slice_matches` and the ``sample``
-    command read.
+    as drawing each agent through :func:`sample` would. Callers that need
+    each agent's ballot read those ``sample_orders`` rows instead.
     """
-    ballots = pp.model.sample_orders(pp.agent_orders, rng).tolist()
-    return Profile(tuple(Ranking(tuple(order)) for order in ballots))
+    return Profile.of(pp.model.sample_orders(pp.agent_orders, rng).tolist())
 
 
 def three_cycle_max_weight(model, parameter: Ranking) -> Fraction:

@@ -220,11 +220,9 @@ def build_padded_parameter_profile(
 ) -> ParameterProfile:
     """Reduction ballots with dummies appended, one entry per distinct ballot.
 
-    Each entry weighs its ballot's count, so the profile's
-    :attr:`~votelab.models.ParameterProfile.agent_orders` lists the agents
-    in the order of ``out.profile.rankings``, which a count-built reduction
-    profile lists grouped, and every row opens with its agent's reduction
-    ballot. Sampling draws the agents in that order.
+    Each entry weighs its ballot's count, so every row of the profile's
+    :attr:`~votelab.models.ParameterProfile.agent_orders` opens with its
+    agent's reduction ballot.
 
     With a top-``K``-preserving model and ``K`` at least the reduction
     width, sampling reproduces the reduction profile's top slice with
@@ -243,19 +241,16 @@ def build_padded_parameter_profile(
     return ParameterProfile(entries, model)
 
 
-def top_slice_matches(sampled: Profile, reference: Profile) -> bool:
-    """Agent-wise: does every sampled ballot open with its reference ballot?
+def top_slice_matches(ballots: np.ndarray, reference: np.ndarray) -> bool:
+    """Agent-wise: does every row of ``ballots`` open with the same row of ``reference``?
 
-    Agents pair up by index in ``rankings``, so both profiles must have
-    the same ``n``; otherwise this raises ``ValueError``.
+    Both are ``(n, ·)`` int arrays whose rows pair up by index, so they
+    must have the same number of rows; otherwise this raises
+    ``ValueError``. ``reference`` is no wider than ``ballots``.
     """
-    if sampled.n != reference.n:
-        raise ValueError(f"sampled profile has {sampled.n} agents, reference has {reference.n}")
-    width = reference.m
-    return all(
-        s.order[:width] == r.order
-        for s, r in zip(sampled.rankings, reference.rankings)
-    )
+    if len(ballots) != len(reference):
+        raise ValueError(f"{len(ballots)} sampled ballots against {len(reference)} reference rows")
+    return bool((ballots[:, : reference.shape[1]] == reference).all())
 
 
 def x3c_via_dodgson(
@@ -312,12 +307,11 @@ def _matched_draw(
     ``pp`` must be ``out``'s padded parameter profile, whose agent rows
     open with the reduction ballots (:func:`build_padded_parameter_profile`),
     so the draw keeps every top slice iff its first ``m1`` columns equal
-    theirs: :func:`top_slice_matches` on arrays.
+    theirs.
     """
     params = pp.agent_orders
     ballots = pp.model.sample_orders(params, rng)
-    width = out.profile.m
-    return ballots if (ballots[:, :width] == params[:, :width]).all() else None
+    return ballots if top_slice_matches(ballots, params[:, : out.profile.m]) else None
 
 
 # ---------------------------------------------------------------------------

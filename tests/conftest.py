@@ -435,13 +435,6 @@ def sample_orders_per_agent(model, params: np.ndarray, rng: np.random.Generator)
     return np.array(ballots, dtype=np.int64).reshape(params.shape)
 
 
-def sample_profile_per_agent(pp: ParameterProfile, rng: np.random.Generator) -> Profile:
-    """``sample_profile`` agent by agent: one ``models.sample`` call per unit of weight."""
-    return Profile(tuple(
-        sample(pp.model, parameter, rng) for parameter, weight in pp.entries for _ in range(int(weight))
-    ))
-
-
 def padded_parameter_profile_per_agent(out, model, pad: int) -> ParameterProfile:
     """One unit-weight parameter per agent of the reduction profile padded by ``pad``.
 

@@ -73,6 +73,13 @@ class TestRoundTrips:
         vio.write_x3c(inst, path)
         assert vio.read_x3c(path) == inst
 
+    def test_ballot_rows_written_line_for_line(self, tmp_path):
+        path = tmp_path / "rows.profile"
+        vio.write_ballots([[2, 0, 1], [0, 1, 2], [2, 0, 1]], path)
+        assert path.read_text() == "3 3\n2 0 1\n0 1 2\n2 0 1\n"
+        with pytest.raises(ValueError):
+            vio.write_ballots([], path)
+
     def test_malformed_profile_rejected(self, tmp_path):
         path = tmp_path / "bad.profile"
         path.write_text("3 2\n0 1 2\n")
@@ -279,6 +286,23 @@ class TestSampleCommand:
         assert code == 0
         assert vio.read_profile(out) == Profile.of([[0, 1, 2], [0, 1, 2], [2, 1, 0]])
 
+    @pytest.mark.parametrize(
+        "weight, reason",
+        [(2**70, "exceeds"), (10**15, "Unable to allocate")],
+        ids=["beyond_int64", "beyond_memory"],
+    )
+    def test_too_many_agents_is_input_error(self, capsys, tmp_path, weight, reason):
+        # 10**15 agents of 5 int64 entries is 35.5 PiB, beyond any process's
+        # address space, so the allocation fails at once without touching memory.
+        params = tmp_path / "huge.wprofile"
+        params.write_text(f"5 1\n{weight}/1 0 1 2 3 4\n")
+        code = main([
+            "sample", "--model", '{"model": "partial_alt", "K": 5}', "--params", str(params),
+            "--out", str(tmp_path / "sampled.profile"), "--seed", "1",
+        ])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and reason in err
 
     @pytest.mark.parametrize(
         "spec, digest",

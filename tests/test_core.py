@@ -3,7 +3,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from votelab import (
     Digraph,
@@ -23,6 +23,7 @@ from votelab import (
     top_k,
     wmg,
 )
+from votelab import io as vio
 from conftest import condorcet_brute, deficit_brute, kt_brute, margins_brute, random_profile
 
 st_m = st.integers(3, 6)
@@ -339,10 +340,27 @@ class TestProfileRepresentation:
         assert hash(Profile((ABC, CBA, ABC))) == hash(Profile.of([[2, 1, 0], [0, 1, 2], [0, 1, 2]]))
         assert Profile((ABC, CBA)) != Profile((ABC, ABC))
 
-    def test_agent_order_kept_only_when_given(self):
-        assert Profile((ABC, CBA, ABC)).rankings == (ABC, CBA, ABC)
+    def test_rankings_expand_grouped(self):
+        # Every constructor counts its input and stores nothing per agent;
+        # rankings lists each ranking's copies together, first appearance first.
+        p = Profile((ABC, CBA, ABC))
+        assert set(vars(p)) == {"grouped", "m", "n"}
+        assert p.rankings == (ABC, ABC, CBA)
         assert Profile.of([[0, 1, 2], [2, 1, 0], [0, 1, 2]]).rankings == (ABC, ABC, CBA)
         assert Profile.from_counts([(CBA, 1), ((0, 1, 2), 2), (CBA, 0)]).rankings == (CBA, ABC, ABC)
+
+    @settings(max_examples=100, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(orders=st.integers(1, 5).flatmap(
+        lambda m: st.lists(st.permutations(range(m)), min_size=1, max_size=12)
+    ))
+    def test_constructors_and_io_agree_on_grouped_order(self, tmp_path, orders):
+        expected = list(Profile(Ranking(tuple(o)) for o in orders).grouped.items())
+        assert list(Profile.of(orders).grouped.items()) == expected
+        counted = Counter(map(tuple, orders)).items()
+        assert list(Profile.from_counts(counted).grouped.items()) == expected
+        path = tmp_path / "p.profile"
+        vio.write_profile(Profile.of(orders), path)
+        assert list(vio.read_profile(path).grouped.items()) == expected
 
     def test_from_counts_checks_multiplicities(self):
         with pytest.raises(ValueError):

@@ -20,12 +20,10 @@ from votelab import (
     greedy_dodgson,
     immediately_above_count,
     reductions,
-    sample_profile,
     wmg,
 )
 from votelab.experiments import (
     ExperimentConfig,
-    TopBreakNoise,
     _padded_reduction,
     _trial_ballots,
     _trial_rngs,
@@ -38,7 +36,8 @@ from votelab.experiments import (
     write_report,
 )
 from votelab.greedy_dodgson import _tally_table
-from conftest import random_parameter_profiles_per_agent
+from votelab.models import TopBreakNoise
+from conftest import random_parameter_profiles_per_agent, sample_orders_per_agent
 
 ALPHA_IC = {"model": "alpha_ic", "alpha": "2/3"}
 Q3 = {"q": 3, "subsets": [[0, 1, 2]]}
@@ -409,11 +408,13 @@ class TestCoverDriverTrials:
         run_cover_driver(cfg)
 
         _, out, model = _padded_reduction(cfg)
-        pp = reductions.build_padded_parameter_profile(out, model, model.m)
+        params = reductions.build_padded_parameter_profile(out, model, model.m).agent_orders
+        reference = np.array([r.order for r in out.profile.rankings])
+        draws = (sample_orders_per_agent(model, params, rng) for rng in _trial_rngs(cfg))
         matched = [
-            multiset(sampled)
-            for sampled in (sample_profile(pp, rng) for rng in _trial_rngs(cfg))
-            if reductions.top_slice_matches(sampled, out.profile)
+            frozenset(Counter(map(tuple, drawn.tolist())).items())
+            for drawn in draws
+            if reductions.top_slice_matches(drawn, reference)
         ]
         assert len(calls) == len(set(calls))
         assert set(calls) == set(matched)

@@ -30,7 +30,6 @@ from conftest import (
     partial_alt_sample_by_index,
     random_ranking,
     sample_orders_per_agent,
-    sample_profile_per_agent,
 )
 
 ABC = Ranking.of([0, 1, 2])
@@ -235,9 +234,10 @@ class TestSampleProfile:
         model = PartialAltRandomization(5, 3)
         entries = tuple((random_ranking(rng, 5), Fraction(1)) for _ in range(4))
         pp = ParameterProfile(entries, model)
-        drawn = sample_profile(pp, rng)
-        for ballot, (parameter, _) in zip(drawn.rankings, entries):
-            assert ballot.order[:3] == parameter.order[:3]
+        drawn = model.sample_orders(pp.agent_orders, rng).tolist()
+        assert len(drawn) == len(entries)
+        for row, (parameter, _) in zip(drawn, entries):
+            assert tuple(row[:3]) == parameter.order[:3]
 
     def test_parameter_mass_at_high_alpha(self):
         # point mass (1-alpha) plus the uniform sliver alpha/m!
@@ -261,9 +261,14 @@ class TestSampleProfile:
         entries = ((Ranking.of([3, 1, 0, 2]), Fraction(3)), (Ranking.of([0, 1, 2, 3]), Fraction(2)))
         pp = ParameterProfile(entries, model)
         assert pp.agent_orders.tolist() == [[3, 1, 0, 2]] * 3 + [[0, 1, 2, 3]] * 2
+        agents = np.array([[3, 1, 0, 2]] * 3 + [[0, 1, 2, 3]] * 2, dtype=np.int64)
         for seed in range(20):
-            drawn = sample_profile(pp, np.random.default_rng(seed))
-            assert drawn.rankings == sample_profile_per_agent(pp, np.random.default_rng(seed)).rankings
+            drawn = model.sample_orders(pp.agent_orders, np.random.default_rng(seed)).tolist()
+            expected = sample_orders_per_agent(model, agents, np.random.default_rng(seed)).tolist()
+            assert drawn == expected
+            # sample_profile counts the same rows, distinct rankings in order of first appearance.
+            counted = sample_profile(pp, np.random.default_rng(seed)).grouped.items()
+            assert [(r.order, c) for r, c in counted] == list(Counter(map(tuple, expected)).items())
 
 
 class TestDistributionWmg:

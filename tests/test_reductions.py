@@ -30,15 +30,14 @@ from votelab import (
     kt_formula,
     kt_profile_distance,
     mcgarvey_profile,
-    sample_profile,
     top_slice_matches,
     wmg,
     x3c_bruteforce,
     x3c_to_dodgson,
     young_score_exact,
 )
-from votelab.experiments import TopBreakNoise
-from conftest import padded_parameter_profile_per_agent, random_ranking, sample_profile_per_agent
+from votelab.models import TopBreakNoise
+from conftest import padded_parameter_profile_per_agent, random_ranking, sample_orders_per_agent
 
 SINGLETON = X3CInstance.of(3, [[0, 1, 2]])
 Q6_YES = X3CInstance.of(6, [[0, 1, 2], [3, 4, 5]])
@@ -140,14 +139,17 @@ class TestPaddedParameterProfile:
         with pytest.raises(ValueError):
             build_padded_parameter_profile(out, PartialAltRandomization(m1 + 2, m1 - 1), m1 + 2)
 
-    def test_deterministic_top_slice(self, rng):
+    def test_deterministic_top_slice(self):
         out = x3c_to_dodgson(Q6_YES)
         m1 = out.profile.m
         model = PartialAltRandomization(m1 + 3, m1)
-        pp = build_padded_parameter_profile(out, model, m1 + 3)
-        for _ in range(10):
-            sampled = sample_profile(pp, rng)
-            assert top_slice_matches(sampled, out.profile)
+        params = build_padded_parameter_profile(out, model, m1 + 3).agent_orders
+        reference = np.array([r.order for r in out.profile.rankings])
+        for seed in range(10):
+            drawn = model.sample_orders(params, np.random.default_rng(seed))
+            expected = sample_orders_per_agent(model, params, np.random.default_rng(seed))
+            assert drawn.tolist() == expected.tolist()
+            assert top_slice_matches(drawn, reference)
 
     @pytest.mark.parametrize("inst", [SINGLETON, Q6_YES, Q6_NO], ids=["q3", "q6_yes", "q6_no"])
     @pytest.mark.parametrize("pad", [0, 1, 2])
@@ -167,28 +169,41 @@ class TestPaddedParameterProfile:
             per_agent = padded_parameter_profile_per_agent(out, model, pad)
             assert len(grouped.entries) == len(out.profile.grouped)
             assert grouped.total_weight == per_agent.total_weight == out.profile.n
+            agents = np.array([r.order for r, _ in per_agent.entries], dtype=np.int64)
+            reference = agents[:, :m1]
             for seed in range(6):
-                drawn = sample_profile(grouped, np.random.default_rng(seed))
-                expected = sample_profile_per_agent(per_agent, np.random.default_rng(seed))
-                assert drawn.rankings == expected.rankings
-                assert top_slice_matches(drawn, out.profile) == top_slice_matches(
-                    expected, out.profile
-                )
+                drawn = model.sample_orders(grouped.agent_orders, np.random.default_rng(seed))
+                expected = sample_orders_per_agent(model, agents, np.random.default_rng(seed))
+                assert drawn.tolist() == expected.tolist()
+                rows = zip(expected.tolist(), reference.tolist())
+                kept = all(row[:m1] == ref for row, ref in rows)
+                assert top_slice_matches(drawn, reference) == kept
 
-    def test_top_slice_needs_equal_agent_counts(self):
-        # Agents pair up by index, so a shorter sample would leave agents unchecked.
-        abc = Ranking.of([0, 1, 2])
+    def test_top_slice_needs_equal_agent_counts(self, rng):
+        # Agents pair up by row, so a shorter side would leave agents unchecked.
+        out = x3c_to_dodgson(Q6_YES)
+        m1 = out.profile.m
+        model = PartialAltRandomization(m1 + 2, m1)
+        params = build_padded_parameter_profile(out, model, m1 + 2).agent_orders
+        drawn = model.sample_orders(params, rng)
+        assert top_slice_matches(drawn, params[:, :m1])
         with pytest.raises(ValueError):
-            top_slice_matches(Profile((abc,)), Profile((abc, abc)))
+            top_slice_matches(drawn[:-1], params[:, :m1])
         with pytest.raises(ValueError):
-            top_slice_matches(Profile((abc, abc)), Profile((abc,)))
+            top_slice_matches(drawn, params[:-1, :m1])
 
-    def test_tail_actually_shuffles(self, rng):
+    def test_tail_actually_shuffles(self):
         out = x3c_to_dodgson(SINGLETON)
         m1 = out.profile.m
         model = PartialAltRandomization(m1 + 3, m1)
-        pp = build_padded_parameter_profile(out, model, m1 + 3)
-        tails = {sample_profile(pp, rng).rankings[0].order[m1:] for _ in range(40)}
+        params = build_padded_parameter_profile(out, model, m1 + 3).agent_orders
+        tails = set()
+        for seed in range(40):
+            drawn = model.sample_orders(params, np.random.default_rng(seed))
+            assert drawn.tolist() == sample_orders_per_agent(
+                model, params, np.random.default_rng(seed)
+            ).tolist()
+            tails.add(tuple(drawn[0, m1:].tolist()))
         assert len(tails) > 1  # a strict subset of the appended family
 
 

@@ -22,6 +22,17 @@ def test_no_assert_statements_in_package():
     assert found == []
 
 
+def test_no_module_reads_profile_rankings():
+    # A profile is its counted ballots; agent order lives in sample_orders arrays.
+    found = [
+        f"{path.relative_to(SRC)}:{node.lineno}"
+        for path in sorted(SRC.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Attribute) and node.attr == "rankings"
+    ]
+    assert found == []
+
+
 def test_third_party_imports_are_the_declared_dependencies():
     tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
     with PYPROJECT.open("rb") as handle:

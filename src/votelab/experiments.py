@@ -14,9 +14,12 @@ Four runnable checks, selected by ``claim`` in the config:
 
 Every run derives per-trial generators from the master seed, evaluates
 bound formulas from exact inputs, and applies a one-sided three-standard-
-error slack. Reports serialize to CSV (one row per trial) plus a JSON
-summary; wall-clock time stays on the in-memory report only, so reruns
-with one seed are byte-identical.
+error slack. Trial ``i``'s generator has exactly the state of
+``numpy.random.default_rng(SeedSequence(seed).spawn(trials)[i])``; the
+seeding is computed for many trials in one numpy pass, and the runners
+get one Generator, re-seeded for each trial. Reports serialize to CSV
+(one row per trial) plus a JSON summary; wall-clock time stays on the
+in-memory report only, so reruns with one seed are byte-identical.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ import json
 import math
 import time
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from itertools import accumulate
@@ -69,6 +73,7 @@ __all__ = [
 ]
 
 SLACK_SIGMAS = 3
+_MAX_TRIALS = 2**32
 
 
 @dataclass(frozen=True)
@@ -97,6 +102,11 @@ class ExperimentConfig:
                 raise ValueError(f"config field {f.name!r} must be {f.type}, got {value!r}")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
+        if self.trials > _MAX_TRIALS:
+            # Each trial's spawn index is one 32-bit SeedSequence word.
+            raise ValueError(
+                f"config field 'trials' must be at most {_MAX_TRIALS}, got {self.trials}"
+            )
         if self.m is not None and self.m < 3:
             raise ValueError("m must be at least 3")
         if self.n is not None and self.n < 1:
@@ -202,9 +212,104 @@ def _rate_check(name: str, rate: float, trials: int, bound: float, **extra) -> d
     return _check(name, rate, threshold, "lower_bound", bound=bound, standard_error=se, **extra)
 
 
-def _trial_rngs(cfg: ExperimentConfig) -> list[np.random.Generator]:
-    children = np.random.SeedSequence(cfg.seed).spawn(cfg.trials)
-    return [np.random.default_rng(c) for c in children]
+# numpy's SeedSequence hash constants (``numpy/random/bit_generator.pyx``)
+# and PCG64's LCG multiplier (``pcg64.h``), for _trial_rngs.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
+_POOL_SIZE = 4
+# Trials seeded per numpy pass, so seeding memory stays flat in ``trials``.
+_SEED_BLOCK = 256
+
+
+def _hash(value, const, mult: int = _MULT_A):
+    """SeedSequence's word hash of ``value`` at hash constant ``const``, each
+    an int or a uint32 array; returns the hashed value and the next constant."""
+    value = value ^ const
+    const = const * mult & _MASK32
+    value = value * const & _MASK32
+    return value ^ value >> 16, const
+
+
+def _mix(x, y):
+    """SeedSequence's ``mix`` of pool word ``x`` with hashed word ``y``."""
+    value = (_MIX_L * x - _MIX_R * y) & _MASK32
+    return value ^ value >> 16
+
+
+def _hash_consts(const: int, mult: int, count: int) -> np.ndarray:
+    """The ``count`` hash constants from ``const`` on, as a uint32 row."""
+    consts = [const]
+    for _ in range(count - 1):
+        consts.append(consts[-1] * mult & _MASK32)
+    return np.array(consts, dtype=np.uint32)
+
+
+def _seed_pool(seed: int) -> tuple[list[int], int]:
+    """SeedSequence's entropy pool over ``seed``'s words, and the next hash constant.
+
+    A spawned child's entropy is the seed's 32-bit words, little end first
+    and padded with zeros to the pool size, then its spawn index. This
+    mixes every word but the index.
+    """
+    words = []
+    while seed:
+        words.append(seed & _MASK32)
+        seed >>= 32
+    words += [0] * (_POOL_SIZE - len(words))
+    pool, const = [], _INIT_A
+    for word in words[:_POOL_SIZE]:
+        hashed, const = _hash(word, const)
+        pool.append(hashed)
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                hashed, const = _hash(pool[src], const)
+                pool[dst] = _mix(pool[dst], hashed)
+    for word in words[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            hashed, const = _hash(word, const)
+            pool[dst] = _mix(pool[dst], hashed)
+    return pool, const
+
+
+_STATE_CONSTS = _hash_consts(_INIT_B, _MULT_B, 2 * _POOL_SIZE)
+
+
+def _trial_rngs(cfg: ExperimentConfig) -> Iterator[np.random.Generator]:
+    """Yield one Generator per trial: trial ``i``'s has exactly the state of
+    ``default_rng(SeedSequence(cfg.seed).spawn(cfg.trials)[i])``.
+
+    It is one Generator, re-seeded for each trial, so a caller finishes a
+    trial's draws before it advances the iterator. The seed's pool is mixed
+    once. Each block of spawn indices is mixed into it and hashed through
+    ``generate_state(4, uint64)`` in one uint32 pass; PCG64 then seeds from
+    each trial's words as its constructor does: ``inc = 2 * seq + 1`` and
+    ``state = (inc + initstate) * mult + inc`` mod 2^128.
+    """
+    pool, const = _seed_pool(cfg.seed)
+    index_consts = _hash_consts(const, _MULT_A, _POOL_SIZE)
+    pool = np.array(pool, dtype=np.uint32)
+    rng = np.random.Generator(np.random.PCG64(0))
+    bit_generator = rng.bit_generator
+    for start in range(0, cfg.trials, _SEED_BLOCK):
+        index = np.arange(start, min(start + _SEED_BLOCK, cfg.trials), dtype=np.uint32)
+        with np.errstate(over="ignore"):
+            hashed, _ = _hash(index[:, None], index_consts)
+            words, _ = _hash(np.tile(_mix(pool, hashed), 2), _STATE_CONSTS, _MULT_B)
+        # generate_state's uint64 words pair the 32-bit words little end first.
+        for init_hi, init_lo, seq_hi, seq_lo in words.astype("<u4").view("<u8").tolist():
+            inc = (seq_hi << 65 | seq_lo << 1 | 1) & _MASK128
+            state = ((inc + (init_hi << 64 | init_lo)) * _PCG64_MULT + inc) & _MASK128
+            bit_generator.state = {
+                "bit_generator": "PCG64",
+                "state": {"state": state, "inc": inc},
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+            yield rng
 
 
 def _report(cfg, started, rows, flags, checks, frequencies, bounds) -> TrialReport:
@@ -559,7 +664,8 @@ def write_report(report: TrialReport, out_dir) -> dict:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     cfg = report.config
-    stem = f"{cfg.claim}_{cfg.config_hash()}"
+    config_hash = cfg.config_hash()
+    stem = f"{cfg.claim}_{config_hash}"
 
     csv_path = out / f"{stem}.csv"
     columns = sorted(set().union(*report.rows) - {"trial"})
@@ -572,7 +678,7 @@ def write_report(report: TrialReport, out_dir) -> dict:
     summary = {
         "claim": cfg.claim,
         "config": cfg.to_dict(),
-        "config_hash": cfg.config_hash(),
+        "config_hash": config_hash,
         "seed": cfg.seed,
         "checks": report.summary["checks"],
         "frequencies": report.summary["frequencies"],

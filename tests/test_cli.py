@@ -419,7 +419,10 @@ class TestExperimentCommand:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("seed", -1), ("pad", -1), ("n", 2**63 - 1), ("n", 2**63), ("trials", 0), ("m", 2)],
+        [
+            ("seed", -1), ("pad", -1), ("n", 2**63 - 1), ("n", 2**63), ("trials", 0),
+            ("trials", 2**32), ("trials", 2**32 + 1), ("m", 2),
+        ],
     )
     def test_schema_accepts_exactly_what_the_config_accepts(self, field, value):
         config = {**SMALL_CONFIG, field: value}

@@ -1,13 +1,16 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from votelab import (
     AlphaIC,
@@ -62,12 +65,33 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(claim="definitely_rate", trials=1, seed=0, n=0)
 
+    def test_trials_capped_at_one_spawn_word(self):
+        # Configs only: a run of 2^32 trials is never started.
+        assert ExperimentConfig(claim="definitely_rate", trials=2**32, seed=0).trials == 2**32
+        for trials in (2**32 + 1, 2**40):
+            with pytest.raises(ValueError, match="'trials' must be at most 4294967296"):
+                ExperimentConfig(claim="definitely_rate", trials=trials, seed=0)
+
     def test_hash_stable_and_path_independent(self):
         a = ExperimentConfig(claim="definitely_rate", trials=5, seed=1, m=3, n=10, model=ALPHA_IC)
         b = ExperimentConfig(
             claim="definitely_rate", trials=5, seed=1, m=3, n=10, model=ALPHA_IC, out_dir="/tmp/x"
         )
         assert a.config_hash() == b.config_hash()
+
+
+@given(seed=st.integers(0, 2**256), trials=st.integers(1, 500))
+# Seeds of more than four 32-bit words mix the extra words in after the
+# pool; 300 trials cross a seeding block.
+@example(seed=2**128 + 2**64 + 7, trials=3)
+@example(seed=2**256, trials=300)
+@settings(max_examples=40, deadline=None)
+def test_trial_rngs_match_spawned_seed_sequences(seed, trials):
+    cfg = ExperimentConfig(claim="definitely_rate", trials=trials, seed=seed)
+    spawned = (np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(trials))
+    for rng, expected in zip(_trial_rngs(cfg), spawned, strict=True):
+        assert rng.bit_generator.state == expected.bit_generator.state
+        assert rng.random(3).tolist() == expected.random(3).tolist()
 
 
 class TestDefinitelyRate:
@@ -611,3 +635,22 @@ def report_digest(paths: dict) -> str:
 def test_seeded_report_bytes_pinned(tmp_path, config, expected):
     paths = write_report(run_experiment(ExperimentConfig(**config)), tmp_path)
     assert report_digest(paths) == expected
+
+
+# Taken from the per-trial SeedSequence spawn, before trial seeding was vectorized.
+RUN_CLAIMS_DIGEST = "5b5f8143f2914dca60dafd6eec1e6296c227b417f7ff53d37cda1c0efdd18a13"
+
+
+def test_run_claims_script_bytes_pinned(tmp_path):
+    """Every file ``scripts/run_claims.py`` writes at 40 trials, pinned by one digest."""
+    script = Path(__file__).resolve().parents[1] / "scripts" / "run_claims.py"
+    src = Path(experiments.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, str(script), "--trials", "40", "--seed", "20261018",
+         "--out-dir", str(tmp_path)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    written = {path.name: path for path in tmp_path.iterdir()}
+    assert len(written) == 12
+    assert report_digest(written) == RUN_CLAIMS_DIGEST

@@ -64,6 +64,7 @@ from .reductions import (
     kt_formula,
     mcgarvey_profile,
     top_slice_matches,
+    top_slices_match,
     x3c_bruteforce,
     x3c_to_dodgson,
 )

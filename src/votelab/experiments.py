@@ -52,13 +52,12 @@ from .models import (
 )
 from .reductions import (
     X3CInstance,
-    _decide_sampled,
-    _matched_draw,
     build_padded_parameter_profile,
+    top_slices_match,
     x3c_bruteforce,
     x3c_to_dodgson,
 )
-from .rules_exact import dodgson_score_within
+from .rules_exact import _dodgson_prefix_keys, dodgson_score_within
 
 __all__ = [
     "ExperimentConfig",
@@ -547,6 +546,25 @@ def _preserves_top_slice(model, m1: int) -> bool:
     return isinstance(model, PartialAltRandomization) and model.K >= m1
 
 
+def _stacked_draws(cfg: ExperimentConfig, pp) -> Iterator[np.ndarray]:
+    """Every trial's draw of ``pp``'s ballots in agent order, stacked.
+
+    Per trial, the generator is re-seeded and the model's ``sample_orders``
+    called once; nothing else happens between draws. Yields ``(t, n, m)``
+    arrays of up to ``_SEED_BLOCK`` consecutive trials, in trial order, so
+    memory stays flat in ``cfg.trials``.
+    """
+    sample, params = pp.model.sample_orders, pp.agent_orders
+    block = []
+    for rng in _trial_rngs(cfg):
+        block.append(sample(params, rng))
+        if len(block) == _SEED_BLOCK:
+            yield np.stack(block)
+            block = []
+    if block:
+        yield np.stack(block)
+
+
 def run_top_preservation(cfg: ExperimentConfig) -> TrialReport:
     """Frequency of exact top-slice preservation vs. the 1/2 bound."""
     started = time.perf_counter()
@@ -554,10 +572,11 @@ def run_top_preservation(cfg: ExperimentConfig) -> TrialReport:
     m1, agents = out.profile.m, out.profile.n
     pp = build_padded_parameter_profile(out, model, model.m)
 
-    rows, flags = [], []
-    for trial, rng in enumerate(_trial_rngs(cfg)):
-        flags.append(int(_matched_draw(out, pp, rng) is not None))
-        rows.append({"trial": trial, "top_slice_preserved": flags[-1]})
+    reference = pp.agent_orders[:, :m1]
+    flags = []
+    for draws in _stacked_draws(cfg, pp):
+        flags += top_slices_match(draws, reference).astype(int).tolist()
+    rows = [{"trial": trial, "top_slice_preserved": flag} for trial, flag in enumerate(flags)]
 
     rate = sum(flags) / cfg.trials
     checks = [_rate_check("preservation_rate_vs_half", rate, cfg.trials, 0.5)]
@@ -597,38 +616,45 @@ def run_top_preservation(cfg: ExperimentConfig) -> TrialReport:
 def run_cover_driver(cfg: ExperimentConfig) -> TrialReport:
     """One-sidedness and NO-rate of the randomized exact-cover driver.
 
-    The reduction and its padded parameter profile are built once; each
-    trial is one :func:`~votelab.reductions.x3c_via_dodgson` draw on them.
-    Every trial samples and checks its top slice, but each distinct sampled
-    ballot multiset goes to the Dodgson threshold query once per run: the
-    answer is kept under the multiset of sampled rows, which is exact
-    because the score of a profile does not depend on the order of its
-    ballots. A multiset already decided builds no :class:`Ranking` or
-    :class:`Profile`. This pays off because matched profiles repeat: in
-    seeded runs of 1,000 trials at pad 2, ``top_break`` yields 1 distinct
-    multiset and ``partial_alt`` 8 or 32; at pad 4 ``partial_alt`` repeats
-    almost none.
+    Each trial answers as one :func:`~votelab.reductions.x3c_via_dodgson`
+    draw would; the reduction and its padded parameter profile are built
+    once per run. The trials run in two phases. First every trial only
+    re-seeds and samples, and the draws are stacked; then one array
+    comparison tests every draw's top slices, and a draw that moved one
+    answers YES.
+
+    A matched draw goes to the Dodgson threshold query once per multiset
+    of ballot prefixes strictly above the critical alternative
+    (:func:`~votelab.rules_exact._dodgson_prefix_keys`). This is exact:
+    the critical alternative's deficits and every lift option read only
+    those prefixes. A matched draw keeps every reduction ballot, critical
+    alternative included, in its top slice, so all matched draws of a run
+    share one prefix multiset and a run makes at most one DP call, at any
+    ``pad``. The query gets the first such draw as a count-built profile.
     """
     started = time.perf_counter()
     inst, out, model = _padded_reduction(cfg)
     pp = build_padded_parameter_profile(out, model, model.m)
     expected_yes = x3c_bruteforce(inst)
-    # Keyed by plain (order, count) tuples, so no Ranking or Profile stays alive.
-    decided: dict[frozenset, Decision] = {}
+    reference = pp.agent_orders[:, : out.profile.m]
+    decided: dict[bytes, Decision] = {}
 
-    def exact_decider(counted: Counter) -> Decision:
-        key = frozenset(counted.items())
-        if key not in decided:
-            p = Profile.from_counts(counted.items())
-            within = dodgson_score_within(p, out.critical, out.threshold) is not None
-            decided[key] = Decision.YES if within else Decision.NO
-        return decided[key]
+    def decide(draw: np.ndarray) -> Decision:
+        p = Profile.from_counts(Counter(map(tuple, draw.tolist())).items())
+        within = dodgson_score_within(p, out.critical, out.threshold) is not None
+        return Decision.YES if within else Decision.NO
 
-    rows, flags = [], []
-    for trial, rng in enumerate(_trial_rngs(cfg)):
-        answer = _decide_sampled(out, pp, exact_decider, rng)
-        flags.append(int(answer is Decision.NO))
-        rows.append({"trial": trial, "answer": answer.value})
+    answers = []
+    for draws in _stacked_draws(cfg, pp):
+        matched = np.flatnonzero(top_slices_match(draws, reference))
+        block = [Decision.YES] * len(draws)
+        for i, key in zip(matched.tolist(), _dodgson_prefix_keys(draws[matched], out.critical)):
+            if key not in decided:
+                decided[key] = decide(draws[i])
+            block[i] = decided[key]
+        answers += block
+    flags = [int(answer is Decision.NO) for answer in answers]
+    rows = [{"trial": trial, "answer": answer.value} for trial, answer in enumerate(answers)]
 
     no_rate = sum(flags) / cfg.trials
     if expected_yes:

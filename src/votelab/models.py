@@ -103,19 +103,26 @@ class AlphaIC:
 
         Whether an agent draws a permutation depends on its uniform draw,
         so the loop stays per agent; shuffling a fresh ``list(range(m))``
-        draws what ``rng.permutation(m)`` does.
+        draws what ``rng.permutation(m)`` does. The drawn permutations go
+        into one flat list and replace their agents' rows in one masked
+        assignment.
         """
         _check_orders(self, params)
         alpha = float(self.alpha)
         random, shuffle = rng.random, rng.shuffle
         identity = list(range(self.m))
-        rows = params.tolist()
-        for i in range(len(rows)):
-            if random() < alpha:
+        hits, drawn = [], []
+        for _ in range(len(params)):
+            hit = random() < alpha
+            hits.append(hit)
+            if hit:
                 order = identity[:]
                 shuffle(order)
-                rows[i] = order
-        return np.array(rows, dtype=params.dtype).reshape(params.shape)
+                drawn += order
+        ballots = params.copy()
+        if drawn:
+            ballots[np.array(hits)] = np.array(drawn, dtype=params.dtype).reshape(-1, self.m)
+        return ballots
 
     def distribution_wmg(self, parameter: Ranking) -> WMG:
         # The uniform share is pairwise symmetric, so margins are the

@@ -43,6 +43,7 @@ __all__ = [
     "x3c_bruteforce",
     "x3c_to_dodgson",
     "build_padded_parameter_profile",
+    "top_slices_match",
     "top_slice_matches",
     "x3c_via_dodgson",
     "MCGARVEY_MULTIPLIER",
@@ -241,16 +242,24 @@ def build_padded_parameter_profile(
     return ParameterProfile(entries, model)
 
 
-def top_slice_matches(ballots: np.ndarray, reference: np.ndarray) -> bool:
-    """Agent-wise: does every row of ``ballots`` open with the same row of ``reference``?
+def top_slices_match(draws: np.ndarray, reference: np.ndarray) -> np.ndarray:
+    """Per profile of a ``(t, n, m)`` stack: does every agent's row open with its ``reference`` row?
 
-    Both are ``(n, ·)`` int arrays whose rows pair up by index, so they
-    must have the same number of rows; otherwise this raises
-    ``ValueError``. ``reference`` is no wider than ``ballots``.
+    One bool per profile, from one array comparison. Rows pair up by
+    agent index, so every profile must have as many rows as
+    ``reference``; otherwise this raises ``ValueError``. ``reference``
+    is no wider than the draws.
     """
-    if len(ballots) != len(reference):
-        raise ValueError(f"{len(ballots)} sampled ballots against {len(reference)} reference rows")
-    return bool((ballots[:, : reference.shape[1]] == reference).all())
+    if draws.shape[-2] != len(reference):
+        raise ValueError(
+            f"{draws.shape[-2]} sampled ballots against {len(reference)} reference rows"
+        )
+    return (draws[..., : reference.shape[1]] == reference).all(axis=(-2, -1))
+
+
+def top_slice_matches(ballots: np.ndarray, reference: np.ndarray) -> bool:
+    """:func:`top_slices_match` for one ``(n, m)`` profile of ballots in agent order."""
+    return bool(top_slices_match(ballots[None], reference)[0])
 
 
 def x3c_via_dodgson(
@@ -269,49 +278,14 @@ def x3c_via_dodgson(
     the sampled ballots as a count-built profile.
     """
     out = x3c_to_dodgson(inst)
-    pp = build_padded_parameter_profile(out, model, model.m)
-
-    def decide(counted: Counter) -> Decision:
-        return dodgson_decider(Profile.from_counts(counted.items()), out.critical, out.threshold)
-
-    return _decide_sampled(out, pp, decide, rng)
-
-
-def _decide_sampled(
-    out: DodgsonReductionOutput,
-    pp: ParameterProfile,
-    decide: Callable[[Counter], Decision],
-    rng: np.random.Generator,
-) -> Decision:
-    """One draw of :func:`x3c_via_dodgson` from an already built reduction.
-
-    ``pp`` must be ``out``'s padded parameter profile. Callers that run
-    many trials on one instance build both once and call this per trial.
-    Only a draw that keeps every top slice goes to ``decide``, as a
-    ``Counter`` of its ballot orders in order of first appearance; no
-    :class:`Ranking` or :class:`Profile` is built here.
-    """
-    ballots = _matched_draw(out, pp, rng)
-    if ballots is None:
+    params = build_padded_parameter_profile(out, model, model.m).agent_orders
+    ballots = model.sample_orders(params, rng)
+    if not top_slice_matches(ballots, params[:, : out.profile.m]):
         return Decision.YES
-    if decide(Counter(map(tuple, ballots.tolist()))) is Decision.NO:
+    profile = Profile.from_counts(Counter(map(tuple, ballots.tolist())).items())
+    if dodgson_decider(profile, out.critical, out.threshold) is Decision.NO:
         return Decision.NO
     return Decision.YES
-
-
-def _matched_draw(
-    out: DodgsonReductionOutput, pp: ParameterProfile, rng: np.random.Generator
-) -> Optional[np.ndarray]:
-    """One draw of ``pp``'s ballots in agent order, or ``None`` if a top slice moved.
-
-    ``pp`` must be ``out``'s padded parameter profile, whose agent rows
-    open with the reduction ballots (:func:`build_padded_parameter_profile`),
-    so the draw keeps every top slice iff its first ``m1`` columns equal
-    theirs.
-    """
-    params = pp.agent_orders
-    ballots = pp.model.sample_orders(params, rng)
-    return ballots if top_slice_matches(ballots, params[:, : out.profile.m]) else None
 
 
 # ---------------------------------------------------------------------------

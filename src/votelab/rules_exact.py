@@ -82,6 +82,25 @@ def _lift_options(r: Ranking, a: int, active_index: dict[int, int]) -> list[tupl
     return options
 
 
+def _dodgson_prefix_keys(profiles: np.ndarray, a: int) -> list[bytes]:
+    """One key per profile of a ``(t, n, m)`` stack of ballot orders.
+
+    Two profiles, from stacks of one shape and dtype, get equal keys iff
+    they hold the same multiset of ballot prefixes strictly above ``a``.
+    Lemma: those prefixes decide :func:`dodgson_score_within` on ``a``.
+    The deficit of ``a`` against ``b`` counts the ballots with ``b`` in
+    the prefix, and :func:`_lift_options` reads only the prefix. So equal
+    keys mean the same score and the same answer at every cutoff; only
+    the search's expansions, and so its budget use, may differ.
+
+    A key is the profile's rows with ``a`` and everything below it set
+    to -1, sorted, as bytes.
+    """
+    prefixes = np.where((profiles == a).cumsum(axis=-1) > 0, -1, profiles)
+    order = np.lexsort(np.moveaxis(prefixes[..., ::-1], -1, 0))
+    return [rows.tobytes() for rows in np.take_along_axis(prefixes, order[..., None], axis=-2)]
+
+
 def dodgson_score_within(
     p: Profile,
     a: int,

@@ -409,40 +409,61 @@ class TestCoverDriverTrials:
         ]
         assert [row["answer"] for row in report.rows] == expected
 
-    @pytest.mark.parametrize(
-        "spec, repeats",
-        [
-            (dict(model={"model": "top_break", "K": "2*m1*n"}, pad=2), True),
-            (dict(model={"model": "partial_alt", "K": "m1"}, pad=4), False),
-        ],
-        ids=["top_break", "partial_alt_pad4"],
-    )
-    def test_each_distinct_matched_multiset_decided_once(self, monkeypatch, spec, repeats):
-        def multiset(p):
-            return frozenset((r.order, c) for r, c in p.grouped.items())
+    DRIVER_SPECS = [
+        dict(model={"model": "top_break", "K": "2*m1*n"}, pad=2),
+        dict(model={"model": "partial_alt", "K": "m1"}, pad=2),
+        dict(model={"model": "partial_alt", "K": "m1"}, pad=4),
+    ]
+    DRIVER_IDS = ["top_break", "partial_alt", "partial_alt_pad4"]
 
+    @staticmethod
+    def _matched_draws(cfg):
+        """Each trial's draw, agent by agent, and whether it kept every top slice."""
+        _, out, model = _padded_reduction(cfg)
+        params = reductions.build_padded_parameter_profile(out, model, model.m).agent_orders
+        reference = np.array([r.order for r in out.profile.rankings])
+        for rng in _trial_rngs(cfg):
+            drawn = sample_orders_per_agent(model, params, rng)
+            yield drawn, reductions.top_slice_matches(drawn, reference)
+
+    @pytest.mark.parametrize("spec", DRIVER_SPECS, ids=DRIVER_IDS)
+    def test_one_dp_call_per_distinct_prefix_key(self, monkeypatch, spec):
+        # The query runs once per multiset of prefixes above the critical
+        # alternative among matched draws, on the first draw with that key.
         calls = []
 
         def counted(p, a, t):
-            calls.append(multiset(p))
+            calls.append(p)
             return dodgson_score_within(p, a, t)
 
         monkeypatch.setattr(experiments, "dodgson_score_within", counted)
         cfg = ExperimentConfig(claim="cover_driver", trials=40, seed=5, instance=Q6_NO, **spec)
         run_cover_driver(cfg)
 
-        _, out, model = _padded_reduction(cfg)
-        params = reductions.build_padded_parameter_profile(out, model, model.m).agent_orders
-        reference = np.array([r.order for r in out.profile.rankings])
-        draws = (sample_orders_per_agent(model, params, rng) for rng in _trial_rngs(cfg))
-        matched = [
-            frozenset(Counter(map(tuple, drawn.tolist())).items())
-            for drawn in draws
-            if reductions.top_slice_matches(drawn, reference)
-        ]
-        assert len(calls) == len(set(calls))
-        assert set(calls) == set(matched)
-        assert (len(set(matched)) < len(matched)) == repeats
+        critical = _padded_reduction(cfg)[1].critical
+        first = {}
+        for drawn, matched in self._matched_draws(cfg):
+            if matched:
+                rows = drawn.tolist()
+                key = frozenset(Counter(tuple(r[: r.index(critical)]) for r in rows).items())
+                first.setdefault(key, Counter(map(tuple, rows)))
+        # Matched draws keep every reduction ballot, so they share one key.
+        assert len(first) == 1
+        assert [{r.order: c for r, c in p.grouped.items()} for p in calls] == list(first.values())
+
+    @pytest.mark.parametrize("inst", [Q6_NO, Q6_YES], ids=["no", "yes"])
+    @pytest.mark.parametrize("spec", DRIVER_SPECS, ids=DRIVER_IDS)
+    def test_each_answer_is_its_own_profiles_query(self, inst, spec):
+        # Differential: no memo, every trial's own sampled profile decided.
+        cfg = ExperimentConfig(claim="cover_driver", trials=25, seed=8, instance=inst, **spec)
+        report = run_cover_driver(cfg)
+        out = _padded_reduction(cfg)[1]
+        expected = []
+        for drawn, matched in self._matched_draws(cfg):
+            p = Profile.of(drawn.tolist())
+            no = matched and dodgson_score_within(p, out.critical, out.threshold) is None
+            expected.append("no" if no else "yes")
+        assert [row["answer"] for row in report.rows] == expected
 
     def test_reduction_built_once_per_config(self, monkeypatch):
         calls = Counter()
@@ -605,6 +626,13 @@ PINNED_REPORTS = [
         dict(claim="cover_driver", trials=10, seed=19, instance=Q6_NO,
              model={"model": "partial_alt", "K": 19}, pad=2),
         "82e19a94803f93ae5559f94040c5ad9555819ff3a392a228179d6c14bd403d48",
+    ),
+    # Taken before the Dodgson query was keyed on ballot prefixes: at pad 4
+    # almost every sampled multiset is new, yet one query decides them all.
+    (
+        dict(claim="cover_driver", trials=40, seed=20, instance=Q6_NO,
+             model={"model": "partial_alt", "K": "m1"}, pad=4),
+        "5a61f31d5d1f70159760d5cc793eac4a72cd63c0b54e213e099075652e045d1f",
     ),
 ]
 

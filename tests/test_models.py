@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from votelab import (
     AlphaIC,
@@ -182,28 +182,37 @@ class TestPartialAltSampler:
             assert shuffled.bit_generator.state == indexed.bit_generator.state
 
 
-# Each family draws its model from (m, hypothesis draw); tails are m - K.
+# Each family builds its model from m and a fraction x in [0, 1]: AlphaIC's
+# alpha is x; tails are m - K.
 SAMPLER_FAMILIES = {
-    "alpha_ic": lambda m, draw: AlphaIC(m, draw(st.fractions(0, 1, max_denominator=12))),
-    "partial_alt_tail_0": lambda m, draw: PartialAltRandomization(m, m),
-    "partial_alt_tail_1": lambda m, draw: PartialAltRandomization(m, m - 1),
-    "partial_alt_tail_2_up": lambda m, draw: PartialAltRandomization(m, draw(st.integers(1, m - 2))),
-    "top_break_K1": lambda m, draw: TopBreakNoise(m, 1),
-    "top_break_K2": lambda m, draw: TopBreakNoise(m, 2),
-    "top_break_K3": lambda m, draw: TopBreakNoise(m, 3),
+    "alpha_ic": lambda m, x: AlphaIC(m, x),
+    "partial_alt_tail_0": lambda m, x: PartialAltRandomization(m, m),
+    "partial_alt_tail_1": lambda m, x: PartialAltRandomization(m, m - 1),
+    "partial_alt_tail_2_up": lambda m, x: PartialAltRandomization(m, 1 + math.floor(x * (m - 3))),
+    "top_break_K1": lambda m, x: TopBreakNoise(m, 1),
+    "top_break_K2": lambda m, x: TopBreakNoise(m, 2),
+    "top_break_K3": lambda m, x: TopBreakNoise(m, 3),
 }
 
 
 class TestSampleOrders:
     @pytest.mark.parametrize("family", list(SAMPLER_FAMILIES))
-    @given(data=st.data(), m=st.integers(3, 7), n=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+    @given(
+        m=st.integers(3, 7),
+        n=st.integers(1, 12),
+        seed=st.integers(0, 2**32 - 1),
+        x=st.fractions(0, 1, max_denominator=12),
+    )
+    # AlphaIC at alpha 0 draws no permutation and at alpha 1 one per agent.
+    @example(m=5, n=12, seed=1, x=Fraction(0))
+    @example(m=5, n=12, seed=2, x=Fraction(1))
+    @example(m=3, n=1, seed=3, x=Fraction(1, 2))
+    @example(m=7, n=1, seed=4, x=Fraction(1))
     @settings(max_examples=40, deadline=None)
-    def test_matches_per_agent_sample(self, family, data, m, n, seed):
+    def test_matches_per_agent_sample(self, family, m, n, seed, x):
         # Same ballots in agent order and the same generator state afterwards.
-        model = SAMPLER_FAMILIES[family](m, data.draw)
-        params = np.array(
-            data.draw(st.lists(st.permutations(range(m)), min_size=n, max_size=n)), dtype=np.int64
-        )
+        model = SAMPLER_FAMILIES[family](m, x)
+        params = np.random.default_rng([seed, 1]).permuted(np.tile(np.arange(m), (n, 1)), axis=1)
         batched, per_agent = np.random.default_rng(seed), np.random.default_rng(seed)
         drawn = model.sample_orders(params, batched)
         expected = sample_orders_per_agent(model, params, per_agent)

@@ -31,6 +31,7 @@ from votelab import (
     kt_profile_distance,
     mcgarvey_profile,
     top_slice_matches,
+    top_slices_match,
     wmg,
     x3c_bruteforce,
     x3c_to_dodgson,
@@ -191,6 +192,30 @@ class TestPaddedParameterProfile:
             top_slice_matches(drawn[:-1], params[:, :m1])
         with pytest.raises(ValueError):
             top_slice_matches(drawn, params[:-1, :m1])
+
+    def test_batched_top_slices_match_per_draw(self):
+        # top_break at K=8 keeps each of the 3 agents' rows with
+        # probability 7/8, so about two trials in three keep every slice.
+        out = x3c_to_dodgson(Q6_YES)
+        m1 = out.profile.m
+        model = TopBreakNoise(m1 + 2, 8)
+        params = build_padded_parameter_profile(out, model, m1 + 2).agent_orders
+        rng = np.random.default_rng(7)
+        draws = np.stack([model.sample_orders(params, rng) for _ in range(200)])
+        reference = params[:, :m1]
+        batched = top_slices_match(draws, reference)
+        assert batched.shape == (200,)
+        assert batched.tolist() == [top_slice_matches(d, reference) for d in draws]
+        kept = [
+            all(row[:m1] == ref for row, ref in zip(drawn, reference.tolist()))
+            for drawn in draws.tolist()
+        ]
+        assert batched.tolist() == kept
+        assert 0 < sum(kept) < 200
+        with pytest.raises(ValueError):
+            top_slices_match(draws[:, :-1], reference)
+        with pytest.raises(ValueError):
+            top_slices_match(draws, reference[:-1])
 
     def test_tail_actually_shuffles(self):
         out = x3c_to_dodgson(SINGLETON)

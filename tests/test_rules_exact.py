@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -94,6 +95,38 @@ class TestDodgsonExact:
             p, a = out.profile, out.critical
             for cutoff in (None, out.threshold):
                 assert dodgson_score_within(p, a, cutoff) == dodgson_within_ilp(p, a, cutoff)
+
+    @given(st.data(), st.integers(3, 6), st.integers(1, 7))
+    @settings(max_examples=100, deadline=None)
+    def test_suffix_below_target_does_not_matter(self, data, m, n):
+        # The lemma behind rules_exact._dodgson_prefix_keys: only each
+        # ballot's prefix above a counts.
+        ballots = data.draw(
+            st.lists(st.permutations(range(m)), min_size=n, max_size=n), label="ballots"
+        )
+        a = data.draw(st.integers(0, m - 1), label="a")
+        shuffled = []
+        for order in ballots:
+            cut = order.index(a) + 1
+            shuffled.append(order[:cut] + data.draw(st.permutations(order[cut:]), label="suffix"))
+        p, q = Profile.of(ballots), Profile.of(shuffled)
+        score = dodgson_score_exact(p, a)
+        assert dodgson_score_exact(q, a) == score
+        for cutoff in range(score + 1):
+            assert dodgson_score_within(q, a, cutoff) == dodgson_score_within(p, a, cutoff)
+
+    @given(st.data(), st.integers(3, 5), st.integers(1, 5), st.integers(1, 8))
+    @settings(max_examples=100, deadline=None)
+    def test_prefix_keys_equal_iff_prefix_multisets_equal(self, data, m, n, t):
+        # Ballots come from a small pool, so that equal multisets occur.
+        pool = data.draw(st.lists(st.permutations(range(m)), min_size=1, max_size=3), label="pool")
+        profile = st.lists(st.sampled_from(pool), min_size=n, max_size=n)
+        stack = data.draw(st.lists(profile, min_size=t, max_size=t), label="stack")
+        a = data.draw(st.integers(0, m - 1), label="a")
+        keys = rules_exact._dodgson_prefix_keys(np.array(stack, dtype=np.int64), a)
+        prefixes = [Counter(tuple(order[: order.index(a)]) for order in ballots) for ballots in stack]
+        for i, j in itertools.product(range(t), repeat=2):
+            assert (keys[i] == keys[j]) == (prefixes[i] == prefixes[j])
 
     def test_app_last_invariance(self, rng):
         for _ in range(25):

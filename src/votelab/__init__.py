@@ -63,7 +63,6 @@ from .reductions import (
     enumerate_x3c_instances,
     kt_formula,
     mcgarvey_profile,
-    top_slice_matches,
     top_slices_match,
     x3c_bruteforce,
     x3c_to_dodgson,

@@ -143,6 +143,8 @@ def _cmd_sample(args) -> int:
 
 def _cmd_reduce(args) -> int:
     if args.construction == "x3c-dodgson":
+        if args.out_prefix is None:
+            raise ValueError("x3c-dodgson needs --out-prefix")
         inst = vio.read_x3c(args.input)
         out = x3c_to_dodgson(inst)
         profile_path = Path(f"{args.out_prefix}.profile")
@@ -160,6 +162,8 @@ def _cmd_reduce(args) -> int:
         layout_path.write_text(json.dumps(layout, sort_keys=True, indent=2) + "\n")
         _emit({"profile": str(profile_path), "layout": str(layout_path)}, args.pretty)
     elif args.construction == "mcgarvey":
+        if args.out is None:
+            raise ValueError("mcgarvey needs --out")
         graph = vio.read_digraph(args.input)
         profile = mcgarvey_profile(graph)
         vio.write_profile(profile, args.out)

@@ -159,7 +159,8 @@ class Profile:
     def rankings(self) -> tuple[Ranking, ...]:
         """``grouped`` expanded into ``n`` entries, each ranking's copies together.
 
-        Built on first use; nothing in the package reads it.
+        Built on first use; nothing in the package reads it, and
+        ``perfbench/tracer.py``'s profile counter is its last reader.
         """
         return tuple(itertools.chain.from_iterable(
             itertools.repeat(r, count) for r, count in self.grouped.items()

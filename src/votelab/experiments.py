@@ -365,11 +365,9 @@ def _random_parameter_trials(cfg: ExperimentConfig, model: AlphaIC):
     """Per-agent random parameters; the target is the final agent's bottom.
 
     Yields every agent's ballot as one row of ``orders`` with count 1,
-    and the target. The generator is consumed exactly as drawing each
-    agent's parameter with ``permutation(m)`` and then each agent's ballot
-    through ``AlphaIC.sample`` would: one ``permuted`` call over an
-    ``(n, m)`` identity array draws all ``n`` parameters, since it runs
-    the same Fisher-Yates pass row by row, and
+    and the target. One ``permuted`` call over an ``(n, m)`` identity
+    array draws all ``n`` parameters, the same Fisher-Yates pass row by
+    row as each agent's ``permutation(m)``, and
     :meth:`~votelab.models.AlphaIC.sample_orders` draws the ballots.
     The tallies add up row by row, so no ballot is counted or grouped.
     """
@@ -640,9 +638,8 @@ def run_cover_driver(cfg: ExperimentConfig) -> TrialReport:
     decided: dict[bytes, Decision] = {}
 
     def decide(draw: np.ndarray) -> Decision:
-        p = Profile.from_counts(Counter(map(tuple, draw.tolist())).items())
-        within = dodgson_score_within(p, out.critical, out.threshold) is not None
-        return Decision.YES if within else Decision.NO
+        within = dodgson_score_within(Profile.of(draw.tolist()), out.critical, out.threshold)
+        return Decision.NO if within is None else Decision.YES
 
     answers = []
     for draws in _stacked_draws(cfg, pp):

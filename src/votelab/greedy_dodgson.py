@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Profile, _ranks_above, wmg
+from .core import Profile, _ranks_above
 
 __all__ = [
     "Certainty",
@@ -54,17 +54,12 @@ class GreedyResult:
 
 
 def immediately_above_count(p: Profile, a: int, b: int) -> int:
-    """Ballots in which ``b`` sits in the position directly above ``a``."""
+    """Ballots with ``b`` directly above ``a``: column ``m + b`` of :func:`_tallies`."""
     if a == b:
         raise ValueError("need two distinct alternatives")
     if not (0 <= a < p.m and 0 <= b < p.m):
         raise ValueError(f"alternatives ({a},{b}) out of range 0..{p.m - 1}")
-    total = 0
-    for r, count in p.grouped.items():
-        pos = r.positions
-        if pos[b] == pos[a] - 1:
-            total += count
-    return total
+    return int(_tallies(p, a)[p.m + b])
 
 
 def _tally_table(orders: np.ndarray, a: int) -> np.ndarray:
@@ -74,13 +69,19 @@ def _tally_table(orders: np.ndarray, a: int) -> np.ndarray:
     in ``2m`` columns: column ``b`` is 1 when the ranking puts ``b`` above
     ``a``, by the margin kernel's comparison, and column ``m + b`` is 1
     when ``b`` sits directly above ``a``. For ranking counts ``c``,
-    ``c @ table`` holds the voters ranking each ``b`` over ``a`` and each
-    ``b``'s :func:`immediately_above_count`; ``a``'s own entries are 0.
+    ``c @ table`` holds the voters ranking each ``b`` over ``a`` and the
+    ballots with each ``b`` directly above it; ``a``'s own entries are 0.
     """
     pos = np.argsort(orders, axis=1)
     at = pos[:, [a]]
     adjacent = pos == at - 1
     return np.concatenate((_ranks_above(pos, at)[:, :, 0], adjacent), axis=1).astype(np.int64)
+
+
+def _tallies(p: Profile, a: int) -> np.ndarray:
+    """``p``'s ``2m`` greedy tallies of target ``a``: its counts times :func:`_tally_table`."""
+    orders = np.array([r.order for r in p.grouped], dtype=np.int64)
+    return np.fromiter(p.grouped.values(), np.int64, len(orders)) @ _tally_table(orders, a)
 
 
 def _certify(n: int, votes, adjacent) -> tuple:
@@ -113,11 +114,8 @@ def greedy_dodgson(p: Profile, a: int) -> GreedyResult:
         raise ValueError("rule computations require at least 3 alternatives")
     if not 0 <= a < p.m:
         raise ValueError(f"alternative {a} out of range")
-    rivals = [b for b in range(p.m) if b != a]
-    margins = wmg(p).margins[a]
-    votes = [(p.n + margins[b]) // 2 for b in rivals]
-    adjacent = [immediately_above_count(p, a, b) for b in rivals]
-    score, definite = _certify(p.n, votes, adjacent)
+    tallies = _tallies(p, a)
+    score, definite = _certify(p.n, p.n - tallies[: p.m], tallies[p.m :])
     return GreedyResult(score, Certainty.DEFINITELY if definite else Certainty.MAYBE)
 
 

@@ -14,10 +14,11 @@ Probabilities are exact rationals. Samplers take an injected
 ``numpy.random.Generator`` so every experiment records and replays its
 seed. A parameter profile is a weighted collection of parameters; with
 integer weights it samples one independent ballot per unit of weight.
-Each model draws one ballot with ``sample`` and a whole profile with
-``sample_orders``, over an ``(n, m)`` array of agent parameters; both
-consume the generator identically, agent by agent. Agent order lives only
-in those arrays: a :class:`~votelab.core.Profile` keeps counted ballots.
+Each model's draw has one definition, its ``sample_orders`` over an
+``(n, m)`` array of agent parameters, which consumes the generator
+agent by agent in row order. :func:`sample` is one row of it and
+:func:`sample_profile` counts all of its rows. Agent order lives only in
+those arrays: a :class:`~votelab.core.Profile` keeps counted ballots.
 """
 
 from __future__ import annotations
@@ -90,22 +91,13 @@ class AlphaIC:
             return uniform_share + (1 - self.alpha)
         return uniform_share
 
-    def sample(self, parameter: Ranking, rng: np.random.Generator) -> Ranking:
-        # Two branches realize the mixture exactly: a uniform draw with
-        # probability alpha, the parameter itself otherwise.
-        _check_parameter(self, parameter)
-        if rng.random() < float(self.alpha):
-            return Ranking(tuple(int(x) for x in rng.permutation(self.m)))
-        return parameter
-
     def sample_orders(self, params: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """One ballot per row of ``params``, agent by agent as :meth:`sample` draws.
+        """One ballot per row of ``params``: a uniform ranking with probability ``alpha``.
 
-        Whether an agent draws a permutation depends on its uniform draw,
-        so the loop stays per agent; shuffling a fresh ``list(range(m))``
-        draws what ``rng.permutation(m)`` does. The drawn permutations go
-        into one flat list and replace their agents' rows in one masked
-        assignment.
+        Whether an agent shuffles a fresh ``list(range(m))`` (the draws of
+        ``rng.permutation(m)``) depends on its uniform draw, so the loop
+        stays per agent. The drawn permutations go into one flat list and
+        replace their agents' rows in one masked assignment.
         """
         _check_orders(self, params)
         alpha = float(self.alpha)
@@ -150,19 +142,8 @@ class PartialAltRandomization:
             return Fraction(0)
         return Fraction(1, math.factorial(self.m - self.K))
 
-    def sample(self, parameter: Ranking, rng: np.random.Generator) -> Ranking:
-        _check_parameter(self, parameter)
-        head = parameter.order[: self.K]
-        tail = parameter.order[self.K :]
-        if not tail:
-            return parameter
-        # One Fisher-Yates pass, the same draws as rng.permutation(len(tail)).
-        shuffled = list(tail)
-        rng.shuffle(shuffled)
-        return Ranking(head + tuple(shuffled))
-
     def sample_orders(self, params: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """One ballot per row of ``params``, agent by agent as :meth:`sample` draws.
+        """One ballot per row of ``params``: the top ``K`` kept, the tail shuffled.
 
         ``permuted`` along the rows runs one Fisher-Yates pass per row, in
         row order, the same draws as shuffling each tail on its own; an
@@ -209,15 +190,8 @@ class TopBreakNoise:
         if self.K < 1:
             raise ValueError("K must be positive")
 
-    def sample(self, parameter: Ranking, rng: np.random.Generator) -> Ranking:
-        _check_parameter(self, parameter)
-        if rng.random() < 1.0 / self.K:
-            order = parameter.order
-            return Ranking((order[-1],) + order[:-1])
-        return parameter
-
     def sample_orders(self, params: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """One ballot per row of ``params``: one uniform draw per agent, as :meth:`sample`."""
+        """One ballot per row of ``params``: one uniform draw per agent decides a break."""
         _check_orders(self, params)
         broken = rng.random(len(params)) < 1.0 / self.K
         ballots = params.copy()
@@ -242,8 +216,10 @@ PreferenceModel = Union[AlphaIC, PartialAltRandomization, TopBreakNoise]
 
 
 def sample(model, parameter: Ranking, rng: np.random.Generator) -> Ranking:
-    """One draw from the model's distribution at this parameter."""
-    return model.sample(parameter, rng)
+    """One draw from the model's distribution at this parameter: row 0 of ``sample_orders``."""
+    _check_parameter(model, parameter)
+    row = model.sample_orders(np.array([parameter.order], dtype=np.int64), rng)[0]
+    return Ranking(tuple(row.tolist()))
 
 
 @dataclass(frozen=True)
@@ -299,10 +275,9 @@ class ParameterProfile:
 def sample_profile(pp: ParameterProfile, rng: np.random.Generator) -> Profile:
     """One independent ballot per unit of weight, counted into a profile.
 
-    The ballots come from the model's ``sample_orders`` over
-    :attr:`ParameterProfile.agent_orders`, so the generator is consumed
-    as drawing each agent through :func:`sample` would. Callers that need
-    each agent's ballot read those ``sample_orders`` rows instead.
+    The ballots are the model's ``sample_orders`` rows over
+    :attr:`ParameterProfile.agent_orders`. Callers that need each agent's
+    ballot read those rows instead.
     """
     return Profile.of(pp.model.sample_orders(pp.agent_orders, rng).tolist())
 
@@ -391,5 +366,5 @@ def _spec_number(spec: dict, key: str, convert: Callable, what: str = "model spe
         raise ValueError(f"{what} {key!r} must not be a float, got {value!r}")
     try:
         return convert(value)
-    except (TypeError, ValueError, OverflowError):
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError):
         raise ValueError(f"{what} {key!r} must be a number, got {value!r}") from None

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Optional, Sequence, Union
@@ -44,7 +43,6 @@ __all__ = [
     "x3c_to_dodgson",
     "build_padded_parameter_profile",
     "top_slices_match",
-    "top_slice_matches",
     "x3c_via_dodgson",
     "MCGARVEY_MULTIPLIER",
     "mcgarvey_profile",
@@ -257,11 +255,6 @@ def top_slices_match(draws: np.ndarray, reference: np.ndarray) -> np.ndarray:
     return (draws[..., : reference.shape[1]] == reference).all(axis=(-2, -1))
 
 
-def top_slice_matches(ballots: np.ndarray, reference: np.ndarray) -> bool:
-    """:func:`top_slices_match` for one ``(n, m)`` profile of ballots in agent order."""
-    return bool(top_slices_match(ballots[None], reference)[0])
-
-
 def x3c_via_dodgson(
     inst: X3CInstance,
     dodgson_decider: Callable[[Profile, int, int], Decision],
@@ -280,10 +273,9 @@ def x3c_via_dodgson(
     out = x3c_to_dodgson(inst)
     params = build_padded_parameter_profile(out, model, model.m).agent_orders
     ballots = model.sample_orders(params, rng)
-    if not top_slice_matches(ballots, params[:, : out.profile.m]):
+    if not top_slices_match(ballots[None], params[:, : out.profile.m])[0]:
         return Decision.YES
-    profile = Profile.from_counts(Counter(map(tuple, ballots.tolist())).items())
-    if dodgson_decider(profile, out.critical, out.threshold) is Decision.NO:
+    if dodgson_decider(Profile.of(ballots.tolist()), out.critical, out.threshold) is Decision.NO:
         return Decision.NO
     return Decision.YES
 

@@ -12,9 +12,10 @@ solve a slot-replicated linear assignment with SciPy, the
 pairwise-disagreement and margin oracles count pairs ballot by ballot (or
 distinct ballot by distinct ballot, times its count), and the
 random-parameter sampler, the padded parameter profile and the
-whole-profile sampler oracles draw agent by agent through
-``models.sample``; the partial-alternative sampler indexes its tail
-through a drawn permutation.
+whole-profile sampler oracles draw agent by agent with their own
+per-agent bodies of each model (:func:`sample_per_agent`), not the
+package's ``sample_orders``; the partial-alternative sampler indexes its
+tail through a drawn permutation.
 Expected values in tests are frozen from these.
 """
 
@@ -32,14 +33,16 @@ from hypothesis import strategies as st
 from scipy.optimize import Bounds, LinearConstraint, linear_sum_assignment, milp
 
 from votelab import (
+    AlphaIC,
     BudgetExceededError,
     Committee,
     ParameterProfile,
+    PartialAltRandomization,
     Profile,
     Ranking,
+    TopBreakNoise,
     app_last,
     linear_dpsf,
-    sample,
 )
 
 DEFAULT_BFS_STATE_BUDGET = 2_000_000
@@ -98,22 +101,24 @@ def deficit_brute(p: Profile, a: int, b: int) -> int:
     return max(0, p.n // 2 + 1 - votes_brute(p, a, b))
 
 
+def adjacent_brute(p: Profile, a: int, b: int) -> int:
+    """Ballots whose entry right before ``a`` is ``b``, counted ballot by ballot."""
+    return sum(1 for r in p.rankings if r.order.index(a) > 0 and r.order[r.order.index(a) - 1] == b)
+
+
 def greedy_brute(p: Profile, a: int) -> tuple[int, bool]:
     """Greedy Dodgson score and certificate, ballot by ballot.
 
-    Deficits come from :func:`votes_brute`; a rival's adjacency count is
-    the number of ballots whose entry right before ``a`` is that rival.
+    Deficits come from :func:`votes_brute` and adjacency counts from
+    :func:`adjacent_brute`.
     """
     score, definite = 0, True
     for b in range(p.m):
         if b == a:
             continue
         owed = deficit_brute(p, a, b)
-        adjacent = sum(
-            1 for r in p.rankings if r.order.index(a) > 0 and r.order[r.order.index(a) - 1] == b
-        )
         score += owed
-        definite = definite and adjacent >= owed
+        definite = definite and adjacent_brute(p, a, b) >= owed
     return score, definite
 
 
@@ -406,6 +411,28 @@ def monroe_lsa(p: Profile, committee: Committee, aggregator: str) -> int:
     raise AssertionError("the lowest level admits every assignment")
 
 
+def sample_per_agent(model, parameter: Ranking, rng: np.random.Generator) -> Ranking:
+    """One agent's ballot, drawn straight from the model's definition.
+
+    ``AlphaIC``: with probability ``alpha`` a uniform ``rng.permutation``,
+    else the parameter. ``PartialAltRandomization``: the top ``K`` kept
+    and the tail shuffled in one Fisher-Yates pass. ``TopBreakNoise``:
+    with probability ``1/K`` the bottom alternative moved to the front.
+    """
+    order = parameter.order
+    if isinstance(model, AlphaIC):
+        if rng.random() < float(model.alpha):
+            return Ranking(tuple(int(x) for x in rng.permutation(model.m)))
+        return parameter
+    if isinstance(model, PartialAltRandomization):
+        tail = list(order[model.K :])
+        rng.shuffle(tail)
+        return Ranking(order[: model.K] + tuple(tail))
+    if isinstance(model, TopBreakNoise):
+        return Ranking(order[-1:] + order[:-1]) if rng.random() < 1.0 / model.K else parameter
+    raise TypeError(f"no per-agent oracle for {model!r}")
+
+
 def random_parameter_profiles_per_agent(seed: int, trials: int, m: int, n: int, model):
     """(profile, target) per trial for the ``random_profile`` adversary, agent by agent.
 
@@ -417,7 +444,7 @@ def random_parameter_profiles_per_agent(seed: int, trials: int, m: int, n: int, 
     for child in np.random.SeedSequence(seed).spawn(trials):
         rng = np.random.default_rng(child)
         parameters = [random_ranking(rng, m) for _ in range(n)]
-        ballots = tuple(sample(model, parameter, rng) for parameter in parameters)
+        ballots = tuple(sample_per_agent(model, parameter, rng) for parameter in parameters)
         yield Profile(ballots), parameters[-1].order[-1]
 
 
@@ -430,8 +457,8 @@ def partial_alt_sample_by_index(model, parameter: Ranking, rng: np.random.Genera
 
 
 def sample_orders_per_agent(model, params: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """``model.sample_orders`` agent by agent: one ``models.sample`` call per row."""
-    ballots = [sample(model, Ranking(tuple(row)), rng).order for row in params.tolist()]
+    """``model.sample_orders`` agent by agent: one :func:`sample_per_agent` call per row."""
+    ballots = [sample_per_agent(model, Ranking(tuple(row)), rng).order for row in params.tolist()]
     return np.array(ballots, dtype=np.int64).reshape(params.shape)
 
 

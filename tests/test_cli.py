@@ -362,6 +362,22 @@ class TestReduceCommand:
         graph = wmg(vio.read_profile(out))
         assert all(graph.margin(a, b) == 0 for a in range(3) for b in range(3))
 
+    @pytest.mark.parametrize(
+        "construction, flag",
+        [("x3c-dodgson", "--out-prefix"), ("mcgarvey", "--out")],
+    )
+    def test_missing_output_flag_writes_nothing(
+        self, capsys, tmp_path, monkeypatch, construction, flag
+    ):
+        monkeypatch.chdir(tmp_path)
+        if construction == "x3c-dodgson":
+            vio.write_x3c(X3CInstance.of(3, [[0, 1, 2]]), tmp_path / "input")
+        else:
+            vio.write_digraph(Digraph.of(3, [(0, 1), (1, 2), (2, 0)]), tmp_path / "input")
+        assert main(["reduce", construction, "--input", "input"]) == 1
+        assert capsys.readouterr().err == f"error: {construction} needs {flag}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["input"]
+
     def test_efas_check(self, capsys, cycle_graph):
         code, result = run_cli(
             capsys, "reduce", "efas-check", "--input", cycle_graph, "--threshold", "1"
@@ -514,6 +530,17 @@ class TestMalformedJson:
                 "experiment",
                 {**TOP_CONFIG, "instance": {"q": 3.0, "subsets": [[0, 1, 2]]}},
                 "'q' must not be a float, got 3.0",
+            ),
+            # A zero denominator is not a number either.
+            (
+                "sample",
+                {"model": "alpha_ic", "alpha": "1/0"},
+                "'alpha' must be a number, got '1/0'",
+            ),
+            (
+                "experiment",
+                {**SMALL_CONFIG, "model": {"model": "alpha_ic", "alpha": "1/0"}},
+                "'alpha' must be a number, got '1/0'",
             ),
         ],
     )

@@ -95,7 +95,7 @@ class TestPmf:
     def test_top_break_checks_dimensions(self, rng):
         noise = TopBreakNoise(4, 1)
         with pytest.raises(DimensionError):
-            noise.sample(ABC, rng)
+            sample(noise, ABC, rng)
         with pytest.raises(DimensionError):
             noise.pmf(ABC, Ranking.of([2, 0, 1]))
         with pytest.raises(DimensionError):

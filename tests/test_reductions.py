@@ -30,7 +30,6 @@ from votelab import (
     kt_formula,
     kt_profile_distance,
     mcgarvey_profile,
-    top_slice_matches,
     top_slices_match,
     wmg,
     x3c_bruteforce,
@@ -150,14 +149,14 @@ class TestPaddedParameterProfile:
             drawn = model.sample_orders(params, np.random.default_rng(seed))
             expected = sample_orders_per_agent(model, params, np.random.default_rng(seed))
             assert drawn.tolist() == expected.tolist()
-            assert top_slice_matches(drawn, reference)
+            assert top_slices_match(drawn[None], reference)[0]
 
     @pytest.mark.parametrize("inst", [SINGLETON, Q6_YES, Q6_NO], ids=["q3", "q6_yes", "q6_no"])
     @pytest.mark.parametrize("pad", [0, 1, 2])
     def test_grouped_entries_sample_as_per_agent(self, inst, pad):
         # One entry per distinct padded ballot, weighted by its count, draws
         # the same ballots in the same agent order as one unit entry per agent
-        # drawn through models.sample.
+        # drawn by the per-agent oracle.
         out = x3c_to_dodgson(inst)
         m1, m_total = out.profile.m, out.profile.m + pad
         models = (
@@ -178,7 +177,7 @@ class TestPaddedParameterProfile:
                 assert drawn.tolist() == expected.tolist()
                 rows = zip(expected.tolist(), reference.tolist())
                 kept = all(row[:m1] == ref for row, ref in rows)
-                assert top_slice_matches(drawn, reference) == kept
+                assert top_slices_match(drawn[None], reference)[0] == kept
 
     def test_top_slice_needs_equal_agent_counts(self, rng):
         # Agents pair up by row, so a shorter side would leave agents unchecked.
@@ -187,11 +186,11 @@ class TestPaddedParameterProfile:
         model = PartialAltRandomization(m1 + 2, m1)
         params = build_padded_parameter_profile(out, model, m1 + 2).agent_orders
         drawn = model.sample_orders(params, rng)
-        assert top_slice_matches(drawn, params[:, :m1])
+        assert top_slices_match(drawn[None], params[:, :m1])[0]
         with pytest.raises(ValueError):
-            top_slice_matches(drawn[:-1], params[:, :m1])
+            top_slices_match(drawn[None, :-1], params[:, :m1])
         with pytest.raises(ValueError):
-            top_slice_matches(drawn, params[:-1, :m1])
+            top_slices_match(drawn[None], params[:-1, :m1])
 
     def test_batched_top_slices_match_per_draw(self):
         # top_break at K=8 keeps each of the 3 agents' rows with
@@ -205,7 +204,7 @@ class TestPaddedParameterProfile:
         reference = params[:, :m1]
         batched = top_slices_match(draws, reference)
         assert batched.shape == (200,)
-        assert batched.tolist() == [top_slice_matches(d, reference) for d in draws]
+        assert batched.tolist() == [top_slices_match(d[None], reference)[0] for d in draws]
         kept = [
             all(row[:m1] == ref for row, ref in zip(drawn, reference.tolist()))
             for drawn in draws.tolist()

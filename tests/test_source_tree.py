@@ -1,14 +1,20 @@
 import ast
+import importlib.util
 import re
 import sys
+import types
+from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import votelab
+import votelab.experiments
 
 SRC = Path(votelab.__file__).resolve().parent
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
 def test_no_assert_statements_in_package():
@@ -49,3 +55,44 @@ def test_third_party_imports_are_the_declared_dependencies():
                 imported.add(node.module.split(".")[0])
     third_party = imported - set(sys.stdlib_module_names) - {"votelab"}
     assert third_party == declared
+
+
+def _function_bindings() -> dict:
+    """Every function the benchmark tracer may rebind: module attributes,
+    function defaults, and ``Profile.__post_init__``."""
+    bindings = {"Profile.__post_init__": votelab.core.Profile.__dict__["__post_init__"]}
+    for name, module in sorted(sys.modules.items()):
+        if module is None or not (name == "votelab" or name.startswith("votelab.")):
+            continue
+        for key, value in vars(module).items():
+            if isinstance(value, types.FunctionType):
+                bindings[name, key] = value
+                bindings[name, key, "defaults"] = (value.__defaults__, value.__kwdefaults__)
+    return bindings
+
+
+def test_benchmark_tracer_installs_and_restores(monkeypatch):
+    # The benchmark's tracer binds package functions by name; a renamed or
+    # deleted one breaks its install, so this runs one traced op through it.
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("benchmark_tracer", TRACER)
+    tracer_module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_module)
+    before = _function_bindings()
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        # Calls go through the module attributes the tracer rebinds; the
+        # package attribute ``votelab.greedy_dodgson`` is the function.
+        core, models = sys.modules["votelab.core"], sys.modules["votelab.models"]
+        tracer.begin_op()
+        p = core.Profile.of([[0, 1, 2], [1, 0, 2], [2, 1, 0]])
+        model = models.AlphaIC(3, Fraction(1, 2))
+        models.sample(model, core.Ranking.of([0, 1, 2]), np.random.default_rng(0))
+        sys.modules["votelab.greedy_dodgson"].greedy_dodgson(p, 0)
+        tracer.end_op()
+    finally:
+        tracer.uninstall()
+    assert _function_bindings() == before
+    assert tracer.calls["models.sample"] == tracer.calls["greedy_dodgson.greedy_dodgson"] == 1
+    assert tracer.calls["core.Profile"] >= 1

@@ -420,19 +420,47 @@ def enumerate_x3c_instances(q: int, max_s: int) -> Iterator[X3CInstance]:
 def enumerate_eulerian_digraphs(m: int, max_edges: Optional[int] = None) -> Iterator[Digraph]:
     """Every 2-cycle-free Eulerian digraph on exactly ``m`` vertices.
 
-    Each unordered pair independently carries no arc or one arc in either
-    direction; balanced-and-connected survivors are yielded.
+    Each unordered pair carries no arc or one arc in either direction. A
+    depth-first walk decides the pairs in ``itertools.combinations(range(m),
+    2)`` order, trying no arc, then ``u->v``, then ``v->u``, and keeps
+    each vertex's out-minus-in balance. Vertex ``u``'s last pair is
+    ``(u, m-1)``, so its balance is final there, and a branch that leaves
+    it nonzero is cut; ``m-1`` is then balanced too, since balances sum to
+    0. No arc beyond ``max_edges`` is added, and a negative ``max_edges``
+    admits no graph. Only balanced leaves build a ``Digraph`` and test
+    connectivity.
+
+    Graphs come in the order of ``itertools.product((none, u->v, v->u),
+    repeat=C(m,2))`` over the pairs, as a scan of every orientation would
+    yield them.
     """
     pairs = list(itertools.combinations(range(m), 2))
-    for choice in itertools.product((0, 1, 2), repeat=len(pairs)):
-        arcs = []
-        for (u, v), orient in zip(pairs, choice):
-            if orient == 1:
-                arcs.append((u, v))
-            elif orient == 2:
-                arcs.append((v, u))
-        if max_edges is not None and len(arcs) > max_edges:
-            continue
-        g = Digraph.of(m, arcs)
-        if g.is_eulerian():
-            yield g
+    limit = len(pairs) if max_edges is None else max_edges
+    if limit < 0:
+        return
+    balance = [0] * m
+    arcs: list[tuple[int, int]] = []
+
+    def walk(i: int) -> Iterator[Digraph]:
+        if i == len(pairs):
+            g = Digraph.of(m, arcs)
+            if g.is_eulerian():
+                yield g
+            return
+        u, v = pairs[i]
+        closes = v == m - 1
+        if not closes or balance[u] == 0:
+            yield from walk(i + 1)
+        if len(arcs) == limit:
+            return
+        for a, b in ((u, v), (v, u)):
+            balance[a] += 1
+            balance[b] -= 1
+            if not closes or balance[u] == 0:
+                arcs.append((a, b))
+                yield from walk(i + 1)
+                arcs.pop()
+            balance[a] -= 1
+            balance[b] += 1
+
+    yield from walk(0)

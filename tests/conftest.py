@@ -15,7 +15,8 @@ random-parameter sampler, the padded parameter profile and the
 whole-profile sampler oracles draw agent by agent with their own
 per-agent bodies of each model (:func:`sample_per_agent`), not the
 package's ``sample_orders``; the partial-alternative sampler indexes its
-tail through a drawn permutation.
+tail through a drawn permutation. The Eulerian digraph oracle builds and
+tests every orientation of every pair.
 Expected values in tests are frozen from these.
 """
 
@@ -36,6 +37,7 @@ from votelab import (
     AlphaIC,
     BudgetExceededError,
     Committee,
+    Digraph,
     ParameterProfile,
     PartialAltRandomization,
     Profile,
@@ -470,6 +472,28 @@ def padded_parameter_profile_per_agent(out, model, pad: int) -> ParameterProfile
     """
     padded = out.profile if pad == 0 else app_last(out.profile, pad)
     return ParameterProfile(tuple((r, Fraction(1)) for r in padded.rankings), model)
+
+
+def eulerian_digraphs_scan(m: int, max_edges: Optional[int] = None):
+    """Every 2-cycle-free Eulerian digraph on ``m`` vertices, by a scan of all orientations.
+
+    Each of the ``3**C(m, 2)`` choices (no arc, ``u->v`` or ``v->u`` per
+    pair, in ``itertools.product`` order) is built as a ``Digraph`` and
+    kept if it has at most ``max_edges`` arcs and ``is_eulerian``.
+    """
+    pairs = list(itertools.combinations(range(m), 2))
+    for choice in itertools.product((0, 1, 2), repeat=len(pairs)):
+        arcs = []
+        for (u, v), orient in zip(pairs, choice):
+            if orient == 1:
+                arcs.append((u, v))
+            elif orient == 2:
+                arcs.append((v, u))
+        if max_edges is not None and len(arcs) > max_edges:
+            continue
+        g = Digraph.of(m, arcs)
+        if g.is_eulerian():
+            yield g
 
 
 @pytest.fixture

@@ -591,3 +591,19 @@ class TestConsoleEntryPoint:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout) == {"score": 0}
+
+    def test_package_invocation(self, cycle_graph):
+        src = Path(votelab.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        proc = subprocess.run(
+            [sys.executable, "-m", "votelab", "--help"], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("usage: votelab")
+        proc = subprocess.run(
+            [sys.executable, "-m", "votelab", "reduce", "efas-check",
+             "--input", cycle_graph, "--threshold", "1"],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == {"decision": "yes"}

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 from fractions import Fraction
 
@@ -37,7 +38,12 @@ from votelab import (
     young_score_exact,
 )
 from votelab.models import TopBreakNoise
-from conftest import padded_parameter_profile_per_agent, random_ranking, sample_orders_per_agent
+from conftest import (
+    eulerian_digraphs_scan,
+    padded_parameter_profile_per_agent,
+    random_ranking,
+    sample_orders_per_agent,
+)
 
 SINGLETON = X3CInstance.of(3, [[0, 1, 2]])
 Q6_YES = X3CInstance.of(6, [[0, 1, 2], [3, 4, 5]])
@@ -376,3 +382,49 @@ class TestEulerianEnumeration:
         for g in enumerate_eulerian_digraphs(4):
             assert g.is_eulerian()
             assert not g.has_two_cycle()
+
+    @pytest.mark.parametrize(
+        "m, max_edges",
+        [
+            (m, max_edges)
+            for m in range(1, 6)
+            for max_edges in [None, -1, *range(m * (m - 1) // 2 + 1)]
+        ],
+    )
+    def test_matches_scan_oracle(self, m, max_edges):
+        graphs = [(g.m, g.arcs) for g in enumerate_eulerian_digraphs(m, max_edges)]
+        assert graphs == [(g.m, g.arcs) for g in eulerian_digraphs_scan(m, max_edges)]
+
+    def test_no_vertices_raises_on_first_next(self):
+        graphs = enumerate_eulerian_digraphs(0)
+        with pytest.raises(ValueError):
+            next(graphs)
+
+    def test_m6_family_pinned(self):
+        digest = hashlib.sha256()
+        count = 0
+        for g in enumerate_eulerian_digraphs(6):
+            assert g.is_eulerian()
+            assert not g.has_two_cycle()
+            digest.update(repr(sorted(g.arcs)).encode())
+            count += 1
+        assert count == 7799
+        assert digest.hexdigest() == (
+            "a32aaf0219f8461a9a7990eee3528ecdd795edb26e783db518b5a7c441924836"
+        )
+
+
+class TestEfasDriverAtM6:
+    def test_sampled_family_thresholds_match_bruteforce(self):
+        family = list(enumerate_eulerian_digraphs(6))
+        rng = np.random.default_rng(20261019)
+        for index in sorted(rng.choice(len(family), size=150, replace=False).tolist()):
+            g = family[index]
+            answers = [
+                efas_via_kemeny(g, t, kemeny_decision) is Decision.YES
+                for t in range(g.edge_count + 1)
+            ]
+            first_yes = answers.index(True)
+            assert answers == [False] * first_yes + [True] * (len(answers) - first_yes)
+            assert efas_bruteforce(g, first_yes)
+            assert not efas_bruteforce(g, first_yes - 1)

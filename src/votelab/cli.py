@@ -172,12 +172,7 @@ def _cmd_reduce(args) -> int:
         graph = vio.read_digraph(args.input)
         if args.threshold is None:
             raise ValueError("efas-check needs --threshold")
-        answer = efas_via_kemeny(
-            graph,
-            args.threshold,
-            lambda p, limit: kemeny_decision(p, limit),
-            strict=not args.no_strict,
-        )
+        answer = efas_via_kemeny(graph, args.threshold, kemeny_decision, strict=not args.no_strict)
         _emit({"decision": answer.value}, args.pretty)
     else:  # pragma: no cover
         raise ValueError(f"unknown construction {args.construction}")

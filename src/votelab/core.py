@@ -468,6 +468,22 @@ def condorcet_winner(p: Profile) -> Optional[int]:
     return None
 
 
+def _require_rule_scale(p: Profile, a: Optional[int] = None) -> None:
+    """Reject a rule on fewer than 3 alternatives, or a target ``a`` out of range."""
+    if p.m < 3:
+        raise ValueError("rule computations require at least 3 alternatives")
+    if a is not None and not 0 <= a < p.m:
+        raise ValueError(f"alternative {a} out of range")
+
+
+def _require_pair(p: Profile, a: int, b: int) -> None:
+    """Reject a pair of alternatives that are equal or out of range."""
+    if a == b:
+        raise ValueError("need two distinct alternatives")
+    if not (0 <= a < p.m and 0 <= b < p.m):
+        raise ValueError(f"alternatives ({a},{b}) out of range 0..{p.m - 1}")
+
+
 def deficit(p: Profile, a: int, b: int) -> int:
     """Extra ``a``-over-``b`` votes needed before ``a`` majority-beats ``b``.
 
@@ -476,10 +492,7 @@ def deficit(p: Profile, a: int, b: int) -> int:
     the margin: ``votes(a over b) = (n + margin(a, b)) / 2``, an integer
     because ``n`` and the margin share parity.
     """
-    if a == b:
-        raise ValueError("deficit needs two distinct alternatives")
-    if not (0 <= a < p.m and 0 <= b < p.m):
-        raise ValueError(f"alternatives ({a},{b}) out of range 0..{p.m - 1}")
+    _require_pair(p, a, b)
     votes = (p.n + wmg(p).margin(a, b)) // 2
     return max(0, p.n // 2 + 1 - votes)
 

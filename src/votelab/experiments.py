@@ -163,11 +163,7 @@ class TrialReport:
 
     @property
     def all_pass(self) -> bool:
-        return all(
-            c["pass"] or c["vacuous"]
-            for c in self.summary["checks"]
-            if not c.get("informational", False)
-        )
+        return all(c["pass"] for c in self.summary["checks"] if not c.get("informational", False))
 
 
 def _binomial_se(rate: float, trials: int) -> float:

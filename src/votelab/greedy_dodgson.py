@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Profile, _ranks_above
+from .core import Profile, _ranks_above, _require_pair, _require_rule_scale
 
 __all__ = [
     "Certainty",
@@ -55,10 +55,7 @@ class GreedyResult:
 
 def immediately_above_count(p: Profile, a: int, b: int) -> int:
     """Ballots with ``b`` directly above ``a``: column ``m + b`` of :func:`_tallies`."""
-    if a == b:
-        raise ValueError("need two distinct alternatives")
-    if not (0 <= a < p.m and 0 <= b < p.m):
-        raise ValueError(f"alternatives ({a},{b}) out of range 0..{p.m - 1}")
+    _require_pair(p, a, b)
     return int(_tallies(p, a)[p.m + b])
 
 
@@ -110,10 +107,7 @@ def greedy_dodgson(p: Profile, a: int) -> GreedyResult:
     since only one alternative can sit directly above ``a`` per ballot),
     so the bound is exact and the result says ``definitely``.
     """
-    if p.m < 3:
-        raise ValueError("rule computations require at least 3 alternatives")
-    if not 0 <= a < p.m:
-        raise ValueError(f"alternative {a} out of range")
+    _require_rule_scale(p, a)
     tallies = _tallies(p, a)
     score, definite = _certify(p.n, p.n - tallies[: p.m], tallies[p.m :])
     return GreedyResult(score, Certainty.DEFINITELY if definite else Certainty.MAYBE)

@@ -1,6 +1,8 @@
 """Text formats for profiles, digraphs, and exact-cover instances.
 
-All formats are line-oriented with a size header:
+All four formats are tables with the same rules. Blank lines are
+skipped. The first line is a header of two integers, and the second
+integer is the number of body lines:
 
 * profile: ``m n`` then ``n`` lines of ``m`` space-separated indices,
   most-preferred first;
@@ -9,20 +11,22 @@ All formats are line-oriented with a size header:
 * digraph: ``m e`` then ``e`` lines ``u v`` for the arc ``u -> v``;
 * exact-cover instance: ``q s`` then ``s`` lines of 3 element indices.
 
-Readers raise ``ValueError`` on malformed input. A profile is read as
-its distinct ballots with counts, in order of first appearance, and
-writing it lists each distinct ballot's copies together in ``grouped``
-order, so a written profile reads back with the same ``grouped`` items
-in the same order. Agent order lives in a sampler's ``(n, m)`` arrays,
-not in a profile; :func:`write_ballots` writes such rows line for line.
-The other formats round-trip exactly.
+Readers raise ``ValueError`` on a malformed file (an empty file, a bad
+header, a wrong line count or line width, a bad token, or a value the
+constructor rejects), which the CLI reports with exit code 1. A
+profile is read as its distinct ballots with counts, in order of first
+appearance, and writing it lists each distinct ballot's copies together
+in ``grouped`` order, so a written profile reads back with the same
+``grouped`` items in the same order. Agent order lives in a sampler's
+``(n, m)`` arrays, not in a profile; :func:`write_ballots` writes such
+rows line for line. The other formats round-trip exactly.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from pathlib import Path
-from typing import Sequence, Union
+from typing import Callable, Sequence, Union
 
 from .core import Digraph, Profile, Ranking, WeightedProfile
 from .reductions import X3CInstance
@@ -42,31 +46,44 @@ __all__ = [
 PathLike = Union[str, Path]
 
 
-def _data_lines(text: str) -> list[str]:
-    return [line.strip() for line in text.splitlines() if line.strip()]
+def _read_table(
+    path: PathLike, file: str, header: str, rows: str, width: Callable[[int], int], bad_row: str
+) -> tuple[int, list[list[str]]]:
+    """The header's first integer and each body line's tokens.
 
-
-def _header(line: str, what: str) -> tuple[int, int]:
-    parts = line.split()
+    ``file``, ``header`` and ``rows`` name the format in the messages for
+    an empty file, a bad header and a wrong line count. A body line
+    without ``width(first)`` tokens raises ``bad_row``, formatted with
+    the ``line`` and the header's ``first`` integer.
+    """
+    lines = [line.strip() for line in Path(path).read_text().splitlines() if line.strip()]
+    if not lines:
+        raise ValueError(f"empty {file} file")
+    parts = lines[0].split()
     if len(parts) != 2:
-        raise ValueError(f"{what} header must be two integers, got {line!r}")
-    return int(parts[0]), int(parts[1])
+        raise ValueError(f"{header} header must be two integers, got {lines[0]!r}")
+    first, count = int(parts[0]), int(parts[1])
+    if len(lines) != count + 1:
+        raise ValueError(f"expected {count} {rows}, found {len(lines) - 1}")
+    body = [line.split() for line in lines[1:]]
+    for line, tokens in zip(lines[1:], body):
+        if len(tokens) != width(first):
+            raise ValueError(bad_row.format(line=line, first=first))
+    return first, body
+
+
+def _write_table(path: PathLike, first: int, rows: Sequence[Sequence]) -> None:
+    """Write the header ``first len(rows)``, then each row's tokens on one line."""
+    lines = [f"{first} {len(rows)}", *(" ".join(map(str, row)) for row in rows)]
+    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def read_profile(path: PathLike) -> Profile:
-    lines = _data_lines(Path(path).read_text())
-    if not lines:
-        raise ValueError("empty profile file")
-    m, n = _header(lines[0], "profile")
-    if len(lines) != n + 1:
-        raise ValueError(f"expected {n} ballots, found {len(lines) - 1}")
-    ballots = []
-    for line in lines[1:]:
-        order = tuple(int(tok) for tok in line.split())
-        if len(order) != m:
-            raise ValueError(f"ballot {line!r} does not list {m} alternatives")
-        ballots.append(order)
-    return Profile.of(ballots)
+    _, rows = _read_table(
+        path, "profile", "profile", "ballots", lambda m: m,
+        "ballot {line!r} does not list {first} alternatives",
+    )
+    return Profile.of([int(tok) for tok in row] for row in rows)
 
 
 def write_profile(p: Profile, path: PathLike) -> None:
@@ -77,9 +94,7 @@ def write_ballots(rows: Sequence[Sequence[int]], path: PathLike) -> None:
     """Write one ballot per row, in the given order, in the profile format."""
     if not rows:
         raise ValueError("a profile needs at least one ballot")
-    lines = [f"{len(rows[0])} {len(rows)}"]
-    lines.extend(" ".join(map(str, row)) for row in rows)
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_table(path, len(rows[0]), rows)
 
 
 def _parse_weight(token: str) -> Fraction:
@@ -90,69 +105,36 @@ def _parse_weight(token: str) -> Fraction:
 
 
 def read_weighted_profile(path: PathLike) -> WeightedProfile:
-    lines = _data_lines(Path(path).read_text())
-    if not lines:
-        raise ValueError("empty profile file")
-    m, n = _header(lines[0], "weighted profile")
-    if len(lines) != n + 1:
-        raise ValueError(f"expected {n} entries, found {len(lines) - 1}")
-    entries = []
-    for line in lines[1:]:
-        tokens = line.split()
-        if len(tokens) != m + 1:
-            raise ValueError(f"entry {line!r} must be a weight plus {m} alternatives")
-        weight = _parse_weight(tokens[0])
-        order = tuple(int(tok) for tok in tokens[1:])
-        entries.append((Ranking(order), weight))
-    return WeightedProfile(tuple(entries))
+    _, rows = _read_table(
+        path, "profile", "weighted profile", "entries", lambda m: m + 1,
+        "entry {line!r} must be a weight plus {first} alternatives",
+    )
+    entries = [(_parse_weight(weight), tuple(int(tok) for tok in order)) for weight, *order in rows]
+    return WeightedProfile(tuple((Ranking(order), weight) for weight, order in entries))
 
 
 def write_weighted_profile(p: WeightedProfile, path: PathLike) -> None:
-    lines = [f"{p.m} {len(p.entries)}"]
-    for r, w in p.entries:
-        lines.append(f"{w.numerator}/{w.denominator} " + " ".join(map(str, r.order)))
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_table(path, p.m, [(f"{w.numerator}/{w.denominator}", *r.order) for r, w in p.entries])
 
 
 def read_digraph(path: PathLike) -> Digraph:
-    lines = _data_lines(Path(path).read_text())
-    if not lines:
-        raise ValueError("empty digraph file")
-    m, e = _header(lines[0], "digraph")
-    if len(lines) != e + 1:
-        raise ValueError(f"expected {e} arcs, found {len(lines) - 1}")
-    arcs = []
-    for line in lines[1:]:
-        parts = line.split()
-        if len(parts) != 2:
-            raise ValueError(f"arc line {line!r} must be 'u v'")
-        arcs.append((int(parts[0]), int(parts[1])))
-    return Digraph.of(m, arcs)
+    m, rows = _read_table(
+        path, "digraph", "digraph", "arcs", lambda m: 2, "arc line {line!r} must be 'u v'"
+    )
+    return Digraph.of(m, [(int(u), int(v)) for u, v in rows])
 
 
 def write_digraph(g: Digraph, path: PathLike) -> None:
-    lines = [f"{g.m} {g.edge_count}"]
-    lines.extend(f"{u} {v}" for u, v in sorted(g.arcs))
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_table(path, g.m, sorted(g.arcs))
 
 
 def read_x3c(path: PathLike) -> X3CInstance:
-    lines = _data_lines(Path(path).read_text())
-    if not lines:
-        raise ValueError("empty instance file")
-    q, s = _header(lines[0], "exact-cover instance")
-    if len(lines) != s + 1:
-        raise ValueError(f"expected {s} subsets, found {len(lines) - 1}")
-    subsets = []
-    for line in lines[1:]:
-        elems = [int(tok) for tok in line.split()]
-        if len(elems) != 3:
-            raise ValueError(f"subset line {line!r} must list 3 elements")
-        subsets.append(elems)
-    return X3CInstance.of(q, subsets)
+    q, rows = _read_table(
+        path, "instance", "exact-cover instance", "subsets", lambda q: 3,
+        "subset line {line!r} must list 3 elements",
+    )
+    return X3CInstance.of(q, [[int(tok) for tok in row] for row in rows])
 
 
 def write_x3c(inst: X3CInstance, path: PathLike) -> None:
-    lines = [f"{inst.q} {inst.s}"]
-    lines.extend(" ".join(map(str, sub)) for sub in inst.subsets)
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_table(path, inst.q, inst.subsets)

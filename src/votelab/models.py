@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -58,9 +58,12 @@ def all_rankings(m: int) -> list[Ranking]:
     return [Ranking(p) for p in itertools.permutations(range(m))]
 
 
-def _check_parameter(model: "PreferenceModel", parameter: Ranking) -> None:
+def _check_parameter(model: "PreferenceModel", parameter: Ranking, r: Optional[Ranking] = None) -> None:
+    """Reject a parameter, or a ranking ``r`` to score, whose m is not the model's."""
     if parameter.m != model.m:
         raise DimensionError(f"parameter m={parameter.m} vs model m={model.m}")
+    if r is not None and r.m != model.m:
+        raise DimensionError(f"ranking m={r.m} vs model m={model.m}")
 
 
 def _check_orders(model: "PreferenceModel", params: np.ndarray) -> None:
@@ -83,9 +86,7 @@ class AlphaIC:
             raise ValueError("m must be positive")
 
     def pmf(self, parameter: Ranking, r: Ranking) -> Fraction:
-        _check_parameter(self, parameter)
-        if r.m != self.m:
-            raise DimensionError(f"ranking m={r.m} vs model m={self.m}")
+        _check_parameter(self, parameter, r)
         uniform_share = self.alpha / math.factorial(self.m)
         if r == parameter:
             return uniform_share + (1 - self.alpha)
@@ -135,9 +136,7 @@ class PartialAltRandomization:
             raise ValueError(f"K={self.K} out of range 1..{self.m}")
 
     def pmf(self, parameter: Ranking, r: Ranking) -> Fraction:
-        _check_parameter(self, parameter)
-        if r.m != self.m:
-            raise DimensionError(f"ranking m={r.m} vs model m={self.m}")
+        _check_parameter(self, parameter, r)
         if r.order[: self.K] != parameter.order[: self.K]:
             return Fraction(0)
         return Fraction(1, math.factorial(self.m - self.K))
@@ -201,9 +200,7 @@ class TopBreakNoise:
         return ballots
 
     def pmf(self, parameter: Ranking, r: Ranking) -> Fraction:
-        _check_parameter(self, parameter)
-        if r.m != self.m:
-            raise DimensionError(f"ranking m={r.m} vs model m={self.m}")
+        _check_parameter(self, parameter, r)
         broken = Ranking((parameter.order[-1],) + parameter.order[:-1])
         if r == parameter:
             return 1 - Fraction(1, self.K)

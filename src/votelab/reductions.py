@@ -428,12 +428,14 @@ def enumerate_eulerian_digraphs(m: int, max_edges: Optional[int] = None) -> Iter
     it nonzero is cut; ``m-1`` is then balanced too, since balances sum to
     0. No arc beyond ``max_edges`` is added, and a negative ``max_edges``
     admits no graph. Only balanced leaves build a ``Digraph`` and test
-    connectivity.
+    connectivity. An ``m < 1`` fails ``Digraph``'s own check on the first
+    ``next()``, whatever ``max_edges`` is.
 
     Graphs come in the order of ``itertools.product((none, u->v, v->u),
     repeat=C(m,2))`` over the pairs, as a scan of every orientation would
     yield them.
     """
+    Digraph.of(m, ())  # checks m
     pairs = list(itertools.combinations(range(m), 2))
     limit = len(pairs) if max_edges is None else max_edges
     if limit < 0:

@@ -19,12 +19,13 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, NoReturn, Optional, Sequence
 
 import numpy as np
 
-from .core import Profile, Ranking, deficit, wmg
+from .core import Profile, Ranking, _require_rule_scale, deficit, wmg
 from .errors import BudgetExceededError
 
 __all__ = [
@@ -49,11 +50,6 @@ DEFAULT_COMMITTEE_BUDGET = 1_000_000  # committees enumerated by the decision pr
 
 _LAYER_SLICE = 2048  # blocks per vectorized Kemeny step: about 1 MiB of temporaries at m=16
 _UNSOLVED = 1 << 62  # Kemeny table entry not yet computed; above any disagreement total
-
-
-def _require_rule_scale(p: Profile) -> None:
-    if p.m < 3:
-        raise ValueError("rule computations require at least 3 alternatives")
 
 
 def _budget_exceeded(solver: str, budget: int, unit: str) -> NoReturn:
@@ -114,9 +110,7 @@ def dodgson_score_within(
     every branch whose swaps-so-far plus still-missing votes overshoot,
     which makes decision queries on large reduction profiles cheap.
     """
-    _require_rule_scale(p)
-    if not 0 <= a < p.m:
-        raise ValueError(f"alternative {a} out of range")
+    _require_rule_scale(p, a)
 
     active: list[int] = []
     needed: list[int] = []
@@ -208,9 +202,7 @@ def young_score_exact(p: Profile, a: int, *, budget: int = DEFAULT_YOUNG_BUDGET)
     ``c + 1 <= 2**c`` children, so the tree has at most ``2**(n+1) - 1``
     nodes and the default ``2**21`` fits every profile with ``n <= 20``.
     """
-    _require_rule_scale(p)
-    if not 0 <= a < p.m:
-        raise ValueError(f"alternative {a} out of range")
+    _require_rule_scale(p, a)
 
     rivals = [b for b in range(p.m) if b != a]
     classes: dict[tuple[int, ...], int] = {}
@@ -232,32 +224,27 @@ def young_score_exact(p: Profile, a: int, *, budget: int = DEFAULT_YOUNG_BUDGET)
                 counts[j] if vectors[j][b] > 0 else 0
             )
 
+    # Depth-first on an explicit stack, one level per class: a profile
+    # can have more classes than Python's recursion limit. A node is
+    # (class index, ballots picked, margins against each rival).
     best = 0
     nodes = 0
-
-    def search(j: int, picked: int, margins: list[int]) -> None:
-        nonlocal best, nodes
+    stack = [(0, 0, (0,) * width)]
+    while stack:
+        j, picked, margins = stack.pop()
         nodes += 1
         if nodes > budget:
             _budget_exceeded("young search", budget, "search nodes")
-        if all(mg >= 1 for mg in margins):
+        if min(margins) >= 1:
             best = max(best, picked)
-        if j == len(items):
-            return
-        if picked + suffix_total[j] <= best:
-            return
-        for b in range(width):
-            if margins[b] + suffix_support[j][b] < 1:
-                return  # rival b can no longer be beaten
-        vec = vectors[j]
-        for take in range(counts[j], -1, -1):
-            for b in range(width):
-                margins[b] += take * vec[b]
-            search(j + 1, picked + take, margins)
-            for b in range(width):
-                margins[b] -= take * vec[b]
-
-    search(0, 0, [0] * width)
+        if j == len(items) or picked + suffix_total[j] <= best:
+            continue
+        if min(map(operator.add, margins, suffix_support[j])) < 1:
+            continue  # some rival can no longer be beaten
+        # Pushed smallest take first, so the largest take is searched first.
+        for take in range(counts[j] + 1):
+            stack.append((j + 1, picked + take, margins))
+            margins = tuple(map(operator.add, margins, vectors[j]))
     return best
 
 
@@ -343,8 +330,7 @@ def kemeny_best(p: Profile, *, budget: int = DEFAULT_KEMENY_BUDGET) -> tuple[Ran
 
 def kemeny_score_of_alternative(p: Profile, a: int, *, budget: int = DEFAULT_KEMENY_BUDGET) -> int:
     """Minimum profile disagreement over rankings that put ``a`` on top."""
-    if not 0 <= a < p.m:
-        raise ValueError(f"alternative {a} out of range")
+    _require_rule_scale(p, a)
     best, wrong = _kemeny_table(p, budget)
     rest = (1 << p.m) - 1 & ~(1 << a)
     return int(best[rest] + wrong[a].sum())

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import os
 import subprocess
@@ -7,6 +8,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
@@ -16,6 +18,7 @@ from votelab.cli import main
 from votelab.experiments import ExperimentConfig
 from votelab import io as vio
 from votelab import rules_exact
+from conftest import random_profile
 
 SCHEMAS = Path(__file__).resolve().parent.parent / "src" / "votelab" / "schemas"
 
@@ -42,6 +45,37 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out.strip()
     return code, json.loads(out) if out else None
+
+
+ST_PROFILE = st.integers(1, 5).flatmap(
+    lambda m: st.lists(st.permutations(range(m)), min_size=1, max_size=8)
+).map(Profile.of)
+ST_WEIGHTED_PROFILE = (
+    st.integers(1, 5)
+    .flatmap(
+        lambda m: st.lists(
+            st.tuples(st.permutations(range(m)), st.fractions(0, 10, max_denominator=12)),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    .filter(lambda entries: any(w for _, w in entries))
+    .map(WeightedProfile.of)
+)
+ST_DIGRAPH = st.integers(1, 5).flatmap(
+    lambda m: st.sets(st.sampled_from(list(itertools.permutations(range(m), 2))))
+    .map(lambda arcs: Digraph.of(m, arcs))
+    if m > 1
+    else st.just(Digraph.of(1, []))
+)
+ST_X3C = st.sampled_from([3, 6, 9]).flatmap(
+    lambda q: st.lists(
+        st.sampled_from(list(itertools.combinations(range(q), 3))),
+        min_size=q // 3,
+        max_size=8,
+        unique=True,
+    ).map(lambda subsets: X3CInstance.of(q, subsets))
+)
 
 
 class TestRoundTrips:
@@ -85,6 +119,69 @@ class TestRoundTrips:
         path.write_text("3 2\n0 1 2\n")
         with pytest.raises(ValueError):
             vio.read_profile(path)
+
+    @pytest.mark.parametrize(
+        "write, read, values",
+        [
+            (vio.write_profile, vio.read_profile, ST_PROFILE),
+            (vio.write_weighted_profile, vio.read_weighted_profile, ST_WEIGHTED_PROFILE),
+            (vio.write_digraph, vio.read_digraph, ST_DIGRAPH),
+            (vio.write_x3c, vio.read_x3c, ST_X3C),
+        ],
+        ids=["profile", "weighted_profile", "digraph", "x3c"],
+    )
+    @settings(max_examples=60, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_write_read_write(self, tmp_path, write, read, values, data):
+        value = data.draw(values)
+        path = tmp_path / "table.txt"
+        write(value, path)
+        text = path.read_text()
+        assert read(path) == value
+        # a profile compares as a multiset: equal bytes also pin its grouped order
+        write(read(path), path)
+        assert path.read_text() == text
+
+
+MALFORMED = [
+    (vio.read_profile, "", "empty profile file"),
+    (vio.read_profile, "3\n", "profile header must be two integers, got '3'"),
+    (vio.read_profile, "3 2\n0 1 2\n", "expected 2 ballots, found 1"),
+    (vio.read_profile, "3 1\n0 1\n", "ballot '0 1' does not list 3 alternatives"),
+    (vio.read_weighted_profile, "", "empty profile file"),
+    (vio.read_weighted_profile, "3\n", "weighted profile header must be two integers, got '3'"),
+    (vio.read_weighted_profile, "3 2\n1 0 1 2\n", "expected 2 entries, found 1"),
+    (
+        vio.read_weighted_profile,
+        "3 1\n1 0 1\n",
+        "entry '1 0 1' must be a weight plus 3 alternatives",
+    ),
+    (vio.read_digraph, "", "empty digraph file"),
+    (vio.read_digraph, "3\n", "digraph header must be two integers, got '3'"),
+    (vio.read_digraph, "3 2\n0 1\n", "expected 2 arcs, found 1"),
+    (vio.read_digraph, "3 1\n0 1 2\n", "arc line '0 1 2' must be 'u v'"),
+    (vio.read_x3c, "", "empty instance file"),
+    (vio.read_x3c, "3\n", "exact-cover instance header must be two integers, got '3'"),
+    (vio.read_x3c, "3 2\n0 1 2\n", "expected 2 subsets, found 1"),
+    (vio.read_x3c, "3 1\n0 1\n", "subset line '0 1' must list 3 elements"),
+]
+
+
+@pytest.mark.parametrize(
+    "reader, text, message",
+    MALFORMED,
+    ids=[
+        f"{reader.__name__}-{case}"
+        for reader in (vio.read_profile, vio.read_weighted_profile, vio.read_digraph, vio.read_x3c)
+        for case in ("empty", "header", "row_count", "row_width")
+    ],
+)
+def test_reader_message(tmp_path, reader, text, message):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError) as info:
+        reader(path)
+    assert str(info.value) == message
 
 
 TOKENS = st.sampled_from(["0", "1", "2", "3", "5", "-1", "1/2", "0/1", "1/0", "x", ""])
@@ -207,6 +304,13 @@ class TestExitCodes:
         assert main(["experiment", "--config", str(cfg_path), "--out-dir", str(tmp_path)]) == 2
         assert "limited to m<=8" in capsys.readouterr().err
         assert enumerated == []
+
+    def test_young_search_deeper_than_recursion_limit(self, capsys, tmp_path):
+        path = tmp_path / "deep.profile"
+        vio.write_profile(random_profile(np.random.default_rng(1), 12, 3000), path)
+        argv = ["score", "young", "--profile", str(path), "--alt", "0", "--budget", "5000"]
+        assert main(argv) == 2
+        assert "young search exceeded its budget of 5000 " in capsys.readouterr().err
 
     def test_negative_budget_is_input_error(self, capsys, unanimous):
         code = main(["score", "kemeny", "--profile", unanimous, "--budget", "-1"])

@@ -400,6 +400,12 @@ class TestEulerianEnumeration:
         with pytest.raises(ValueError):
             next(graphs)
 
+    @pytest.mark.parametrize("max_edges", [-1, 0, 3])
+    def test_no_vertices_raises_whatever_max_edges(self, max_edges):
+        graphs = enumerate_eulerian_digraphs(0, max_edges)
+        with pytest.raises(ValueError, match="digraph needs at least one vertex"):
+            next(graphs)
+
     def test_m6_family_pinned(self):
         digest = hashlib.sha256()
         count = 0

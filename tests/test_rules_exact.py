@@ -210,6 +210,14 @@ class TestYoung:
             young_score_exact(p, 0, budget=22)
         assert young_score_exact(p, 0, budget=23) == 21
 
+    def test_more_classes_than_the_recursion_limit(self):
+        # the search goes one level deeper per class of ballots that
+        # compare 0 against every rival alike
+        p = random_profile(np.random.default_rng(1), 12, 3000)
+        assert len({tuple(r.prefers(0, b) for b in range(1, 12)) for r in p.grouped}) == 1146
+        with pytest.raises(BudgetExceededError):
+            young_score_exact(p, 0, budget=5000)
+
 
 class TestKemeny:
     def test_unanimous(self):

@@ -89,6 +89,7 @@ def _cmd_score(args) -> int:
     elif args.rule in ("cc", "monroe"):
         score_fn = cc_score if args.rule == "cc" else monroe_score
         if args.committee:
+            _reject_budget(args)
             listed = [int(x) for x in args.committee.split(",")]
             repeated = [c for c, times in Counter(listed).items() if times > 1]
             if repeated:
@@ -103,6 +104,7 @@ def _cmd_score(args) -> int:
         else:
             raise ValueError("cc/monroe need --committee, or --k with --threshold")
     elif args.rule == "greedy-dodgson":
+        _reject_budget(args)
         alt = _require_alt(args)
         greedy = greedy_dodgson(profile, alt)
         result["score"] = greedy.score
@@ -122,6 +124,11 @@ def _require_alt(args) -> int:
     if args.alt is None:
         raise ValueError("this rule needs --alt")
     return args.alt
+
+
+def _reject_budget(args) -> None:
+    if args.budget is not None:
+        raise ValueError("--budget caps a search, and this command runs none")
 
 
 def _cmd_sample(args) -> int:

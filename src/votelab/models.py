@@ -188,6 +188,9 @@ class TopBreakNoise:
     def __post_init__(self) -> None:
         if self.K < 1:
             raise ValueError("K must be positive")
+        # With one alternative the break would leave the ballot as it is.
+        if self.m < 2:
+            raise ValueError(f"top_break needs at least 2 alternatives, got m={self.m}")
 
     def sample_orders(self, params: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """One ballot per row of ``params``: one uniform draw per agent decides a break."""
@@ -336,10 +339,11 @@ def induced_weighted_profile(pp: ParameterProfile) -> WeightedProfile:
 
 
 def model_from_spec(spec: dict, m: int):
-    """Build a model from its JSON description.
+    """Build a model from its JSON description: the one parser of model specs.
 
-    ``{"model": "alpha_ic", "alpha": "2/3"}`` or
-    ``{"model": "partial_alt", "K": 4}``; ``m`` comes from context.
+    ``{"model": "alpha_ic", "alpha": "2/3"}``,
+    ``{"model": "partial_alt", "K": 4}`` or
+    ``{"model": "top_break", "K": 8}``; ``m`` comes from context.
     Anything else, a non-object included, raises ``ValueError``.
     """
     if not isinstance(spec, dict):
@@ -349,6 +353,8 @@ def model_from_spec(spec: dict, m: int):
         return AlphaIC(m, _spec_number(spec, "alpha", Fraction))
     if kind == "partial_alt":
         return PartialAltRandomization(m, _spec_number(spec, "K", int))
+    if kind == "top_break":
+        return TopBreakNoise(m, _spec_number(spec, "K", int))
     raise ValueError(f"unknown model spec {spec!r}")
 
 

@@ -33,7 +33,7 @@ from .core import (
 )
 from .errors import BudgetExceededError, ConstructionError
 from .greedy_dodgson import Decision
-from .models import ParameterProfile, PartialAltRandomization
+from .models import MAX_ENUMERATION_M, ParameterProfile, PartialAltRandomization
 
 __all__ = [
     "X3CInstance",
@@ -97,10 +97,13 @@ class X3CInstance:
         return len(self.subsets)
 
 
-def x3c_bruteforce(inst: X3CInstance, *, max_s: int = 25) -> bool:
-    """Does some subcollection partition the ground set? Exhaustive."""
-    if inst.s > max_s:
-        raise BudgetExceededError(f"exact-cover enumeration limited to s<={max_s}")
+_X3C_MAX_S = 25  # x3c_bruteforce tries up to C(s, q/3) subcollections
+
+
+def x3c_bruteforce(inst: X3CInstance) -> bool:
+    """Does some subcollection partition the ground set? Exhaustive, up to ``_X3C_MAX_S`` subsets."""
+    if inst.s > _X3C_MAX_S:
+        raise BudgetExceededError(f"exact-cover enumeration limited to s<={_X3C_MAX_S}")
     need = inst.q // 3
     ground = frozenset(range(inst.q))
     for chosen in itertools.combinations(inst.subsets, need):
@@ -129,7 +132,6 @@ class DodgsonReductionLayout:
     element_alts: tuple[int, ...]
     companion_alts: tuple[int, ...]
     subset_alts: tuple[int, ...]
-    critical: int
 
 
 @dataclass(frozen=True)
@@ -172,7 +174,7 @@ def x3c_to_dodgson(inst: X3CInstance) -> DodgsonReductionOutput:
     subset_alts = tuple(range(2 * q, 2 * q + s))
     critical = 2 * q + s
     m1 = 2 * q + s + 1
-    layout = DodgsonReductionLayout(element_alts, companion_alts, subset_alts, critical)
+    layout = DodgsonReductionLayout(element_alts, companion_alts, subset_alts)
 
     counted: list[tuple[tuple[int, ...], int]] = []
     for j, sub in enumerate(inst.subsets):
@@ -214,28 +216,24 @@ def x3c_to_dodgson(inst: X3CInstance) -> DodgsonReductionOutput:
 # Padding and the randomized exact-cover driver
 
 
-def build_padded_parameter_profile(
-    out: DodgsonReductionOutput, model, m_total: int
-) -> ParameterProfile:
-    """Reduction ballots with dummies appended, one entry per distinct ballot.
+def build_padded_parameter_profile(out: DodgsonReductionOutput, model) -> ParameterProfile:
+    """Reduction ballots padded with dummies to ``model.m``, one entry per distinct ballot.
 
     Each entry weighs its ballot's count, so every row of the profile's
     :attr:`~votelab.models.ParameterProfile.agent_orders` opens with its
-    agent's reduction ballot.
-
-    With a top-``K``-preserving model and ``K`` at least the reduction
-    width, sampling reproduces the reduction profile's top slice with
-    probability 1 per agent; weaker models preserve it with whatever
-    per-agent probability they guarantee.
+    agent's reduction ballot. A model narrower than the reduction raises
+    ``ValueError``, and so does a
+    :class:`~votelab.models.PartialAltRandomization` with ``K`` below its
+    width: the one top-``K`` check, so any that builds keeps every top
+    slice. Other models preserve it with whatever per-agent probability
+    they guarantee.
     """
     m1 = out.profile.m
-    if m_total < m1:
-        raise ValueError(f"m_total={m_total} below reduction width {m1}")
-    if getattr(model, "m", m_total) != m_total:
-        raise ValueError("model must live on m_total alternatives")
+    if model.m < m1:
+        raise ValueError(f"model m={model.m} below reduction width {m1}")
     if isinstance(model, PartialAltRandomization) and model.K < m1:
         raise ValueError(f"K={model.K} below reduction width {m1}")
-    padded = out.profile if m_total == m1 else app_last(out.profile, m_total - m1)
+    padded = out.profile if model.m == m1 else app_last(out.profile, model.m - m1)
     entries = tuple((r, Fraction(count)) for r, count in padded.grouped.items())
     return ParameterProfile(entries, model)
 
@@ -271,7 +269,7 @@ def x3c_via_dodgson(
     the sampled ballots as a count-built profile.
     """
     out = x3c_to_dodgson(inst)
-    params = build_padded_parameter_profile(out, model, model.m).agent_orders
+    params = build_padded_parameter_profile(out, model).agent_orders
     ballots = model.sample_orders(params, rng)
     if not top_slices_match(ballots[None], params[:, : out.profile.m])[0]:
         return Decision.YES
@@ -361,14 +359,15 @@ def kt_formula(p: Union[Profile, WeightedProfile], g: Digraph, r: Ranking) -> Fr
 # Feedback arcs
 
 
-def efas_bruteforce(g: Digraph, t: int, *, max_m: int = 8) -> bool:
+def efas_bruteforce(g: Digraph, t: int) -> bool:
     """Can at most ``t`` arc removals make the graph acyclic?
 
     Minimum removals equal the minimum backward-arc count over all
-    vertex orders, so enumerate orders.
+    vertex orders, so enumerate orders: all m! of them, hence only for
+    ``m <= MAX_ENUMERATION_M``.
     """
-    if g.m > max_m:
-        raise BudgetExceededError(f"feedback-arc enumeration limited to m<={max_m}")
+    if g.m > MAX_ENUMERATION_M:
+        raise BudgetExceededError(f"feedback-arc enumeration limited to m<={MAX_ENUMERATION_M}")
     if not g.arcs:
         return t >= 0
     best = min(
@@ -417,7 +416,7 @@ def enumerate_x3c_instances(q: int, max_s: int) -> Iterator[X3CInstance]:
             yield X3CInstance(q, tuple(chosen))
 
 
-def enumerate_eulerian_digraphs(m: int, max_edges: Optional[int] = None) -> Iterator[Digraph]:
+def enumerate_eulerian_digraphs(m: int) -> Iterator[Digraph]:
     """Every 2-cycle-free Eulerian digraph on exactly ``m`` vertices.
 
     Each unordered pair carries no arc or one arc in either direction. A
@@ -426,10 +425,8 @@ def enumerate_eulerian_digraphs(m: int, max_edges: Optional[int] = None) -> Iter
     each vertex's out-minus-in balance. Vertex ``u``'s last pair is
     ``(u, m-1)``, so its balance is final there, and a branch that leaves
     it nonzero is cut; ``m-1`` is then balanced too, since balances sum to
-    0. No arc beyond ``max_edges`` is added, and a negative ``max_edges``
-    admits no graph. Only balanced leaves build a ``Digraph`` and test
-    connectivity. An ``m < 1`` fails ``Digraph``'s own check on the first
-    ``next()``, whatever ``max_edges`` is.
+    0. Only balanced leaves build a ``Digraph`` and test connectivity. An
+    ``m < 1`` fails ``Digraph``'s own check on the first ``next()``.
 
     Graphs come in the order of ``itertools.product((none, u->v, v->u),
     repeat=C(m,2))`` over the pairs, as a scan of every orientation would
@@ -437,9 +434,6 @@ def enumerate_eulerian_digraphs(m: int, max_edges: Optional[int] = None) -> Iter
     """
     Digraph.of(m, ())  # checks m
     pairs = list(itertools.combinations(range(m), 2))
-    limit = len(pairs) if max_edges is None else max_edges
-    if limit < 0:
-        return
     balance = [0] * m
     arcs: list[tuple[int, int]] = []
 
@@ -453,8 +447,6 @@ def enumerate_eulerian_digraphs(m: int, max_edges: Optional[int] = None) -> Iter
         closes = v == m - 1
         if not closes or balance[u] == 0:
             yield from walk(i + 1)
-        if len(arcs) == limit:
-            return
         for a, b in ((u, v), (v, u)):
             balance[a] += 1
             balance[b] -= 1

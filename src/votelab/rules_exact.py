@@ -121,8 +121,6 @@ def dodgson_score_within(
         if d > 0:
             active.append(b)
             needed.append(d)
-    if not active:
-        return 0
     active_index = {b: i for i, b in enumerate(active)}
     total_needed = sum(needed)
 

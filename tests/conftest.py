@@ -474,12 +474,12 @@ def padded_parameter_profile_per_agent(out, model, pad: int) -> ParameterProfile
     return ParameterProfile(tuple((r, Fraction(1)) for r in padded.rankings), model)
 
 
-def eulerian_digraphs_scan(m: int, max_edges: Optional[int] = None):
+def eulerian_digraphs_scan(m: int):
     """Every 2-cycle-free Eulerian digraph on ``m`` vertices, by a scan of all orientations.
 
     Each of the ``3**C(m, 2)`` choices (no arc, ``u->v`` or ``v->u`` per
     pair, in ``itertools.product`` order) is built as a ``Digraph`` and
-    kept if it has at most ``max_edges`` arcs and ``is_eulerian``.
+    kept if it ``is_eulerian``.
     """
     pairs = list(itertools.combinations(range(m), 2))
     for choice in itertools.product((0, 1, 2), repeat=len(pairs)):
@@ -489,8 +489,6 @@ def eulerian_digraphs_scan(m: int, max_edges: Optional[int] = None):
                 arcs.append((u, v))
             elif orient == 2:
                 arcs.append((v, u))
-        if max_edges is not None and len(arcs) > max_edges:
-            continue
         g = Digraph.of(m, arcs)
         if g.is_eulerian():
             yield g

@@ -145,7 +145,7 @@ def test_c06_kt_formula_exhaustive():
         vl.Digraph.of(5, []),                                 # empty
     ]
     for m in (3, 4, 5):
-        for g in vl.enumerate_eulerian_digraphs(m, max_edges=10):
+        for g in vl.enumerate_eulerian_digraphs(m):
             graphs.append(g)
         for _ in range(10):
             arcs = [
@@ -168,7 +168,7 @@ def test_c07_efas_driver_equals_bruteforce():
     graphs = 0
     queries = 0
     for m in (3, 4, 5):
-        for g in vl.enumerate_eulerian_digraphs(m, max_edges=10):
+        for g in vl.enumerate_eulerian_digraphs(m):
             graphs += 1
             for t in range(g.edge_count + 1):
                 drive = vl.efas_via_kemeny(g, t, kemeny_decision)

@@ -13,7 +13,15 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import votelab
-from votelab import Digraph, Profile, Ranking, WeightedProfile, X3CInstance
+from votelab import (
+    Digraph,
+    ParameterProfile,
+    Profile,
+    Ranking,
+    TopBreakNoise,
+    WeightedProfile,
+    X3CInstance,
+)
 from votelab.cli import main
 from votelab.experiments import ExperimentConfig
 from votelab import io as vio
@@ -293,6 +301,20 @@ class TestExitCodes:
         assert code == 2
         assert "exceeded its budget of 0 " in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["greedy-dodgson", "--alt", "2"],
+            ["cc", "--committee", "0"],
+            ["monroe", "--committee", "0"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_budget_without_a_search_is_input_error(self, capsys, unanimous, argv):
+        code = main(["score", *argv, "--profile", unanimous, "--budget", "10"])
+        assert code == 1
+        assert "--budget caps a search, and this command runs none" in capsys.readouterr().err
+
     def test_shared_bottom_enumeration_capped(self, capsys, tmp_path, monkeypatch):
         # shared_bottom enumerates all m! rankings (362,880 at m=9); the cap
         # applies before the ranking space is built.
@@ -389,6 +411,33 @@ class TestSampleCommand:
         )
         assert code == 0
         assert vio.read_profile(out) == Profile.of([[0, 1, 2], [0, 1, 2], [2, 1, 0]])
+
+    def test_top_break_draws_the_model_rows(self, capsys, tmp_path):
+        params = self._params(tmp_path)
+        out = tmp_path / "broken.profile"
+        code, _ = run_cli(
+            capsys, "sample", "--model", '{"model": "top_break", "K": 2}',
+            "--params", params, "--out", str(out), "--seed", "2",
+        )
+        assert code == 0
+        model = TopBreakNoise(3, 2)
+        pp = ParameterProfile(vio.read_weighted_profile(params).entries, model)
+        rng = np.random.default_rng(np.random.SeedSequence(2))
+        rows = model.sample_orders(pp.agent_orders, rng)
+        assert rows.tolist() != pp.agent_orders.tolist()  # some agent's top broke
+        expected = tmp_path / "expected.profile"
+        vio.write_ballots(rows.tolist(), expected)
+        assert out.read_bytes() == expected.read_bytes()
+
+    def test_top_break_on_one_alternative_is_input_error(self, capsys, tmp_path):
+        params = tmp_path / "single.wprofile"
+        params.write_text("1 1\n2/1 0\n")
+        code = main([
+            "sample", "--model", '{"model": "top_break", "K": 4}', "--params", str(params),
+            "--out", str(tmp_path / "sampled.profile"), "--seed", "1",
+        ])
+        assert code == 1
+        assert "top_break needs at least 2 alternatives" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "weight, reason",

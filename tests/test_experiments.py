@@ -422,7 +422,7 @@ class TestCoverDriverTrials:
     def _matched_draws(cfg):
         """Each trial's draw, agent by agent, and whether it kept every top slice."""
         _, out, model = _padded_reduction(cfg)
-        params = reductions.build_padded_parameter_profile(out, model, model.m).agent_orders
+        params = reductions.build_padded_parameter_profile(out, model).agent_orders
         reference = np.array([r.order for r in out.profile.rankings])
         for rng in _trial_rngs(cfg):
             drawn = sample_orders_per_agent(model, params, rng)

@@ -398,6 +398,7 @@ class TestModelSpec:
         assert model == AlphaIC(4, Fraction(2, 3))
         model = model_from_spec({"model": "partial_alt", "K": 2}, 4)
         assert model == PartialAltRandomization(4, 2)
+        assert model_from_spec({"model": "top_break", "K": 3}, 4) == TopBreakNoise(4, 3)
         assert model_from_spec({"model": "alpha_ic", "alpha": 1}, 4) == AlphaIC(4, Fraction(1))
 
     def test_unknown_rejected(self):
@@ -409,6 +410,10 @@ class TestModelSpec:
             AlphaIC(3, Fraction(3, 2))
         with pytest.raises(ValueError):
             PartialAltRandomization(3, 4)
+        # On one alternative a break moves nothing, so the pmf cannot sum to 1.
+        for m, K in ((1, 4), (0, 3)):
+            with pytest.raises(ValueError, match="at least 2 alternatives"):
+                TopBreakNoise(m, K)
 
     @pytest.mark.parametrize(
         "spec",
@@ -417,6 +422,7 @@ class TestModelSpec:
             {"model": "partial_alt", "K": 2.0},
             {"model": "alpha_ic", "alpha": 0.1},
             {"model": "alpha_ic", "alpha": 1.0},
+            {"model": "top_break", "K": 2.0},
         ],
     )
     def test_float_parameters_rejected(self, spec):

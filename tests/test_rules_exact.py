@@ -62,6 +62,7 @@ class TestDodgsonExact:
         p = Profile.of([[1, 0, 2], [1, 2, 0], [1, 0, 2]])
         assert condorcet_winner(p) == 1
         assert dodgson_score_exact(p, 1) == 0
+        assert dodgson_score_within(p, 1, -1) is None  # 0 > -1
 
     def test_matches_bfs_on_all_m3_n2(self):
         perms = list(itertools.permutations(range(3)))
@@ -142,6 +143,7 @@ class TestDodgsonExact:
         assert score > 0
         assert dodgson_score_within(p, 0, score) == score
         assert dodgson_score_within(p, 0, score - 1) is None
+        assert dodgson_score_within(p, 0, -1) is None
 
     def test_missing_uncut_score_raises(self, monkeypatch):
         # A real check, not an assert, so it survives python -O.

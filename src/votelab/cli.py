@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 from collections import Counter
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -161,9 +161,7 @@ def _cmd_reduce(args) -> int:
             "n": out.profile.n,
             "critical": out.critical,
             "threshold": out.threshold,
-            "element_alts": list(out.layout.element_alts),
-            "companion_alts": list(out.layout.companion_alts),
-            "subset_alts": list(out.layout.subset_alts),
+            **asdict(out.layout),
         }
         layout_path = Path(f"{args.out_prefix}.layout.json")
         layout_path.write_text(json.dumps(layout, sort_keys=True, indent=2) + "\n")

@@ -267,9 +267,6 @@ class WMG:
     def margin(self, a: int, b: int) -> Union[int, Fraction]:
         return self.margins[a][b]
 
-    def scaled(self, factor: Union[int, Fraction]) -> "WMG":
-        return WMG(tuple(tuple(v * factor for v in row) for row in self.margins))
-
 
 @dataclass(frozen=True)
 class Digraph:

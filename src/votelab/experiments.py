@@ -219,13 +219,12 @@ _POOL_SIZE = 4
 _SEED_BLOCK = 256
 
 
-def _hash(value, const, mult: int = _MULT_A):
-    """SeedSequence's word hash of ``value`` at hash constant ``const``, each
-    an int or a uint32 array; returns the hashed value and the next constant."""
+def _hash(value: np.ndarray, const: np.ndarray, mult: int = _MULT_A) -> np.ndarray:
+    """SeedSequence's word hash of the uint32 array ``value`` at the uint32
+    hash constants ``const``, broadcast against each other."""
     value = value ^ const
-    const = const * mult & _MASK32
-    value = value * const & _MASK32
-    return value ^ value >> 16, const
+    value = value * (const * mult & _MASK32) & _MASK32
+    return value ^ value >> 16
 
 
 def _mix(x, y):
@@ -242,34 +241,6 @@ def _hash_consts(const: int, mult: int, count: int) -> np.ndarray:
     return np.array(consts, dtype=np.uint32)
 
 
-def _seed_pool(seed: int) -> tuple[list[int], int]:
-    """SeedSequence's entropy pool over ``seed``'s words, and the next hash constant.
-
-    A spawned child's entropy is the seed's 32-bit words, little end first
-    and padded with zeros to the pool size, then its spawn index. This
-    mixes every word but the index.
-    """
-    words = []
-    while seed:
-        words.append(seed & _MASK32)
-        seed >>= 32
-    words += [0] * (_POOL_SIZE - len(words))
-    pool, const = [], _INIT_A
-    for word in words[:_POOL_SIZE]:
-        hashed, const = _hash(word, const)
-        pool.append(hashed)
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                hashed, const = _hash(pool[src], const)
-                pool[dst] = _mix(pool[dst], hashed)
-    for word in words[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            hashed, const = _hash(word, const)
-            pool[dst] = _mix(pool[dst], hashed)
-    return pool, const
-
-
 _STATE_CONSTS = _hash_consts(_INIT_B, _MULT_B, 2 * _POOL_SIZE)
 
 
@@ -278,22 +249,28 @@ def _trial_rngs(cfg: ExperimentConfig) -> Iterator[np.random.Generator]:
     ``default_rng(SeedSequence(cfg.seed).spawn(cfg.trials)[i])``.
 
     It is one Generator, re-seeded for each trial, so a caller finishes a
-    trial's draws before it advances the iterator. The seed's pool is mixed
-    once. Each block of spawn indices is mixed into it and hashed through
-    ``generate_state(4, uint64)`` in one uint32 pass; PCG64 then seeds from
-    each trial's words as its constructor does: ``inc = 2 * seq + 1`` and
-    ``state = (inc + initstate) * mult + inc`` mod 2^128.
+    trial's draws before it advances the iterator. A spawned child's
+    entropy is the seed's 32-bit words, padded with zeros to the pool
+    size, then its spawn index. The seed's own ``SeedSequence`` pool has
+    mixed every word but the index, in four hash steps per word and at
+    least ``4 * _POOL_SIZE``, so the index's hashes take the constants
+    after those. Each block of spawn indices is mixed into the pool and
+    hashed through ``generate_state(4, uint64)`` in one uint32 pass; PCG64
+    then seeds from each trial's words as its constructor does:
+    ``inc = 2 * seq + 1`` and ``state = (inc + initstate) * mult + inc``
+    mod 2^128.
     """
-    pool, const = _seed_pool(cfg.seed)
+    pool = np.random.SeedSequence(cfg.seed).pool
+    steps = _POOL_SIZE * max(_POOL_SIZE, -(-cfg.seed.bit_length() // 32))
+    const = _INIT_A * pow(_MULT_A, steps, 1 << 32) & _MASK32
     index_consts = _hash_consts(const, _MULT_A, _POOL_SIZE)
-    pool = np.array(pool, dtype=np.uint32)
     rng = np.random.Generator(np.random.PCG64(0))
     bit_generator = rng.bit_generator
     for start in range(0, cfg.trials, _SEED_BLOCK):
         index = np.arange(start, min(start + _SEED_BLOCK, cfg.trials), dtype=np.uint32)
         with np.errstate(over="ignore"):
-            hashed, _ = _hash(index[:, None], index_consts)
-            words, _ = _hash(np.tile(_mix(pool, hashed), 2), _STATE_CONSTS, _MULT_B)
+            hashed = _hash(index[:, None], index_consts)
+            words = _hash(np.tile(_mix(pool, hashed), 2), _STATE_CONSTS, _MULT_B)
         # generate_state's uint64 words pair the 32-bit words little end first.
         for init_hi, init_lo, seq_hi, seq_lo in words.astype("<u4").view("<u8").tolist():
             inc = (seq_hi << 65 | seq_lo << 1 | 1) & _MASK128

@@ -118,10 +118,11 @@ class AlphaIC:
         return ballots
 
     def distribution_wmg(self, parameter: Ranking) -> WMG:
-        # The uniform share is pairwise symmetric, so margins are the
-        # parameter's, scaled by the point-mass weight.
+        # The uniform share is pairwise symmetric, so it splits evenly
+        # between the parameter and its reversal.
         _check_parameter(self, parameter)
-        return wmg(Profile((parameter,))).scaled(1 - self.alpha)
+        half = self.alpha / 2
+        return wmg(WeightedProfile(((parameter, 1 - half), (parameter.reversed(), half))))
 
 
 @dataclass(frozen=True)
@@ -155,21 +156,13 @@ class PartialAltRandomization:
         return ballots
 
     def distribution_wmg(self, parameter: Ranking) -> WMG:
-        # Pairs fully inside the shuffled tail are symmetric; every other
-        # pair keeps the parameter's orientation with certainty.
+        # Pairs fully inside the shuffled tail are symmetric, so reversing
+        # the tail cancels them; every other pair keeps the parameter's
+        # orientation with certainty.
         _check_parameter(self, parameter)
-        tail = set(parameter.order[self.K :])
-        base = wmg(Profile((parameter,)))
-        rows = []
-        for a in range(self.m):
-            row = []
-            for b in range(self.m):
-                if a in tail and b in tail:
-                    row.append(Fraction(0))
-                else:
-                    row.append(Fraction(base.margin(a, b)) if a != b else Fraction(0))
-            rows.append(tuple(row))
-        return WMG(tuple(rows))
+        head, tail = parameter.order[: self.K], parameter.order[self.K :]
+        half = Fraction(1, 2)
+        return wmg(WeightedProfile(((parameter, half), (Ranking(head + tail[::-1]), half))))
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -105,12 +105,12 @@ def x3c_bruteforce(inst: X3CInstance) -> bool:
     if inst.s > _X3C_MAX_S:
         raise BudgetExceededError(f"exact-cover enumeration limited to s<={_X3C_MAX_S}")
     need = inst.q // 3
-    ground = frozenset(range(inst.q))
     for chosen in itertools.combinations(inst.subsets, need):
         union = set()
         for sub in chosen:
             union.update(sub)
-        if len(union) == inst.q and frozenset(union) == ground:
+        # Elements are range-checked, so q distinct ones cover the ground set.
+        if len(union) == inst.q:
             return True
     return False
 
@@ -301,17 +301,17 @@ def mcgarvey_profile(g: Digraph) -> Profile:
         ballots.append(rest[::-1] + (u, v))
     if not ballots:
         ascending = tuple(range(g.m))
-        ballots = [ascending, ascending[::-1]] if g.m > 1 else [ascending, ascending]
+        ballots = [ascending, ascending[::-1]]
     return Profile.of(ballots)
 
 
 def detect_margin_multiplier(p: Union[Profile, WeightedProfile], g: Digraph) -> Fraction:
     """The constant lambda with margins(p) = lambda * margins(g), or raise."""
     graph = wmg(p)
-    multiplier: Optional[Fraction] = None
+    multiplier = None
     for a in range(g.m):
         for b in range(a + 1, g.m):
-            value = Fraction(graph.margin(a, b))
+            value = graph.margin(a, b)
             if (a, b) in g.arcs:
                 expected_sign = 1
             elif (b, a) in g.arcs:
@@ -325,7 +325,8 @@ def detect_margin_multiplier(p: Union[Profile, WeightedProfile], g: Digraph) -> 
                 multiplier = scaled
             elif scaled != multiplier:
                 raise ConstructionError("margins are not proportional to the graph")
-    return multiplier if multiplier is not None else Fraction(0)
+    # Kernel values are ints for a Profile; the closed form needs a Fraction.
+    return Fraction(multiplier or 0)
 
 
 def _closed_form_distance(
@@ -410,7 +411,7 @@ def efas_via_kemeny(
 def enumerate_x3c_instances(q: int, max_s: int) -> Iterator[X3CInstance]:
     """Every instance on ``q`` elements with up to ``max_s`` subsets."""
     triples = list(itertools.combinations(range(q), 3))
-    hi = min(max_s, q**3 // 6, len(triples))
+    hi = min(max_s, len(triples))
     for s in range(q // 3, hi + 1):
         for chosen in itertools.combinations(triples, s):
             yield X3CInstance(q, tuple(chosen))

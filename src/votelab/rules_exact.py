@@ -25,7 +25,7 @@ from typing import Callable, Iterable, NoReturn, Optional, Sequence
 
 import numpy as np
 
-from .core import Profile, Ranking, _require_rule_scale, deficit, wmg
+from .core import Profile, Ranking, _require_rule_scale, wmg
 from .errors import BudgetExceededError
 
 __all__ = [
@@ -112,20 +112,24 @@ def dodgson_score_within(
     """
     _require_rule_scale(p, a)
 
+    # against[b]: voters ranking b above a, read off the cached margins. A
+    # strict majority for a lets at most (n-1)//2 of them stay, so the rest
+    # are b's deficit, as core.deficit counts it.
+    against = [(p.n - v) // 2 for v in wmg(p).margins[a]]
+    against[a] = 0
+    kept = (p.n - 1) // 2
     active: list[int] = []
     needed: list[int] = []
-    for b in range(p.m):
-        if b == a:
-            continue
-        d = deficit(p, a, b)
-        if d > 0:
+    for b, count in enumerate(against):
+        if count > kept:
             active.append(b)
-            needed.append(d)
+            needed.append(count - kept)
     active_index = {b: i for i, b in enumerate(active)}
     total_needed = sum(needed)
 
-    # Feasible upper bound: lift a to the very top of every ballot.
-    best_known = sum(r.position(a) * count for r, count in p.grouped.items())
+    # Feasible upper bound: lift a to the very top of every ballot, which
+    # passes each voter's alternatives above a once.
+    best_known = sum(against)
     limit = best_known if cutoff is None else min(best_known, cutoff)
 
     ballots: list[tuple[int, list[tuple[int, tuple[int, ...]]]]] = []

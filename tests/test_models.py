@@ -297,10 +297,14 @@ class TestDistributionWmg:
         graph = AlphaIC(m, alpha).distribution_wmg(Ranking.of([0, 1, 2, 3]))
         assert graph.margin(0, 1) == Fraction(1, m**d)
 
-    @pytest.mark.parametrize("m", [3, 4])
+    @pytest.mark.parametrize("m", [3, 4, 5])
     def test_closed_forms_match_enumeration(self, m, rng):
+        # alpha = 0 gives the reversal a zero weight; K in {m-1, m} leaves
+        # the tail reversal equal to the parameter.
         parameter = random_ranking(rng, m)
-        for model in (AlphaIC(m, Fraction(2, 5)), PartialAltRandomization(m, 2)):
+        models = [AlphaIC(m, alpha) for alpha in (0, Fraction(2, 5), 1)]
+        models += [PartialAltRandomization(m, K) for K in range(1, m + 1)]
+        for model in models:
             closed = model.distribution_wmg(parameter)
             oracle = enumerated_wmg(model, parameter)
             for a in range(m):

@@ -16,6 +16,7 @@ from votelab import (
     PartialAltRandomization,
     Profile,
     Ranking,
+    WeightedProfile,
     X3CInstance,
     x3c_via_dodgson,
     efas_via_kemeny,
@@ -305,6 +306,20 @@ class TestMcgarvey:
                 Fraction(0),
                 Fraction(MCGARVEY_MULTIPLIER),
             )
+
+    def test_multiplier_is_a_fraction(self):
+        # 3.0 == Fraction(3), so only the type catches an int or a float
+        # reaching the closed form's ``multiplier * |E| / 2``.
+        counted = mcgarvey_profile(THREE_CYCLE).grouped.items()
+        weighted = WeightedProfile(tuple((r, Fraction(c, 3)) for r, c in counted))
+        arcless = Digraph.of(3, [])
+        for p, g, expected in (
+            (mcgarvey_profile(THREE_CYCLE), THREE_CYCLE, Fraction(MCGARVEY_MULTIPLIER)),
+            (weighted, THREE_CYCLE, Fraction(MCGARVEY_MULTIPLIER, 3)),
+            (mcgarvey_profile(arcless), arcless, Fraction(0)),
+        ):
+            multiplier = detect_margin_multiplier(p, g)
+            assert type(multiplier) is Fraction and multiplier == expected
 
 
 class TestKtFormula:

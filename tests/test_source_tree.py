@@ -39,6 +39,24 @@ def test_no_module_reads_profile_rankings():
     assert found == []
 
 
+def test_only_core_builds_margin_matrices():
+    # Margin matrices come from the one margin kernel, core._margin_kernel.
+    def builds_wmg(node) -> bool:
+        func = node.func
+        if isinstance(func, ast.Attribute):  # e.g. WMG._trusted(...)
+            func = func.value
+        return isinstance(func, ast.Name) and func.id == "WMG"
+
+    found = [
+        f"{path.relative_to(SRC)}:{node.lineno}"
+        for path in sorted(SRC.rglob("*.py"))
+        if path.name != "core.py"
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Call) and builds_wmg(node)
+    ]
+    assert found == []
+
+
 def test_third_party_imports_are_the_declared_dependencies():
     tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
     with PYPROJECT.open("rb") as handle:

@@ -393,11 +393,15 @@ def efas_via_kemeny(
     arcs. The chain is exact: rankings within that limit correspond
     one-to-one to orders with at most ``t`` backward arcs. A negative
     ``t`` is NO outright, since no order has fewer than zero backward
-    arcs; the limit alone cannot say so when the multiplier is 0.
+    arcs; the limit alone cannot say so when the multiplier is 0. A
+    2-cycle-free graph on at most 2 vertices is acyclic, so it is YES at
+    every ``t >= 0`` without a Kemeny query, which needs 3 alternatives.
     """
     if strict and not g.is_eulerian():
         raise ValueError("graph is not Eulerian; pass strict=False to override")
-    profile = profile_builder(g)
+    profile = profile_builder(g)  # rejects a 2-cycle at every m
+    if g.m <= 2:
+        return Decision.YES if t >= 0 else Decision.NO
     limit = _closed_form_distance(profile, g, t)
     if t < 0 or not kemeny_decider(profile, limit):
         return Decision.NO

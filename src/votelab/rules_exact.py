@@ -294,15 +294,20 @@ def _kemeny_block_table(p: Profile) -> tuple[np.ndarray, np.ndarray]:
     return best, wrong
 
 
+def _require_kemeny_budget(p: Profile, budget: int) -> None:
+    """Reject ``p`` below rule scale, or its ``2**m`` table states past ``budget``."""
+    _require_rule_scale(p)
+    if 1 << p.m > budget:
+        _budget_exceeded("kemeny subset DP", budget, "subset states")
+
+
 def _kemeny_table(p: Profile, budget: int) -> tuple[np.ndarray, np.ndarray]:
     """The block table of ``p`` and its disagreement matrix, built once per profile.
 
     The budget is checked on every call, so a smaller budget still fails
     on a profile whose table is already cached.
     """
-    _require_rule_scale(p)
-    if 1 << p.m > budget:
-        _budget_exceeded("kemeny subset DP", budget, "subset states")
+    _require_kemeny_budget(p, budget)
     table = p.__dict__.get("_kemeny_table")
     if table is None:
         table = p.__dict__["_kemeny_table"] = _kemeny_block_table(p)
@@ -338,13 +343,45 @@ def kemeny_score_of_alternative(p: Profile, a: int, *, budget: int = DEFAULT_KEM
     return int(best[rest] + wrong[a].sum())
 
 
+def _kemeny_witness(p: Profile) -> tuple[list[int], int]:
+    """A cheap ranking of ``p`` and its total disagreement.
+
+    Alternatives go by descending net-margin row sum, ties by index:
+    ordering by weighted wins is within a constant factor of the optimum
+    (Coppersmith, Fleischer and Rudra, SODA 2006). Then neighbours swap
+    while the lower one beats the upper by majority; each swap lowers
+    the disagreement by that margin, so the descent ends.
+    """
+    margins = wmg(p).margins
+    m = p.m
+    order = sorted(range(m), key=lambda x: -sum(margins[x]))
+    i = 0
+    while i < m - 1:
+        upper, lower = order[i], order[i + 1]
+        if margins[lower][upper] > 0:
+            order[i], order[i + 1] = lower, upper
+            i = max(i - 1, 0)
+        else:
+            i += 1
+    agreed = sum(margins[x][y] for k, x in enumerate(order) for y in order[k + 1 :])
+    # each pair costs (n - margin) / 2 ballots, an integer: n and margins share parity
+    return order, (p.n * (m * (m - 1) // 2) - agreed) // 2
+
+
 def kemeny_decision(p: Profile, t: int, *, budget: int = DEFAULT_KEMENY_BUDGET) -> bool:
     """Does some alternative have Kemeny score at most ``t``?
 
     Equivalent to asking whether the best ranking's score is at most
     ``t``, since the minimum over alternatives of the top-constrained
     score is attained by the global optimum's top alternative.
+
+    The budget is checked first. Then, unless ``p`` already keeps its
+    table, one wins-order ranking (:func:`_kemeny_witness`) within ``t``
+    answers YES without the ``2**m`` table; otherwise the table decides.
     """
+    _require_kemeny_budget(p, budget)
+    if "_kemeny_table" not in p.__dict__ and _kemeny_witness(p)[1] <= t:
+        return True
     best, _ = _kemeny_table(p, budget)
     return int(best[-1]) <= t
 

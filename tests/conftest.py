@@ -1,9 +1,9 @@
 """Shared fixtures and independent brute-force oracles.
 
 Oracles here deliberately avoid the package's solver code paths: the
-Dodgson oracles search raw adjacent swaps breadth-first or solve an
-integer program over lift-vector counts with SciPy, the greedy oracle
-counts deficits and adjacency ballot by ballot, the Young oracle solves
+Dodgson oracles search raw adjacent swaps breadth-first or by A*, or
+solve an integer program over lift-vector counts with SciPy, the greedy
+oracle counts deficits and adjacency ballot by ballot, the Young oracle solves
 an integer program over kept ballots with SciPy, the Kemeny oracle
 enumerates all rankings or solves an integer program over pairwise
 orders with SciPy, the Kemeny block table is the subset DP as a
@@ -22,6 +22,7 @@ Expected values in tests are frozen from these.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from collections import deque
@@ -170,6 +171,55 @@ def dodgson_score_bfs_oracle(
                 if nxt not in dist:
                     dist[nxt] = d + 1
                     queue.append(nxt)
+    raise AssertionError("swap graph is connected; unreachable")
+
+
+def dodgson_score_astar_oracle(
+    p: Profile, a: int, *, state_budget: int = DEFAULT_BFS_STATE_BUDGET
+) -> int:
+    """Shortest swap path to Condorcet-winnerhood by A* (Hart, Nilsson and Raphael 1968).
+
+    The same unrestricted moves as the BFS: any adjacent swap in any
+    ballot. Voters are interchangeable, so a state is the sorted tuple of
+    ballots, read from ``grouped``. ``h`` is the total of missing majority
+    votes of ``a`` over every rival. One swap changes one pair in one
+    ballot, so ``h`` moves by at most 1 per swap: it is admissible and
+    consistent, and the first goal popped is optimal. Searches past
+    ``state_budget`` states raise ``BudgetExceededError``.
+    """
+    if p.m < 3:
+        raise ValueError("rule computations require at least 3 alternatives")
+    need = p.n // 2 + 1
+
+    def missing(state) -> int:
+        votes = [0] * p.m
+        for order in state:
+            for b in order[order.index(a) + 1 :]:
+                votes[b] += 1
+        return sum(max(0, need - votes[b]) for b in range(p.m) if b != a)
+
+    start = tuple(sorted(r.order for r, count in p.grouped.items() for _ in range(count)))
+    best = {start: 0}
+    frontier = [(missing(start), 0, start)]  # (f, -g, state): deepest first among equal f
+    while frontier:
+        f, depth, state = heapq.heappop(frontier)
+        g = -depth
+        if g > best[state]:
+            continue  # a shorter path to this state was found after this push
+        if f == g:  # h = 0: a is the Condorcet winner
+            return g
+        if len(best) > state_budget:
+            raise BudgetExceededError("A* oracle exceeded its state budget")
+        for voter, order in enumerate(state):
+            if voter and order == state[voter - 1]:
+                continue  # equal ballots give equal successors
+            rest = state[:voter] + state[voter + 1 :]
+            for i in range(p.m - 1):
+                swapped = order[:i] + (order[i + 1], order[i]) + order[i + 2 :]
+                nxt = tuple(sorted(rest + (swapped,)))
+                if g + 1 < best.get(nxt, g + 2):
+                    best[nxt] = g + 1
+                    heapq.heappush(frontier, (g + 1 + missing(nxt), -g - 1, nxt))
     raise AssertionError("swap graph is connected; unreachable")
 
 

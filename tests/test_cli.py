@@ -541,6 +541,14 @@ class TestReduceCommand:
         )
         assert (code, result) == (0, {"decision": "no"})
 
+    def test_efas_check_two_vertices(self, capsys, tmp_path):
+        path = tmp_path / "pair.digraph"
+        path.write_text("2 0\n")
+        code, result = run_cli(
+            capsys, "reduce", "efas-check", "--input", str(path), "--threshold", "0"
+        )
+        assert (code, result) == (0, {"decision": "yes"})
+
 
 class TestExperimentCommand:
     def test_summary_validates_and_passes(self, capsys, tmp_path):

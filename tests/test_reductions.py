@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -38,6 +39,7 @@ from votelab import (
     x3c_to_dodgson,
     young_score_exact,
 )
+from votelab import rules_exact
 from votelab.models import TopBreakNoise
 from conftest import (
     eulerian_digraphs_scan,
@@ -53,7 +55,7 @@ THREE_CYCLE = Digraph.of(3, [(0, 1), (1, 2), (2, 0)])
 
 
 def st_two_cycle_free_digraph():
-    """Each vertex pair of an m-vertex graph, m in 3..6, gets no arc or one arc."""
+    """Each vertex pair of an m-vertex graph, m in 1..6, gets no arc or one arc."""
 
     def build(m):
         pairs = list(itertools.combinations(range(m), 2))
@@ -66,7 +68,7 @@ def st_two_cycle_free_digraph():
             )
         )
 
-    return st.integers(3, 6).flatmap(build)
+    return st.integers(1, 6).flatmap(build)
 
 
 def exact_dodgson_decider(p, a, t):
@@ -367,8 +369,34 @@ class TestAlgorithm2:
             efas_via_kemeny(g, 0, kemeny_decision)
         assert efas_via_kemeny(g, 0, kemeny_decision, strict=False) is Decision.YES
 
+    def test_at_most_two_vertices(self):
+        for g, t in itertools.product((Digraph.of(1, []), Digraph.of(2, [])), (-1, 0, 1)):
+            answer = efas_via_kemeny(g, t, kemeny_decision)
+            assert (answer is Decision.YES) == efas_bruteforce(g, t) == (t >= 0)
+        with pytest.raises(ValueError, match="not Eulerian"):
+            efas_via_kemeny(Digraph.of(2, [(0, 1)]), 0, kemeny_decision)
+        with pytest.raises(ConstructionError):
+            efas_via_kemeny(Digraph.of(2, [(0, 1), (1, 0)]), 1, kemeny_decision)
+
+    def test_kemeny_tables_built_on_the_m3_to_m5_family(self):
+        # The witness settles most yes queries, so most build no 2^m table.
+        queries = [
+            (g, t)
+            for m in (3, 4, 5)
+            for g in enumerate_eulerian_digraphs(m)
+            for t in range(g.edge_count + 1)
+        ]
+        with mock.patch.object(
+            rules_exact, "_kemeny_block_table", wraps=rules_exact._kemeny_block_table
+        ) as build:
+            yes = sum(efas_via_kemeny(g, t, kemeny_decision) is Decision.YES for g, t in queries)
+        assert (len(queries), yes, build.call_count) == (1611, 1209, 459)
+
     @given(st_two_cycle_free_digraph())
     @example(Digraph.of(3, []))
+    @example(Digraph.of(1, []))
+    @example(Digraph.of(2, []))
+    @example(Digraph.of(2, [(1, 0)]))
     @settings(max_examples=40, deadline=None)
     def test_matches_bruteforce_on_any_digraph(self, g):
         for t in range(-1, g.edge_count + 1):

@@ -1,5 +1,7 @@
 import itertools
 from collections import Counter
+from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -31,12 +33,14 @@ from votelab import (
 )
 from conftest import (
     cc_brute,
+    dodgson_score_astar_oracle,
     dodgson_score_bfs_oracle,
     dodgson_within_ilp,
     kemeny_alt_brute,
     kemeny_brute,
     kemeny_ilp,
     kemeny_table_loop,
+    margins_brute,
     monroe_brute,
     monroe_lsa,
     random_profile,
@@ -71,15 +75,25 @@ class TestDodgsonExact:
             for a in range(3):
                 assert dodgson_score_exact(p, a) == dodgson_score_bfs_oracle(p, a)
 
-    @pytest.mark.parametrize("m, max_n, profiles", [(4, 4, 20), (5, 3, 8)])
+    @pytest.mark.parametrize(
+        "m, max_n, profiles", [(4, 4, 20), (5, 3, 8), (5, 7, 60), (6, 7, 40), (7, 5, 40)]
+    )
     def test_matches_bfs_on_random_profiles(self, rng, m, max_n, profiles):
-        # The BFS is the one check of the lift-vector restriction itself;
-        # its state budget holds at these scales.
+        # The unrestricted swap search is the one check of the lift-vector
+        # restriction itself. Its A* form, which equals the BFS on every
+        # m=3, n<=3 profile, reaches these scales within its state budget.
         for _ in range(profiles):
             p = random_profile(rng, m, int(rng.integers(1, max_n + 1)))
             for a in range(m):
-                expected = dodgson_score_bfs_oracle(p, a, max_m=m, max_n=max_n)
-                assert dodgson_score_exact(p, a) == expected
+                assert dodgson_score_exact(p, a) == dodgson_score_astar_oracle(p, a)
+
+    def test_astar_matches_bfs_on_all_m3_up_to_n3(self):
+        perms = list(itertools.permutations(range(3)))
+        for n in range(1, 4):
+            for combo in itertools.product(perms, repeat=n):
+                p = Profile.of(combo)
+                for a in range(3):
+                    assert dodgson_score_astar_oracle(p, a) == dodgson_score_bfs_oracle(p, a)
 
     @given(st_profile(3, 7, 25), st.data())
     @settings(max_examples=150, deadline=None)
@@ -277,6 +291,9 @@ class TestKemeny:
         kemeny_best(p)  # the table is now kept on p; the budget still applies
         with pytest.raises(BudgetExceededError):
             kemeny_decision(p, 0, budget=16)
+        fresh = Profile.of([tuple(range(5))])
+        with pytest.raises(BudgetExceededError):  # before the witness, which would say yes
+            kemeny_decision(fresh, 10 * fresh.n, budget=16)
 
     @given(st_profile(3, 10, 25))
     @settings(max_examples=60, deadline=None)
@@ -287,6 +304,36 @@ class TestKemeny:
         assert type(score) is int and score == best[-1]
         assert all(type(x) is int for x in ranking.order)
         assert type(kemeny_score_of_alternative(p, ranking.order[0])) is int
+
+    @given(st_pooled_profile(3, 10, 30))
+    @settings(max_examples=60, deadline=None)
+    def test_decision_on_fresh_profiles(self, p):
+        # A profile with no table kept tries the witness first; the table is
+        # built only when the witness misses t.
+        _, score = kemeny_best(p)
+        for t in [*range(score - 2, score + 3), Fraction(2 * score + 1, 2)]:
+            fresh = Profile.from_counts(p.grouped.items())
+            _, witness_cost = rules_exact._kemeny_witness(Profile.from_counts(p.grouped.items()))
+            with mock.patch.object(
+                rules_exact, "_kemeny_block_table", wraps=rules_exact._kemeny_block_table
+            ) as build:
+                assert kemeny_decision(fresh, t) == (score <= t)
+            assert build.call_count == (0 if witness_cost <= t else 1)
+        with mock.patch.object(rules_exact, "_kemeny_witness") as witness:
+            assert kemeny_decision(p, score)  # p keeps its table: no witness
+        assert witness.call_count == 0
+
+    @given(st_pooled_profile(3, 10, 30))
+    @settings(max_examples=60, deadline=None)
+    def test_witness_is_a_scored_local_optimum(self, p):
+        order, cost = rules_exact._kemeny_witness(p)
+        assert sorted(order) == list(range(p.m))
+        assert type(cost) is int and cost == kt_profile_distance(p, Ranking(tuple(order)))
+        margins = margins_brute(p)
+        # no neighbour beats the one above it by majority
+        assert all(margins[lower][upper] <= 0 for upper, lower in zip(order, order[1:]))
+        wins_order = sorted(range(p.m), key=lambda x: (-sum(margins[x]), x))
+        assert cost <= kt_profile_distance(p, Ranking(tuple(wins_order)))
 
     @given(st_pooled_profile(3, 10, 30))
     @settings(max_examples=40, deadline=None)

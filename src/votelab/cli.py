@@ -267,7 +267,7 @@ def main(argv=None) -> int:
     except ConstructionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONSTRUCTION
-    except (ValueError, OSError, KeyError, json.JSONDecodeError, MemoryError) as exc:
+    except (ValueError, OSError, KeyError, json.JSONDecodeError, MemoryError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

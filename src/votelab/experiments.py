@@ -32,15 +32,15 @@ from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, islice
 from pathlib import Path
 from typing import Optional, get_args, get_type_hints
 
 import numpy as np
 
-from .core import _MAX_VOTERS, Profile
+from .core import _MAX_VOTERS
 from .errors import BudgetExceededError
-from .greedy_dodgson import Decision, _certify, _tally_table
+from .greedy_dodgson import _certify, _tally_table
 from .models import (
     MAX_ENUMERATION_M,
     AlphaIC,
@@ -57,7 +57,7 @@ from .reductions import (
     x3c_bruteforce,
     x3c_to_dodgson,
 )
-from .rules_exact import _dodgson_prefix_keys, dodgson_score_within
+from .rules_exact import dodgson_score_within
 
 __all__ = [
     "ExperimentConfig",
@@ -511,23 +511,21 @@ def _padded_reduction(cfg: ExperimentConfig):
     return inst, out, model_from_spec(spec, m1 + cfg.pad)
 
 
-def _stacked_draws(cfg: ExperimentConfig, pp) -> Iterator[np.ndarray]:
-    """Every trial's draw of ``pp``'s ballots in agent order, stacked.
+def _matched_trials(cfg: ExperimentConfig, out, pp) -> list[bool]:
+    """Per trial, whether its draw of ``pp`` kept every top slice of ``out``'s profile.
 
     Per trial, the generator is re-seeded and the model's ``sample_orders``
-    called once; nothing else happens between draws. Yields ``(t, n, m)``
-    arrays of up to ``_SEED_BLOCK`` consecutive trials, in trial order, so
-    memory stays flat in ``cfg.trials``.
+    called once; nothing else happens between draws. The draws are stacked
+    up to ``_SEED_BLOCK`` trials at a time, so memory stays flat in
+    ``cfg.trials``, and each block is tested in one array comparison.
     """
     sample, params = pp.model.sample_orders, pp.agent_orders
-    block = []
-    for rng in _trial_rngs(cfg):
-        block.append(sample(params, rng))
-        if len(block) == _SEED_BLOCK:
-            yield np.stack(block)
-            block = []
-    if block:
-        yield np.stack(block)
+    reference = params[:, : out.profile.m]
+    rngs = _trial_rngs(cfg)
+    matched: list[bool] = []
+    while block := [sample(params, rng) for rng in islice(rngs, _SEED_BLOCK)]:
+        matched += top_slices_match(np.stack(block), reference).tolist()
+    return matched
 
 
 def run_top_preservation(cfg: ExperimentConfig) -> TrialReport:
@@ -537,10 +535,7 @@ def run_top_preservation(cfg: ExperimentConfig) -> TrialReport:
     m1, agents = out.profile.m, out.profile.n
     pp = build_padded_parameter_profile(out, model)
 
-    reference = pp.agent_orders[:, :m1]
-    flags = []
-    for draws in _stacked_draws(cfg, pp):
-        flags += top_slices_match(draws, reference).astype(int).tolist()
+    flags = [int(kept) for kept in _matched_trials(cfg, out, pp)]
     rows = [{"trial": trial, "top_slice_preserved": flag} for trial, flag in enumerate(flags)]
 
     rate = sum(flags) / cfg.trials
@@ -583,42 +578,22 @@ def run_cover_driver(cfg: ExperimentConfig) -> TrialReport:
 
     Each trial answers as one :func:`~votelab.reductions.x3c_via_dodgson`
     draw would; the reduction and its padded parameter profile are built
-    once per run. The trials run in two phases. First every trial only
-    re-seeds and samples, and the draws are stacked; then one array
-    comparison tests every draw's top slices, and a draw that moved one
-    answers YES.
-
-    A matched draw goes to the Dodgson threshold query once per multiset
-    of ballot prefixes strictly above the critical alternative
-    (:func:`~votelab.rules_exact._dodgson_prefix_keys`). This is exact:
-    the critical alternative's deficits and every lift option read only
-    those prefixes. A matched draw keeps every reduction ballot, critical
-    alternative included, in its top slice, so all matched draws of a run
-    share one prefix multiset and a run makes at most one DP call, at any
-    ``pad``. The query gets the first such draw as a count-built profile.
+    once per run. A draw that moved a top slice answers YES. A matched
+    draw keeps every reduction ballot, critical alternative included, in
+    its top slice, so its ballot prefixes above the critical alternative
+    are the reduction profile's; the critical alternative's deficits and
+    every lift option of the Dodgson DP read only those prefixes. So one
+    threshold query on the reduction profile answers every matched draw,
+    at any ``pad``, and a run with no matched draw makes none.
     """
     started = time.perf_counter()
     inst, out, model = _padded_reduction(cfg)
     pp = build_padded_parameter_profile(out, model)
     expected_yes = x3c_bruteforce(inst)
-    reference = pp.agent_orders[:, : out.profile.m]
-    decided: dict[bytes, Decision] = {}
-
-    def decide(draw: np.ndarray) -> Decision:
-        within = dodgson_score_within(Profile.of(draw.tolist()), out.critical, out.threshold)
-        return Decision.NO if within is None else Decision.YES
-
-    answers = []
-    for draws in _stacked_draws(cfg, pp):
-        matched = np.flatnonzero(top_slices_match(draws, reference))
-        block = [Decision.YES] * len(draws)
-        for i, key in zip(matched.tolist(), _dodgson_prefix_keys(draws[matched], out.critical)):
-            if key not in decided:
-                decided[key] = decide(draws[i])
-            block[i] = decided[key]
-        answers += block
-    flags = [int(answer is Decision.NO) for answer in answers]
-    rows = [{"trial": trial, "answer": answer.value} for trial, answer in enumerate(answers)]
+    matched = _matched_trials(cfg, out, pp)
+    no = any(matched) and dodgson_score_within(out.profile, out.critical, out.threshold) is None
+    flags = [int(no and kept) for kept in matched]
+    rows = [{"trial": trial, "answer": "no" if flag else "yes"} for trial, flag in enumerate(flags)]
 
     no_rate = sum(flags) / cfg.trials
     if expected_yes:

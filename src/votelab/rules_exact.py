@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, NoReturn, Optional, Sequence
@@ -76,25 +77,6 @@ def _lift_options(r: Ranking, a: int, active_index: dict[int, int]) -> list[tupl
             gained.append(active_index[passed])
             options.append((k, tuple(gained)))
     return options
-
-
-def _dodgson_prefix_keys(profiles: np.ndarray, a: int) -> list[bytes]:
-    """One key per profile of a ``(t, n, m)`` stack of ballot orders.
-
-    Two profiles, from stacks of one shape and dtype, get equal keys iff
-    they hold the same multiset of ballot prefixes strictly above ``a``.
-    Lemma: those prefixes decide :func:`dodgson_score_within` on ``a``.
-    The deficit of ``a`` against ``b`` counts the ballots with ``b`` in
-    the prefix, and :func:`_lift_options` reads only the prefix. So equal
-    keys mean the same score and the same answer at every cutoff; only
-    the search's expansions, and so its budget use, may differ.
-
-    A key is the profile's rows with ``a`` and everything below it set
-    to -1, sorted, as bytes.
-    """
-    prefixes = np.where((profiles == a).cumsum(axis=-1) > 0, -1, profiles)
-    order = np.lexsort(np.moveaxis(prefixes[..., ::-1], -1, 0))
-    return [rows.tobytes() for rows in np.take_along_axis(prefixes, order[..., None], axis=-2)]
 
 
 def dodgson_score_within(
@@ -295,8 +277,14 @@ def _kemeny_block_table(p: Profile) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _require_kemeny_budget(p: Profile, budget: int) -> None:
-    """Reject ``p`` below rule scale, or its ``2**m`` table states past ``budget``."""
+    """Reject ``p`` below rule scale, or its ``2**m`` table states past ``budget``.
+
+    A disagreement total can reach ``n * C(m, 2)``; below ``_UNSOLVED``,
+    no table entry meets the sentinel and ``_UNSOLVED + n(m-1)`` fits in int64.
+    """
     _require_rule_scale(p)
+    if p.n * math.comb(p.m, 2) >= _UNSOLVED:
+        raise ValueError(f"Kemeny needs n * C(m, 2) < 2^62, got n={p.n}, m={p.m}")
     if 1 << p.m > budget:
         _budget_exceeded("kemeny subset DP", budget, "subset states")
 

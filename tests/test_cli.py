@@ -360,6 +360,28 @@ class TestExitCodes:
         code = main(["experiment", "--config", str(cfg_path), "--out-dir", str(tmp_path)])
         assert code == 4
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["reduce", "mcgarvey", "--input", "{digraph}", "--out", "{out}"],
+            ["reduce", "efas-check", "--input", "{digraph}", "--threshold", "0"],
+            ["reduce", "efas-check", "--input", "{digraph}", "--threshold", "0", "--no-strict"],
+            ["experiment", "--config", "{config}", "--out-dir", "{out}"],
+        ],
+        ids=["mcgarvey", "efas_check", "efas_check_no_strict", "experiment_pad"],
+    )
+    def test_integer_past_the_index_type_is_input_error(self, capsys, tmp_path, argv):
+        # 10**20 >= 2**63 fails converting to an index, before any allocation.
+        digraph = tmp_path / "huge.digraph"
+        digraph.write_text(f"{10**20} 0\n")
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({**TOP_CONFIG, "claim": "cover_driver", "pad": 10**20}))
+        paths = dict(digraph=digraph, config=config, out=tmp_path / "out")
+        code = main([arg.format(**paths) for arg in argv])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_unknown_flag_rejected_as_input_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["score", "dodgson", "--bogus", "1"])

@@ -428,30 +428,31 @@ class TestCoverDriverTrials:
             drawn = sample_orders_per_agent(model, params, rng)
             yield drawn, reductions.top_slices_match(drawn[None], reference)[0]
 
-    @pytest.mark.parametrize("spec", DRIVER_SPECS, ids=DRIVER_IDS)
-    def test_one_dp_call_per_distinct_prefix_key(self, monkeypatch, spec):
-        # The query runs once per multiset of prefixes above the critical
-        # alternative among matched draws, on the first draw with that key.
+    @pytest.mark.parametrize(
+        "spec, queries",
+        [
+            *((spec, 1) for spec in DRIVER_SPECS),
+            (dict(model={"model": "top_break", "K": 1}, pad=2), 0),
+        ],
+        ids=[*DRIVER_IDS, "top_break_K1"],
+    )
+    def test_one_query_per_run(self, monkeypatch, spec, queries):
+        # A matched draw's prefixes above the critical alternative are the
+        # reduction profile's, so one query on that profile answers every
+        # matched draw; with K=1 every draw moves a top slice, and none asks.
         calls = []
 
         def counted(p, a, t):
-            calls.append(p)
+            calls.append((p, a, t))
             return dodgson_score_within(p, a, t)
 
         monkeypatch.setattr(experiments, "dodgson_score_within", counted)
         cfg = ExperimentConfig(claim="cover_driver", trials=40, seed=5, instance=Q6_NO, **spec)
         run_cover_driver(cfg)
 
-        critical = _padded_reduction(cfg)[1].critical
-        first = {}
-        for drawn, matched in self._matched_draws(cfg):
-            if matched:
-                rows = drawn.tolist()
-                key = frozenset(Counter(tuple(r[: r.index(critical)]) for r in rows).items())
-                first.setdefault(key, Counter(map(tuple, rows)))
-        # Matched draws keep every reduction ballot, so they share one key.
-        assert len(first) == 1
-        assert [{r.order: c for r, c in p.grouped.items()} for p in calls] == list(first.values())
+        out = _padded_reduction(cfg)[1]
+        assert any(matched for _, matched in self._matched_draws(cfg)) == (queries > 0)
+        assert calls == [(out.profile, out.critical, out.threshold)] * queries
 
     @pytest.mark.parametrize("inst", [Q6_NO, Q6_YES], ids=["no", "yes"])
     @pytest.mark.parametrize("spec", DRIVER_SPECS, ids=DRIVER_IDS)

@@ -1,5 +1,5 @@
 import itertools
-from collections import Counter
+import math
 from fractions import Fraction
 from unittest import mock
 
@@ -114,8 +114,9 @@ class TestDodgsonExact:
     @given(st.data(), st.integers(3, 6), st.integers(1, 7))
     @settings(max_examples=100, deadline=None)
     def test_suffix_below_target_does_not_matter(self, data, m, n):
-        # The lemma behind rules_exact._dodgson_prefix_keys: only each
-        # ballot's prefix above a counts.
+        # Only each ballot's prefix above a counts. So one query on the
+        # reduction profile answers every cover-driver draw that kept its
+        # top slices (experiments.run_cover_driver).
         ballots = data.draw(
             st.lists(st.permutations(range(m)), min_size=n, max_size=n), label="ballots"
         )
@@ -129,19 +130,6 @@ class TestDodgsonExact:
         assert dodgson_score_exact(q, a) == score
         for cutoff in range(score + 1):
             assert dodgson_score_within(q, a, cutoff) == dodgson_score_within(p, a, cutoff)
-
-    @given(st.data(), st.integers(3, 5), st.integers(1, 5), st.integers(1, 8))
-    @settings(max_examples=100, deadline=None)
-    def test_prefix_keys_equal_iff_prefix_multisets_equal(self, data, m, n, t):
-        # Ballots come from a small pool, so that equal multisets occur.
-        pool = data.draw(st.lists(st.permutations(range(m)), min_size=1, max_size=3), label="pool")
-        profile = st.lists(st.sampled_from(pool), min_size=n, max_size=n)
-        stack = data.draw(st.lists(profile, min_size=t, max_size=t), label="stack")
-        a = data.draw(st.integers(0, m - 1), label="a")
-        keys = rules_exact._dodgson_prefix_keys(np.array(stack, dtype=np.int64), a)
-        prefixes = [Counter(tuple(order[: order.index(a)]) for order in ballots) for ballots in stack]
-        for i, j in itertools.product(range(t), repeat=2):
-            assert (keys[i] == keys[j]) == (prefixes[i] == prefixes[j])
 
     def test_app_last_invariance(self, rng):
         for _ in range(25):
@@ -294,6 +282,28 @@ class TestKemeny:
         fresh = Profile.of([tuple(range(5))])
         with pytest.raises(BudgetExceededError):  # before the witness, which would say yes
             kemeny_decision(fresh, 10 * fresh.n, budget=16)
+
+    def test_disagreement_total_past_the_table_sentinel(self):
+        # n * C(5, 2) = 1.6e19 >= 2^62: the true score, 4.8e18, reaches the
+        # table's not-yet-computed sentinel.
+        p = Profile.from_counts([((4, 0, 1, 2, 3), 8 * 10**17), ((4, 3, 2, 1, 0), 8 * 10**17)])
+        for query in (
+            lambda: kemeny_score_of_alternative(p, 4),
+            lambda: kemeny_decision(p, 4.7e18),
+            lambda: kemeny_best(p),
+        ):
+            with pytest.raises(ValueError, match="2\\^62"):
+                query()
+
+    def test_disagreement_total_just_under_the_table_sentinel(self):
+        n = (2**62 - 1) // math.comb(5, 2)
+        p = Profile.from_counts([((4, 0, 1, 2, 3), n // 2 + 1), ((4, 3, 2, 1, 0), n - n // 2 - 1)])
+        assert p.n * math.comb(p.m, 2) < 2**62
+        ranking, score = kemeny_best(p)
+        assert ranking == Ranking.of([4, 0, 1, 2, 3])
+        assert score == kt_profile_distance(p, ranking) == 6 * (n - n // 2 - 1)
+        assert kemeny_score_of_alternative(p, 4) == score
+        assert kemeny_decision(p, score) and not kemeny_decision(p, score - 1)
 
     @given(st_profile(3, 10, 25))
     @settings(max_examples=60, deadline=None)

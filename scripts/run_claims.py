@@ -2,10 +2,14 @@
 """Run the four claim verifications at acceptance scale and write reports.
 
 Usage: python scripts/run_claims.py [--out-dir results] [--seed N] [--trials N]
+
+Exits 4 when a verdict fails, and 1, with one ``error:`` line and before
+any claim runs, on a bad argument.
 """
 
 import argparse
 import sys
+from pathlib import Path
 
 from votelab.experiments import ExperimentConfig, run_experiment, write_report
 
@@ -43,8 +47,15 @@ def main() -> int:
     parser.add_argument("--trials", type=int, default=10_000)
     args = parser.parse_args()
 
+    try:
+        runs = list(configs(args.seed, args.trials))
+        Path(args.out_dir).mkdir(parents=True, exist_ok=True)
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+
     failures = 0
-    for cfg in configs(args.seed, args.trials):
+    for cfg in runs:
         report = run_experiment(cfg)
         paths = write_report(report, args.out_dir)
         status = "pass" if report.all_pass else "FAIL"

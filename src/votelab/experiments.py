@@ -292,89 +292,61 @@ def _report(cfg, started, rows, flags, checks, frequencies, bounds) -> TrialRepo
 
 
 # ---------------------------------------------------------------------------
-# Shared near-uniform sampling machinery
+# Uniform-noise trials
 
 
-def _require_alpha_regime(cfg: ExperimentConfig) -> AlphaIC:
+def _trial_tallies(cfg: ExperimentConfig) -> tuple[list[int], np.ndarray]:
+    """Each uniform-noise trial's target and its ``2m`` greedy tallies, one row per trial.
+
+    The config needs ``m``, ``n`` and an alpha-IC model at or above the
+    regime floor ``1 - 1/m``. A trial's row is its ballot counts times the
+    target's tally table (:func:`~votelab.greedy_dodgson._tally_table`):
+    columns ``b`` count the voters ranking ``b`` over the target, columns
+    ``m + b`` the ballots with ``b`` directly above it. No :class:`Profile`
+    is built.
+
+    ``shared_bottom`` puts every agent on the ascending ranking and queries
+    its bottom alternative. Every score in play depends only on the ballot
+    multiset, so a multinomial draw of per-ranking counts stands in for
+    the agents; ``m`` is capped since all ``m!`` rankings are enumerated,
+    and one table serves every trial. ``random_profile`` draws each agent's
+    parameter with one ``permuted`` call over an ``(n, m)`` identity array,
+    the same Fisher-Yates pass row by row as each agent's ``permutation(m)``,
+    and targets the final agent's bottom; each trial's table has one row per
+    agent, each counted once.
+    """
     if cfg.m is None or cfg.n is None:
         raise ValueError("this claim needs explicit m and n")
-    model = model_from_spec(cfg.model, cfg.m)
+    m, n = cfg.m, cfg.n
+    model = model_from_spec(cfg.model, m)
     if not isinstance(model, AlphaIC):
         raise ValueError("this claim runs under the uniform-noise model")
-    if model.alpha < 1 - Fraction(1, cfg.m):
+    if model.alpha < 1 - Fraction(1, m):
         raise ValueError(
-            f"alpha={model.alpha} below the regime floor 1-1/m={1 - Fraction(1, cfg.m)}"
+            f"alpha={model.alpha} below the regime floor 1-1/m={1 - Fraction(1, m)}"
         )
-    return model
 
+    if cfg.adversary == "shared_bottom":
+        if m > MAX_ENUMERATION_M:
+            raise BudgetExceededError(
+                f"shared_bottom enumeration limited to m<={MAX_ENUMERATION_M}"
+            )
+        rankings = all_rankings(m)
+        probs = np.full(len(rankings), float(model.alpha) / math.factorial(m))
+        probs[0] += 1.0 - float(model.alpha)  # rankings[0] ascends, so its bottom is m - 1
+        probs /= probs.sum()
+        table = _tally_table(np.array([r.order for r in rankings]), m - 1)
+        rows = [rng.multinomial(n, probs) @ table for rng in _trial_rngs(cfg)]
+        return [m - 1] * cfg.trials, np.array(rows)
 
-def _shared_parameter_trials(cfg: ExperimentConfig, model: AlphaIC):
-    """Yield (orders, counts, target) with every agent on one worst-case parameter.
-
-    The structurally worst adversary shares a single ranking across all
-    agents and queries its bottom alternative. Since every score in play
-    depends only on the ballot multiset, drawing per-type counts from the
-    exact multinomial is distribution-identical to sampling agents one by
-    one. The ranking space is enumerated, so ``m`` is capped as for
-    :func:`~votelab.models.induced_weighted_profile`; every trial yields
-    the same ``orders`` array of all ``m!`` rankings.
-    """
-    m, n = cfg.m, cfg.n
-    if m > MAX_ENUMERATION_M:
-        raise BudgetExceededError(f"shared_bottom enumeration limited to m<={MAX_ENUMERATION_M}")
-    rankings = all_rankings(m)
-    parameter = rankings[0]  # ascending order: bottom alternative is m-1
-    target = m - 1
-    uniform_share = float(model.alpha) / math.factorial(m)
-    probs = np.full(len(rankings), uniform_share)
-    probs[rankings.index(parameter)] += 1.0 - float(model.alpha)
-    probs /= probs.sum()
-    orders = np.array([r.order for r in rankings])
-    for rng in _trial_rngs(cfg):
-        yield orders, rng.multinomial(n, probs), target
-
-
-def _random_parameter_trials(cfg: ExperimentConfig, model: AlphaIC):
-    """Per-agent random parameters; the target is the final agent's bottom.
-
-    Yields every agent's ballot as one row of ``orders`` with count 1,
-    and the target. One ``permuted`` call over an ``(n, m)`` identity
-    array draws all ``n`` parameters, the same Fisher-Yates pass row by
-    row as each agent's ``permutation(m)``, and
-    :meth:`~votelab.models.AlphaIC.sample_orders` draws the ballots.
-    The tallies add up row by row, so no ballot is counted or grouped.
-    """
-    m, n = cfg.m, cfg.n
     identity = np.tile(np.arange(m), (n, 1))
     ones = np.ones(n, dtype=np.int64)
+    targets, rows = [], []
     for rng in _trial_rngs(cfg):
         parameters = rng.permuted(identity, axis=1)
-        yield model.sample_orders(parameters, rng), ones, int(parameters[-1, -1])
-
-
-def _trial_ballots(cfg: ExperimentConfig, model: AlphaIC):
-    if cfg.adversary == "shared_bottom":
-        return _shared_parameter_trials(cfg, model)
-    return _random_parameter_trials(cfg, model)
-
-
-def _trial_tallies(cfg: ExperimentConfig, model: AlphaIC) -> tuple[list[int], np.ndarray]:
-    """Each trial's target and its ``2m`` greedy tallies, one row per trial.
-
-    A trial's row is its ballot counts times the target's tally table
-    (:func:`~votelab.greedy_dodgson._tally_table`): columns ``b`` count
-    the voters ranking ``b`` over the target, columns ``m + b`` the
-    ballots with ``b`` directly above it. No :class:`Profile` is built.
-    A table is built only when the ballots or the target change, so
-    ``shared_bottom`` builds one per config.
-    """
-    targets, rows = [], []
-    table_orders = table_target = table = None
-    for orders, counts, target in _trial_ballots(cfg, model):
-        if orders is not table_orders or target != table_target:
-            table, table_orders, table_target = _tally_table(orders, target), orders, target
-        targets.append(target)
-        rows.append(counts @ table)
+        ballots = model.sample_orders(parameters, rng)
+        targets.append(int(parameters[-1, -1]))
+        rows.append(ones @ _tally_table(ballots, targets[-1]))
     return targets, np.array(rows)
 
 
@@ -390,10 +362,8 @@ def _tail_exponent_bound(m: int, n: int) -> tuple[Fraction, float]:
 def run_definitely_rate(cfg: ExperimentConfig) -> TrialReport:
     """Frequency of certified greedy answers vs. the success bound."""
     started = time.perf_counter()
-    model = _require_alpha_regime(cfg)
+    _, tallies = _trial_tallies(cfg)
     m, n = cfg.m, cfg.n
-
-    _, tallies = _trial_tallies(cfg, model)
     scores, definite = _certify(n, n - tallies[:, :m], tallies[:, m:])
     flags = definite.astype(int).tolist()
     rows = [
@@ -445,14 +415,13 @@ def _worst_label_rate(events: dict[int, int], rivals: dict[int, int]) -> tuple[f
 def run_concentration_tails(cfg: ExperimentConfig) -> TrialReport:
     """Both per-pair tail events vs. the shared exponential bound."""
     started = time.perf_counter()
-    model = _require_alpha_regime(cfg)
+    targets, tallies = _trial_tallies(cfg)
     m, n = cfg.m, cfg.n
     beta = (Fraction(3, 4) - Fraction(1, 2 * m)) * Fraction(n, m)
     prec_limit = Fraction(n, 2) + beta
 
     rival_counts, exceed_counts, scarce_counts = Counter(), Counter(), Counter()
     rows, flags = [], []
-    targets, tallies = _trial_tallies(cfg, model)
     for trial, (target, tally) in enumerate(zip(targets, tallies.tolist())):
         row = {"trial": trial}
         hit = 0

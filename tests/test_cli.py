@@ -725,6 +725,13 @@ class TestMalformedJson:
                 {**SMALL_CONFIG, "model": {"model": "alpha_ic", "alpha": "1/0"}},
                 "'alpha' must be a number, got '1/0'",
             ),
+            # Below the regime floor at m=9, a shared_bottom config is input
+            # error (exit 1) before it is an over-cap enumeration (exit 2).
+            (
+                "experiment",
+                {**SMALL_CONFIG, "m": 9, "model": {"model": "alpha_ic", "alpha": "1/2"}},
+                "below the regime floor",
+            ),
         ],
     )
     def test_rejected_as_input_error(self, capsys, tmp_path, command, payload, named):

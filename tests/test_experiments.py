@@ -25,7 +25,6 @@ from votelab import (
 from votelab.experiments import (
     ExperimentConfig,
     _padded_reduction,
-    _trial_ballots,
     _trial_rngs,
     _trial_tallies,
     run_cover_driver,
@@ -98,13 +97,27 @@ def test_trial_rngs_match_spawned_seed_sequences(seed, trials):
 
 
 class TestDefinitelyRate:
+    # The regime checks in their order: a config that fails more than one
+    # is rejected by the first.
+    REGIME_CASES = [
+        (dict(n=10, model={"model": "top_break", "K": 1}), "needs explicit m and n"),
+        (dict(m=3, model={"model": "alpha_ic", "alpha": "1/2"}), "needs explicit m and n"),
+        (dict(m=3, n=10, model={"model": "top_break", "K": 1}), "uniform-noise model"),
+        (dict(m=3, n=10, model={"model": "partial_alt", "K": 1}), "uniform-noise model"),
+        (dict(m=3, n=10, model={"model": "alpha_ic", "alpha": "1/2"}), "regime floor"),
+        # The floor comes before the shared_bottom cap at m=9 (exit 1, not 2).
+        (
+            dict(m=9, n=10, model={"model": "alpha_ic", "alpha": "1/2"}, adversary="shared_bottom"),
+            "regime floor",
+        ),
+    ]
+
     def test_regime_rejected_below_floor(self):
-        cfg = ExperimentConfig(
-            claim="definitely_rate", trials=5, seed=0, m=3, n=10,
-            model={"model": "alpha_ic", "alpha": "1/2"},
-        )
-        with pytest.raises(ValueError):
-            run_definitely_rate(cfg)
+        for claim in ("definitely_rate", "concentration"):
+            for fields, message in self.REGIME_CASES:
+                cfg = ExperimentConfig(claim=claim, trials=5, seed=0, **fields)
+                with pytest.raises(ValueError, match=message):
+                    run_experiment(cfg)
 
     def test_small_run_passes(self):
         # n must exceed 648*ln(4) ~ 899 for the bound to be positive
@@ -134,23 +147,23 @@ class TestDefinitelyRate:
         assert len(report.rows) == 40
 
 
-def ballot_counter(orders, counts) -> Counter:
-    """A trial's ballots (rows of ``orders``) with their counts; repeated rows add up."""
-    tally = Counter()
-    for order, count in zip(map(tuple, orders.tolist()), counts.tolist()):
-        tally[order] += count
-    return tally
-
-
-def profile_counter(profile) -> Counter:
-    return Counter({r.order: count for r, count in profile.grouped.items()})
-
-
 def alpha_config(claim, m, n, alpha, adversary, trials=4, seed=0):
     return ExperimentConfig(
         claim=claim, trials=trials, seed=seed, m=m, n=n,
         model={"model": "alpha_ic", "alpha": str(alpha)}, adversary=adversary,
     )
+
+
+def profile_tallies(profile, target) -> list[int]:
+    """The ``2m`` tallies of a trial counted ballot by ballot off a
+    :class:`Profile`: voters ranking each ``b`` over the target, then the
+    ballots with each ``b`` directly above it (0 for the target itself)."""
+    rivals = [b for b in range(profile.m) if b != target]
+    tallies = [0] * (2 * profile.m)
+    for b in rivals:
+        tallies[b] = votes_brute(profile, b, target)
+        tallies[profile.m + b] = adjacent_brute(profile, target, b)
+    return tallies
 
 
 class TestRandomProfileAdversary:
@@ -159,12 +172,12 @@ class TestRandomProfileAdversary:
     def test_matches_per_agent_sampling(self, seed, m):
         model = AlphaIC(m, Fraction(m - 1, m))
         cfg = alpha_config("definitely_rate", m, 60, model.alpha, "random_profile", seed=seed)
-        produced = list(_trial_ballots(cfg, model))
+        targets, tallies = _trial_tallies(cfg)
         reference = list(random_parameter_profiles_per_agent(seed, 4, m, 60, model))
-        assert len(produced) == 4
-        for (orders, counts, target), (expected, expected_target) in zip(produced, reference):
-            assert ballot_counter(orders, counts) == profile_counter(expected)
+        assert len(targets) == len(tallies) == 4
+        for tally, target, (expected, expected_target) in zip(tallies.tolist(), targets, reference):
             assert target == expected_target
+            assert tally == profile_tallies(expected, target)
 
     @given(
         m=st.integers(3, 7),
@@ -178,27 +191,12 @@ class TestRandomProfileAdversary:
         floor = 1 - Fraction(1, m)
         model = AlphaIC(m, floor + (1 - floor) * Fraction(tenths_above_floor, 10))
         cfg = alpha_config("definitely_rate", m, n, model.alpha, "random_profile", 2, seed)
-        produced = [
-            (ballot_counter(orders, counts), target)
-            for orders, counts, target in _trial_ballots(cfg, model)
-        ]
+        targets, tallies = _trial_tallies(cfg)
         reference = [
-            (profile_counter(profile), target)
+            (target, profile_tallies(profile, target))
             for profile, target in random_parameter_profiles_per_agent(seed, 2, m, n, model)
         ]
-        assert produced == reference
-
-
-def profile_tallies(profile, target) -> list[int]:
-    """The ``2m`` tallies of a trial counted ballot by ballot off a
-    :class:`Profile`: voters ranking each ``b`` over the target, then the
-    ballots with each ``b`` directly above it (0 for the target itself)."""
-    rivals = [b for b in range(profile.m) if b != target]
-    tallies = [0] * (2 * profile.m)
-    for b in rivals:
-        tallies[b] = votes_brute(profile, b, target)
-        tallies[profile.m + b] = adjacent_brute(profile, target, b)
-    return tallies
+        assert list(zip(targets, tallies.tolist())) == reference
 
 
 def assert_trial_matches_profile(tally, profile, target, row):
@@ -214,7 +212,7 @@ class TestTrialTallies:
     def test_random_profile_matches_per_agent_profiles(self, seed, m, n):
         model = AlphaIC(m, Fraction(m - 1, m))
         cfg = alpha_config("definitely_rate", m, n, model.alpha, "random_profile", seed=seed)
-        targets, tallies = _trial_tallies(cfg, model)
+        targets, tallies = _trial_tallies(cfg)
         rows = run_definitely_rate(cfg).rows
         reference = random_parameter_profiles_per_agent(seed, cfg.trials, m, n, model)
         for tally, target, row, (profile, expected_target) in zip(
@@ -234,7 +232,7 @@ class TestTrialTallies:
         probs[rankings.index(Ranking(tuple(range(m))))] += 1 - float(model.alpha)
         probs /= probs.sum()
         draws = [rng.multinomial(n, probs) for rng in _trial_rngs(cfg)]
-        targets, tallies = _trial_tallies(cfg, model)
+        targets, tallies = _trial_tallies(cfg)
         rows = run_definitely_rate(cfg).rows
         for tally, target, row, counts in zip(tallies.tolist(), targets, rows, draws, strict=True):
             assert target == m - 1
@@ -423,7 +421,7 @@ class TestCoverDriverTrials:
         """Each trial's draw, agent by agent, and whether it kept every top slice."""
         _, out, model = _padded_reduction(cfg)
         params = reductions.build_padded_parameter_profile(out, model).agent_orders
-        reference = np.array([r.order for r in out.profile.rankings])
+        reference = np.array([r.order for r, c in out.profile.grouped.items() for _ in range(c)])
         for rng in _trial_rngs(cfg):
             drawn = sample_orders_per_agent(model, params, rng)
             yield drawn, reductions.top_slices_match(drawn[None], reference)[0]
@@ -685,3 +683,25 @@ def test_run_claims_script_bytes_pinned(tmp_path):
     written = {path.name: path for path in tmp_path.iterdir()}
     assert len(written) == 12
     assert report_digest(written) == RUN_CLAIMS_DIGEST
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--trials", "0"], ["--seed", "-1"], ["--out-dir", "{file}"]],
+    ids=["trials", "seed", "out_dir_is_a_file"],
+)
+def test_run_claims_script_rejects_bad_arguments(tmp_path, argv):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "run_claims.py"
+    src = Path(experiments.__file__).resolve().parents[1]
+    taken = tmp_path / "file"
+    taken.write_text("")
+    proc = subprocess.run(
+        [sys.executable, str(script), "--out-dir", str(tmp_path / "out"),
+         *(arg.format(file=taken) for arg in argv)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+    assert sorted(tmp_path.iterdir()) == [taken]

@@ -159,7 +159,7 @@ class TestPaddedParameterProfile:
         m1 = out.profile.m
         model = PartialAltRandomization(m1 + 3, m1)
         params = build_padded_parameter_profile(out, model).agent_orders
-        reference = np.array([r.order for r in out.profile.rankings])
+        reference = np.array([r.order for r, c in out.profile.grouped.items() for _ in range(c)])
         for seed in range(10):
             drawn = model.sample_orders(params, np.random.default_rng(seed))
             expected = sample_orders_per_agent(model, params, np.random.default_rng(seed))

@@ -57,6 +57,28 @@ def test_only_core_builds_margin_matrices():
     assert found == []
 
 
+def test_every_private_function_has_a_src_caller():
+    # A private helper that only tests reach is dead code kept alive by its tests.
+    defined, referenced = {}, set()
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defined.setdefault(node.name, f"{path.relative_to(SRC)}:{node.lineno}")
+            elif isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.alias):
+                referenced.add(node.name)
+    private = {
+        name: where
+        for name, where in defined.items()
+        if name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+    }
+    assert len(private) > 0
+    assert sorted(where for name, where in private.items() if name not in referenced) == []
+
+
 def test_third_party_imports_are_the_declared_dependencies():
     tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
     with PYPROJECT.open("rb") as handle:

@@ -69,7 +69,6 @@ from .reductions import (
 )
 from .rules_exact import (
     Committee,
-    DPSF,
     cc_score,
     committee_decision,
     dodgson_score_exact,
@@ -77,7 +76,6 @@ from .rules_exact import (
     kemeny_best,
     kemeny_decision,
     kemeny_score_of_alternative,
-    linear_dpsf,
     monroe_score,
     young_score_exact,
 )

@@ -53,6 +53,14 @@ def _emit(result: dict, pretty: bool) -> None:
             print(f"{key:<{width}}  {result[key]}", file=sys.stderr)
 
 
+def _load_json(text: str):
+    """Parse JSON input; nesting too deep for the decoder is malformed input."""
+    try:
+        return json.loads(text)
+    except RecursionError as exc:
+        raise ValueError(f"JSON nested too deeply: {exc}") from None
+
+
 def _resolve_seed(seed: int | None) -> int:
     if seed is not None:
         return seed
@@ -103,7 +111,7 @@ def _cmd_score(args) -> int:
             result["decision"] = "yes" if yes else "no"
         else:
             raise ValueError("cc/monroe need --committee, or --k with --threshold")
-    elif args.rule == "greedy-dodgson":
+    else:  # greedy-dodgson
         _reject_budget(args)
         alt = _require_alt(args)
         greedy = greedy_dodgson(profile, alt)
@@ -113,8 +121,6 @@ def _cmd_score(args) -> int:
             result["decision"] = semirandom_dodgson_decision(
                 profile, alt, args.threshold
             ).value
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(f"unknown rule {args.rule}")
 
     _emit(result, args.pretty)
     return EXIT_OK
@@ -135,7 +141,7 @@ def _cmd_sample(args) -> int:
     spec_text = args.model
     if spec_text.startswith("@"):
         spec_text = Path(spec_text[1:]).read_text()
-    spec = json.loads(spec_text)
+    spec = _load_json(spec_text)
     weighted = vio.read_weighted_profile(args.params)
     model = model_from_spec(spec, weighted.m)
     pp = ParameterProfile(weighted.entries, model)
@@ -173,19 +179,17 @@ def _cmd_reduce(args) -> int:
         profile = mcgarvey_profile(graph)
         vio.write_profile(profile, args.out)
         _emit({"out": str(args.out), "n": profile.n}, args.pretty)
-    elif args.construction == "efas-check":
+    else:  # efas-check
         graph = vio.read_digraph(args.input)
         if args.threshold is None:
             raise ValueError("efas-check needs --threshold")
         answer = efas_via_kemeny(graph, args.threshold, kemeny_decision, strict=not args.no_strict)
         _emit({"decision": answer.value}, args.pretty)
-    else:  # pragma: no cover
-        raise ValueError(f"unknown construction {args.construction}")
     return EXIT_OK
 
 
 def _cmd_experiment(args) -> int:
-    cfg = ExperimentConfig.from_dict(json.loads(Path(args.config).read_text()))
+    cfg = ExperimentConfig.from_dict(_load_json(Path(args.config).read_text()))
     if args.out_dir is not None:
         cfg = replace(cfg, out_dir=args.out_dir)
     report = run_experiment(cfg)

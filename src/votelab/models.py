@@ -216,33 +216,22 @@ def sample(model, parameter: Ranking, rng: np.random.Generator) -> Ranking:
 
 
 @dataclass(frozen=True)
-class ParameterProfile:
-    """Weighted parameters, one distribution per entry.
+class ParameterProfile(WeightedProfile):
+    """A weighted profile of parameters with the model that draws around each.
 
     Integer weights mean whole agents (one independent draw per unit);
     fractional profiles arise from scaling constructions and must be
     rounded before sampling.
     """
 
-    entries: tuple[tuple[Ranking, Fraction], ...]
     model: object
 
     def __post_init__(self) -> None:
-        if not self.entries:
-            raise ValueError("parameter profile needs at least one entry")
-        for r, w in self.entries:
-            if r.m != self.model.m:
-                raise DimensionError("parameters must match the model's m")
-            if w <= 0:
-                raise ValueError("parameter weights must be positive")
-
-    @property
-    def m(self) -> int:
-        return self.model.m
-
-    @property
-    def total_weight(self) -> Fraction:
-        return sum((w for _, w in self.entries), Fraction(0))
+        super().__post_init__()
+        if self.m != self.model.m:
+            raise DimensionError("parameters must match the model's m")
+        if any(w <= 0 for _, w in self.entries):
+            raise ValueError("parameter weights must be positive")
 
     @property
     def is_integral(self) -> bool:

@@ -30,9 +30,7 @@ from .core import Profile, Ranking, _require_rule_scale, wmg
 from .errors import BudgetExceededError
 
 __all__ = [
-    "DPSF",
     "Committee",
-    "linear_dpsf",
     "dodgson_score_exact",
     "dodgson_score_within",
     "young_score_exact",
@@ -379,32 +377,6 @@ def kemeny_decision(p: Profile, t: int, *, budget: int = DEFAULT_KEMENY_BUDGET) 
 
 
 @dataclass(frozen=True)
-class DPSF:
-    """Strictly decreasing positional scores, independent of ``m``.
-
-    ``score_of_position`` maps 1-based ballot positions to integers. The
-    same function must serve every ``m``: appending alternatives extends
-    its domain without changing earlier values, which is exactly what
-    keeps committee scores stable when ballots are padded at the bottom.
-    """
-
-    score_of_position: Callable[[int], int]
-
-    def __call__(self, position: int) -> int:
-        return self.score_of_position(position)
-
-    def check_decreasing(self, up_to: int) -> None:
-        for i in range(1, up_to):
-            if self(i) <= self(i + 1):
-                raise ValueError(f"positional scores must strictly decrease (at {i})")
-
-
-def linear_dpsf() -> DPSF:
-    """Default satisfaction: position ``i`` scores ``-i``."""
-    return DPSF(lambda i: -i)
-
-
-@dataclass(frozen=True)
 class Committee:
     """A nonempty set of distinct alternatives."""
 
@@ -423,23 +395,34 @@ class Committee:
         return len(self.members)
 
 
-def _satisfaction_table(p: Profile, committee: Committee, alpha: DPSF) -> list[tuple[list[int], int]]:
+def _satisfaction_table(
+    p: Profile, committee: Committee, alpha: Optional[Callable[[int], int]], aggregator: str
+) -> list[tuple[list[int], int]]:
     """Satisfaction for each member, members in sorted order, with its voter count.
 
-    One row per distinct ranking of ``p``.
+    One row per distinct ranking of ``p``. ``alpha`` maps 1-based ballot
+    positions to integers and must strictly decrease over ``1..m``; it
+    defaults to ``-i`` at position ``i``. It takes only the position, not
+    ``m``, so appending alternatives at the bottom of every ballot leaves
+    each member's satisfaction, and so every committee score, unchanged.
     """
     members = sorted(committee.members)
     for c in members:
         if not 0 <= c < p.m:
             raise ValueError(f"committee member {c} out of range")
-    alpha.check_decreasing(p.m)
+    alpha = alpha or operator.neg
+    for i in range(1, p.m):
+        if alpha(i) <= alpha(i + 1):
+            raise ValueError(f"positional scores must strictly decrease (at {i})")
+    if aggregator not in ("sum", "min"):
+        raise ValueError(f"unknown aggregator {aggregator!r}")
     return [([alpha(r.position(c) + 1) for c in members], count) for r, count in p.grouped.items()]
 
 
 def cc_score(
     p: Profile,
     committee: Committee,
-    alpha: Optional[DPSF] = None,
+    alpha: Optional[Callable[[int], int]] = None,
     aggregator: str = "sum",
 ) -> int:
     """Best achievable committee satisfaction with free voter assignment.
@@ -448,13 +431,10 @@ def cc_score(
     best-ranked member, so ``sum`` totals those values and ``min`` takes
     the worst of them.
     """
-    alpha = alpha or linear_dpsf()
-    table = _satisfaction_table(p, committee, alpha)
+    table = _satisfaction_table(p, committee, alpha, aggregator)
     if aggregator == "sum":
         return sum(max(row) * count for row, count in table)
-    if aggregator == "min":
-        return min(max(row) for row, _ in table)
-    raise ValueError(f"unknown aggregator {aggregator!r}")
+    return min(max(row) for row, _ in table)
 
 
 def _balanced_bounds(n: int, k: int) -> tuple[int, int]:
@@ -533,7 +513,7 @@ def _balanced_assignment(table: Sequence[Sequence[Optional[int]]]) -> Optional[i
 def monroe_score(
     p: Profile,
     committee: Committee,
-    alpha: Optional[DPSF] = None,
+    alpha: Optional[Callable[[int], int]] = None,
     aggregator: str = "sum",
 ) -> int:
     """Best committee satisfaction under near-equal member loads.
@@ -543,27 +523,24 @@ def monroe_score(
     ``min`` binary-searches the highest satisfaction level at which the
     voter-member pairs that reach it still admit a balanced assignment.
     """
-    alpha = alpha or linear_dpsf()
     # The assignment places voters one by one: one row per voter.
-    table = [row for row, count in _satisfaction_table(p, committee, alpha) for _ in range(count)]
+    grouped = _satisfaction_table(p, committee, alpha, aggregator)
+    table = [row for row, count in grouped for _ in range(count)]
 
     if aggregator == "sum":
         return _balanced_assignment(table)  # never None: any voter may serve any member
 
-    if aggregator == "min":
-        levels = sorted({v for row in table for v in row})
-        lo, hi = 0, len(levels) - 1  # levels[0] is always feasible
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            level = levels[mid]
-            allowed = [[0 if v >= level else None for v in row] for row in table]
-            if _balanced_assignment(allowed) is not None:
-                lo = mid
-            else:
-                hi = mid - 1
-        return levels[lo]
-
-    raise ValueError(f"unknown aggregator {aggregator!r}")
+    levels = sorted({v for row in table for v in row})
+    lo, hi = 0, len(levels) - 1  # levels[0] is always feasible
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        level = levels[mid]
+        allowed = [[0 if v >= level else None for v in row] for row in table]
+        if _balanced_assignment(allowed) is not None:
+            lo = mid
+        else:
+            hi = mid - 1
+    return levels[lo]
 
 
 def committee_decision(
@@ -571,7 +548,7 @@ def committee_decision(
     k: int,
     t: int,
     rule: str = "cc",
-    alpha: Optional[DPSF] = None,
+    alpha: Optional[Callable[[int], int]] = None,
     aggregator: str = "sum",
     *,
     budget: int = DEFAULT_COMMITTEE_BUDGET,

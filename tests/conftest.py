@@ -27,7 +27,7 @@ import itertools
 import math
 from collections import deque
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 import pytest
@@ -45,10 +45,14 @@ from votelab import (
     Ranking,
     TopBreakNoise,
     app_last,
-    linear_dpsf,
 )
 
 DEFAULT_BFS_STATE_BUDGET = 2_000_000
+
+
+def voter_rankings(p: Profile) -> list[Ranking]:
+    """``p.grouped`` expanded into one ranking per voter, each ranking's copies together."""
+    return [r for r, count in p.grouped.items() for _ in range(count)]
 
 
 def random_ranking(rng: np.random.Generator, m: int) -> Ranking:
@@ -83,7 +87,7 @@ def kt_brute(r1: Ranking, r2: Ranking) -> int:
 
 def votes_brute(p: Profile, a: int, b: int) -> int:
     """Voters ranking ``a`` above ``b``, counted ballot by ballot."""
-    return sum(1 for r in p.rankings if r.prefers(a, b))
+    return sum(1 for r in voter_rankings(p) if r.prefers(a, b))
 
 
 def margins_brute(p) -> list[list]:
@@ -106,7 +110,9 @@ def deficit_brute(p: Profile, a: int, b: int) -> int:
 
 def adjacent_brute(p: Profile, a: int, b: int) -> int:
     """Ballots whose entry right before ``a`` is ``b``, counted ballot by ballot."""
-    return sum(1 for r in p.rankings if r.order.index(a) > 0 and r.order[r.order.index(a) - 1] == b)
+    return sum(
+        1 for r in voter_rankings(p) if r.order.index(a) > 0 and r.order[r.order.index(a) - 1] == b
+    )
 
 
 def greedy_brute(p: Profile, a: int) -> tuple[int, bool]:
@@ -153,7 +159,7 @@ def dodgson_score_bfs_oracle(
         raise BudgetExceededError(
             f"bfs oracle limited to m<={max_m}, n<={max_n} (got m={p.m}, n={p.n})"
         )
-    start = tuple(r.order for r in p.rankings)
+    start = tuple(r.order for r in voter_rankings(p))
     dist = {start: 0}
     queue = deque([start])
     while queue:
@@ -367,7 +373,8 @@ def kemeny_ilp(p: Profile, top: Optional[int] = None) -> tuple[Ranking, int]:
 def kemeny_table_loop(p: Profile) -> list[int]:
     """Best internal disagreement of every block of alternatives, one block at a time."""
     m = p.m
-    wrong = [[sum(1 for r in p.rankings if r.prefers(y, x)) for y in range(m)] for x in range(m)]
+    ballots = voter_rankings(p)
+    wrong = [[sum(1 for r in ballots if r.prefers(y, x)) for y in range(m)] for x in range(m)]
     best = [0] * (1 << m)
     for block in range(1, 1 << m):
         members = [x for x in range(m) if block >> x & 1]
@@ -396,14 +403,23 @@ def _aggregate(values, aggregator: str) -> int:
     return sum(values) if aggregator == "sum" else min(values)
 
 
-def cc_brute(p: Profile, committee: Committee, aggregator: str) -> int:
-    """Best aggregate over every raw assignment function."""
-    alpha = linear_dpsf()
+def _minus_position(i: int) -> int:
+    return -i
+
+
+def cc_brute(
+    p: Profile, committee: Committee, aggregator: str, alpha: Callable[[int], int] = _minus_position
+) -> int:
+    """Best aggregate over every raw assignment function.
+
+    Position ``i`` scores ``alpha(i)``.
+    """
+    ballots = voter_rankings(p)
     members = sorted(committee.members)
     best = None
     for assignment in itertools.product(members, repeat=p.n):
         value = _aggregate(
-            [alpha(p.rankings[i].position(assignment[i]) + 1) for i in range(p.n)],
+            [alpha(ballots[i].position(assignment[i]) + 1) for i in range(p.n)],
             aggregator,
         )
         if best is None or value > best:
@@ -411,9 +427,14 @@ def cc_brute(p: Profile, committee: Committee, aggregator: str) -> int:
     return best
 
 
-def monroe_brute(p: Profile, committee: Committee, aggregator: str) -> int:
-    """Best aggregate over capacity-feasible assignment functions."""
-    alpha = linear_dpsf()
+def monroe_brute(
+    p: Profile, committee: Committee, aggregator: str, alpha: Callable[[int], int] = _minus_position
+) -> int:
+    """Best aggregate over capacity-feasible assignment functions.
+
+    Position ``i`` scores ``alpha(i)``.
+    """
+    ballots = voter_rankings(p)
     members = sorted(committee.members)
     k = len(members)
     low, high = p.n // k, math.ceil(p.n / k)
@@ -425,7 +446,7 @@ def monroe_brute(p: Profile, committee: Committee, aggregator: str) -> int:
         if any(not low <= loads[c] <= high for c in members):
             continue
         value = _aggregate(
-            [alpha(p.rankings[i].position(assignment[i]) + 1) for i in range(p.n)],
+            [alpha(ballots[i].position(assignment[i]) + 1) for i in range(p.n)],
             aggregator,
         )
         if best is None or value > best:
@@ -433,21 +454,22 @@ def monroe_brute(p: Profile, committee: Committee, aggregator: str) -> int:
     return best
 
 
-def monroe_lsa(p: Profile, committee: Committee, aggregator: str) -> int:
+def monroe_lsa(
+    p: Profile, committee: Committee, aggregator: str, alpha: Callable[[int], int] = _minus_position
+) -> int:
     """Monroe score by linear assignment onto replicated member slots.
 
     Each member gets ``n // k`` mandatory slots, worth a bonus larger than
     any difference between two totals, and up to one optional slot. For
     ``min``, every level is tried from the top, with voter-member pairs
-    below the level forbidden.
+    below the level forbidden. Position ``i`` scores ``alpha(i)``.
     """
-    alpha = linear_dpsf()
     members = sorted(committee.members)
     k = len(members)
     low, high = p.n // k, math.ceil(p.n / k)
     mandatory = np.array(([1] * low + [0] * (high - low)) * k)
     values = np.array(
-        [[alpha(r.position(c) + 1) for c in members] for r in p.rankings]
+        [[alpha(r.position(c) + 1) for c in members] for r in voter_rankings(p)]
     ).repeat(high, axis=1)
 
     if aggregator == "sum":
@@ -521,7 +543,7 @@ def padded_parameter_profile_per_agent(out, model, pad: int) -> ParameterProfile
     profile itself when ``pad`` is 0), so sampling draws agent by agent.
     """
     padded = out.profile if pad == 0 else app_last(out.profile, pad)
-    return ParameterProfile(tuple((r, Fraction(1)) for r in padded.rankings), model)
+    return ParameterProfile(tuple((r, Fraction(1)) for r in voter_rankings(padded)), model)
 
 
 def eulerian_digraphs_scan(m: int):

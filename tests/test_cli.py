@@ -276,6 +276,28 @@ class TestScoreCommand:
         assert "member 0 more than once" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["score", "kemeny", "--profile", "{profile}", "--threshold", "4"],
+        ["reduce", "mcgarvey", "--input", "{digraph}", "--out", "{out}"],
+    ],
+    ids=["score_kemeny", "reduce_mcgarvey"],
+)
+def test_pretty_mirrors_stdout_as_aligned_rows(capsys, unanimous, cycle_graph, tmp_path, argv):
+    argv = [arg.format(profile=unanimous, digraph=cycle_graph, out=tmp_path / "o") for arg in argv]
+    assert main(argv) == 0
+    plain = capsys.readouterr().out
+    assert main(argv + ["--pretty"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == plain
+    result = json.loads(plain)
+    width = max(len(key) for key in result)
+    assert captured.err.splitlines() == [
+        f"{key.ljust(width)}  {result[key]}" for key in sorted(result)
+    ]
+
+
 class TestExitCodes:
     def test_missing_file_is_input_error(self, capsys):
         assert main(["score", "dodgson", "--profile", "/nonexistent", "--alt", "0"]) == 1
@@ -386,6 +408,20 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["score", "dodgson", "--bogus", "1"])
         assert exc.value.code == 1
+
+    @pytest.mark.parametrize("command", ["experiment", "sample"])
+    def test_json_nested_past_the_recursion_limit_is_input_error(self, capsys, tmp_path, command):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 200_000)
+        if command == "sample":
+            params = tmp_path / "p.profile"
+            vio.write_weighted_profile(WeightedProfile(((Ranking.of([0, 1, 2]), Fraction(1)),)), params)
+            argv = ["sample", "--model", f"@{deep}", "--params", str(params), "--out", str(tmp_path / "o")]
+        else:
+            argv = ["experiment", "--config", str(deep)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: JSON nested too deeply") and err.count("\n") == 1
 
 
 class TestSampleCommand:

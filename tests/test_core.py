@@ -24,7 +24,14 @@ from votelab import (
     wmg,
 )
 from votelab import io as vio
-from conftest import condorcet_brute, deficit_brute, kt_brute, margins_brute, random_profile
+from conftest import (
+    condorcet_brute,
+    deficit_brute,
+    kt_brute,
+    margins_brute,
+    random_profile,
+    voter_rankings,
+)
 
 st_m = st.integers(3, 6)
 
@@ -172,7 +179,7 @@ class TestAppLast:
     def test_top_slice_recovers_input(self):
         p = Profile((CAB, BCA))
         padded = app_last(p, 2)
-        for before, after in zip(p.rankings, padded.rankings):
+        for before, after in zip(voter_rankings(p), voter_rankings(padded)):
             assert after.order[: p.m] == before.order
             assert set(after.order[p.m :]) == {3, 4}
 
@@ -265,7 +272,7 @@ class TestMarginKernel:
         for a, b in itertools.permutations(range(p.m), 2):
             assert deficit(p, a, b) == deficit_brute(p, a, b)
         assert condorcet_winner(p) == condorcet_brute(p)
-        assert wmg(Profile.from_counts(Counter(p.rankings).items())) == graph
+        assert wmg(Profile.from_counts(Counter(voter_rankings(p)).items())) == graph
 
     @given(
         st.integers(3, 6).flatmap(
@@ -319,8 +326,9 @@ class TestMarginKernel:
         p = random_profile(rng, 6, 40)
         expected = margins_brute(p)
         monkeypatch.setattr(core, "_KERNEL_CELLS", 3 * 6 * 6)  # three rows per step
-        assert [list(row) for row in wmg(Profile(p.rankings)).margins] == expected
-        wp = WeightedProfile(tuple((r, Fraction(i + 1, 3)) for i, r in enumerate(p.rankings)))
+        ballots = voter_rankings(p)
+        assert [list(row) for row in wmg(Profile(ballots)).margins] == expected
+        wp = WeightedProfile(tuple((r, Fraction(i + 1, 3)) for i, r in enumerate(ballots)))
         assert [list(row) for row in wmg(wp).margins] == margins_brute(wp)
 
     def test_huge_counts_cost_nothing_per_voter(self):

@@ -11,7 +11,6 @@ from votelab import rules_exact
 from votelab import (
     BudgetExceededError,
     Committee,
-    DPSF,
     Profile,
     Ranking,
     app_last,
@@ -25,7 +24,6 @@ from votelab import (
     kemeny_decision,
     kemeny_score_of_alternative,
     kt_profile_distance,
-    linear_dpsf,
     monroe_score,
     permute_profile,
     x3c_to_dodgson,
@@ -46,6 +44,7 @@ from conftest import (
     random_profile,
     random_ranking,
     st_pooled_profile,
+    voter_rankings,
     young_ilp,
 )
 
@@ -370,8 +369,7 @@ class TestCcScore:
 
     def test_singleton_forced_assignment(self):
         p = Profile.of([[0, 1, 2], [1, 0, 2]])
-        alpha = linear_dpsf()
-        expected = sum(alpha(r.position(0) + 1) for r in p.rankings)
+        expected = sum(-(r.position(0) + 1) for r in voter_rankings(p))
         assert cc_score(p, Committee.of([0]), None, "sum") == expected
 
     def test_matches_assignment_brute(self, rng):
@@ -500,14 +498,58 @@ class TestNeutrality:
             )
 
 
+NON_LINEAR_ALPHAS = {"square": lambda i: -i * i, "power": lambda i: 2 ** (12 - i)}
+
+
 class TestDpsf:
+    """Positional scores: any callable strictly decreasing on 1-based positions."""
+
     def test_default_is_strictly_decreasing(self):
-        linear_dpsf().check_decreasing(50)
+        p = Profile.of([list(range(50))])
+        assert cc_score(p, Committee.of([49])) == -50
+        assert monroe_score(p, Committee.of([0, 49]), None, "min") == -1
 
     def test_non_decreasing_rejected(self):
-        flat = DPSF(lambda i: 0)
-        with pytest.raises(ValueError):
-            flat.check_decreasing(3)
+        with pytest.raises(ValueError, match=r"positional scores must strictly decrease \(at 1\)"):
+            cc_score(CYCLE, Committee.of([0]), lambda i: 0)
+        with pytest.raises(ValueError, match=r"strictly decrease \(at 2\)"):
+            monroe_score(CYCLE, Committee.of([0]), lambda i: -min(i, 2))
+
+    @pytest.mark.parametrize("score_fn", [cc_score, monroe_score])
+    def test_errors_come_in_order(self, score_fn):
+        # A member out of range first, then a bad alpha, then an unknown aggregator.
+        with pytest.raises(ValueError, match="committee member 3 out of range"):
+            score_fn(CYCLE, Committee.of([3]), lambda i: 0, "mean")
+        with pytest.raises(ValueError, match="must strictly decrease"):
+            score_fn(CYCLE, Committee.of([0]), lambda i: 0, "mean")
+        with pytest.raises(ValueError, match="unknown aggregator 'mean'"):
+            score_fn(CYCLE, Committee.of([0]), None, "mean")
+
+    @pytest.mark.parametrize("name", sorted(NON_LINEAR_ALPHAS))
+    def test_non_linear_alpha_matches_assignment_oracles(self, rng, name):
+        alpha = NON_LINEAR_ALPHAS[name]
+        for _ in range(30):
+            m = int(rng.integers(3, 6))
+            p = random_profile(rng, m, int(rng.integers(1, 7)))
+            padded = app_last(p, 2)
+            k = int(rng.integers(1, 4))
+            committees = [Committee.of(c) for c in itertools.combinations(range(m), k)]
+            for agg in ("sum", "min"):
+                for rule, score_fn, oracle in [
+                    ("cc", cc_score, cc_brute),
+                    ("monroe", monroe_score, monroe_brute),
+                ]:
+                    scores = [oracle(p, c, agg, alpha) for c in committees]
+                    for c, expected in zip(committees, scores):
+                        assert score_fn(p, c, alpha, agg) == expected
+                        assert score_fn(padded, c, alpha, agg) == expected
+                    best = max(scores)
+                    for q in (p, padded):
+                        assert committee_decision(q, k, best, rule, alpha, agg)
+                        assert not committee_decision(q, k, best + 1, rule, alpha, agg)
+                assert monroe_lsa(p, committees[0], agg, alpha) == monroe_score(
+                    p, committees[0], alpha, agg
+                )
 
     def test_committee_validation(self):
         with pytest.raises(ValueError):

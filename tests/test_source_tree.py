@@ -136,3 +136,14 @@ def test_benchmark_tracer_installs_and_restores(monkeypatch):
     assert _function_bindings() == before
     assert tracer.calls["models.sample"] == tracer.calls["greedy_dodgson.greedy_dodgson"] == 1
     assert tracer.calls["core.Profile"] >= 1
+
+
+def test_no_pragma_no_cover_in_package():
+    # An unreachable branch kept only to raise is a stub; let the last branch be a plain else.
+    found = [
+        f"{path.relative_to(SRC)}:{lineno}"
+        for path in sorted(SRC.rglob("*.py"))
+        for lineno, line in enumerate(path.read_text().splitlines(), start=1)
+        if re.search(r"pragma:\s*no\s*cover", line)
+    ]
+    assert found == []

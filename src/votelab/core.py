@@ -77,17 +77,12 @@ class Ranking:
     def m(self) -> int:
         return len(self.order)
 
-    @cached_property
-    def positions(self) -> dict[int, int]:
-        """Alternative -> 0-based position (0 = most preferred)."""
-        return {alt: idx for idx, alt in enumerate(self.order)}
-
     def position(self, alt: int) -> int:
-        return self.positions[alt]
+        return self.order.index(alt)
 
     def prefers(self, a: int, b: int) -> bool:
         """True iff ``a`` is ranked above ``b``."""
-        return self.positions[a] < self.positions[b]
+        return self.order.index(a) < self.order.index(b)
 
     def reversed(self) -> "Ranking":
         return Ranking(self.order[::-1])
@@ -103,8 +98,11 @@ class Profile:
     Stored as its distinct rankings with their multiplicities: ``grouped``
     maps each distinct ranking to its count, in order of first appearance,
     and ``n`` is the sum of the counts. Every solver and the margin kernel
-    read ``grouped``, so work grows with the number of distinct rankings,
-    not with ``n``. Two profiles are equal when they hold the same multiset.
+    read ``grouped``. Three solvers still grow with the counts: Monroe
+    expands one row per voter, the Dodgson DP takes a ballot type once per
+    copy (up to the missing votes) and the Young search branches ``c + 1``
+    ways on a class of ``c`` ballots; the rest work per distinct ranking.
+    Two profiles are equal when they hold the same multiset.
     All three constructors count their input; no per-agent order is kept.
     """
 
@@ -155,12 +153,12 @@ class Profile:
         profile.__post_init__()
         return profile
 
-    @cached_property
+    @property
     def rankings(self) -> tuple[Ranking, ...]:
         """``grouped`` expanded into ``n`` entries, each ranking's copies together.
 
-        Built on first use; nothing in the package reads it, and
-        ``perfbench/tracer.py``'s profile counter is its last reader.
+        Built on every read and never kept; nothing in the package reads it,
+        and ``perfbench/tracer.py``'s profile counter is its last reader.
         """
         return tuple(itertools.chain.from_iterable(
             itertools.repeat(r, count) for r, count in self.grouped.items()
@@ -340,7 +338,7 @@ def kt_distance(r1: Ranking, r2: Ranking) -> int:
     A metric on rankings of fixed m, bounded by ``m*(m-1)/2``.
     """
     _check_same_m(r1, r2)
-    pos2 = r2.positions
+    pos2 = {alt: idx for idx, alt in enumerate(r2.order)}
     order = r1.order
     count = 0
     for i in range(len(order)):
@@ -498,5 +496,5 @@ def backward_arcs(g: Digraph, r: Ranking) -> int:
     """Arcs (u -> v) whose head ``v`` is ranked above the tail ``u``."""
     if g.m != r.m:
         raise DimensionError(f"digraph m={g.m} vs ranking m={r.m}")
-    pos = r.positions
+    pos = {alt: idx for idx, alt in enumerate(r.order)}
     return sum(1 for u, v in g.arcs if pos[v] < pos[u])

@@ -39,13 +39,12 @@ from typing import Optional, get_args, get_type_hints
 import numpy as np
 
 from .core import _MAX_VOTERS
-from .errors import BudgetExceededError
 from .greedy_dodgson import _certify, _tally_table
 from .models import (
-    MAX_ENUMERATION_M,
     AlphaIC,
     PartialAltRandomization,
     TopBreakNoise,
+    _check_keys,
     _spec_number,
     all_rankings,
     model_from_spec,
@@ -327,10 +326,6 @@ def _trial_tallies(cfg: ExperimentConfig) -> tuple[list[int], np.ndarray]:
         )
 
     if cfg.adversary == "shared_bottom":
-        if m > MAX_ENUMERATION_M:
-            raise BudgetExceededError(
-                f"shared_bottom enumeration limited to m<={MAX_ENUMERATION_M}"
-            )
         rankings = all_rankings(m)
         probs = np.full(len(rankings), float(model.alpha) / math.factorial(m))
         probs[0] += 1.0 - float(model.alpha)  # rankings[0] ascends, so its bottom is m - 1
@@ -463,6 +458,7 @@ def _padded_reduction(cfg: ExperimentConfig):
     """
     if not cfg.instance:
         raise ValueError("this claim needs an exact-cover instance in the config")
+    _check_keys(cfg.instance, {"q", "subsets"}, "instance")
     q = _spec_number(cfg.instance, "q", int, "instance")
     subsets = cfg.instance.get("subsets")
     if not isinstance(subsets, (list, tuple)) or not all(

@@ -54,7 +54,9 @@ MAX_ENUMERATION_M = 8
 
 
 def all_rankings(m: int) -> list[Ranking]:
-    """All m! rankings in lexicographic order of their tuples."""
+    """All m! rankings in lexicographic order of their tuples; the one holder of the m cap."""
+    if m > MAX_ENUMERATION_M:
+        raise BudgetExceededError(f"enumeration of all m! rankings limited to m<={MAX_ENUMERATION_M}")
     return [Ranking(p) for p in itertools.permutations(range(m))]
 
 
@@ -308,11 +310,10 @@ def induced_weighted_profile(pp: ParameterProfile) -> WeightedProfile:
     entry's distribution. Enumerates the ranking space, so only for
     small ``m``.
     """
-    if pp.m > MAX_ENUMERATION_M:
-        raise BudgetExceededError(f"enumeration limited to m<={MAX_ENUMERATION_M}")
+    rankings = all_rankings(pp.m)
     weights: dict[Ranking, Fraction] = {}
     for parameter, w in pp.entries:
-        for r in all_rankings(pp.m):
+        for r in rankings:
             prob = pp.model.pmf(parameter, r)
             if prob > 0:
                 weights[r] = weights.get(r, Fraction(0)) + w * prob
@@ -326,29 +327,39 @@ def model_from_spec(spec: dict, m: int):
     ``{"model": "alpha_ic", "alpha": "2/3"}``,
     ``{"model": "partial_alt", "K": 4}`` or
     ``{"model": "top_break", "K": 8}``; ``m`` comes from context.
-    Anything else, a non-object included, raises ``ValueError``.
+    Anything else, a non-object or a stray key included, raises ``ValueError``.
     """
     if not isinstance(spec, dict):
         raise ValueError(f"model spec must be a JSON object, got {spec!r}")
     kind = spec.get("model")
     if kind == "alpha_ic":
-        return AlphaIC(m, _spec_number(spec, "alpha", Fraction))
-    if kind == "partial_alt":
-        return PartialAltRandomization(m, _spec_number(spec, "K", int))
-    if kind == "top_break":
-        return TopBreakNoise(m, _spec_number(spec, "K", int))
-    raise ValueError(f"unknown model spec {spec!r}")
+        cls, key, convert = AlphaIC, "alpha", Fraction
+    elif kind == "partial_alt":
+        cls, key, convert = PartialAltRandomization, "K", int
+    elif kind == "top_break":
+        cls, key, convert = TopBreakNoise, "K", int
+    else:
+        raise ValueError(f"unknown model spec {spec!r}")
+    _check_keys(spec, {"model", key}, f"model spec {kind!r}")
+    return cls(m, _spec_number(spec, key, convert))
+
+
+def _check_keys(data: dict, allowed: set, what: str) -> None:
+    """Reject a key nothing reads: it would change a config's hash, not its rows."""
+    unknown = sorted(set(data) - allowed, key=str)
+    if unknown:
+        raise ValueError(f"{what} takes only {sorted(allowed)}, got unknown keys {unknown}")
 
 
 def _spec_number(spec: dict, key: str, convert: Callable, what: str = "model spec"):
     value = spec.get(key)
-    # JSON true would convert to 1; a bool is not a number here.
-    if isinstance(value, bool):
-        raise ValueError(f"{what} {key!r} must be a number, got {value!r}")
     # int() would truncate 2.5 and Fraction() keep 0.1's binary expansion;
     # exact inputs are integers or fraction strings.
     if isinstance(value, float):
         raise ValueError(f"{what} {key!r} must not be a float, got {value!r}")
+    # JSON true would convert to 1 and int() would parse "8"; neither is a number here.
+    if isinstance(value, bool) or (convert is int and not isinstance(value, int)):
+        raise ValueError(f"{what} {key!r} must be a number, got {value!r}")
     try:
         return convert(value)
     except (TypeError, ValueError, OverflowError, ZeroDivisionError):

@@ -33,7 +33,7 @@ from .core import (
 )
 from .errors import BudgetExceededError, ConstructionError
 from .greedy_dodgson import Decision
-from .models import MAX_ENUMERATION_M, ParameterProfile, PartialAltRandomization
+from .models import ParameterProfile, PartialAltRandomization, all_rankings
 
 __all__ = [
     "X3CInstance",
@@ -364,18 +364,13 @@ def efas_bruteforce(g: Digraph, t: int) -> bool:
     """Can at most ``t`` arc removals make the graph acyclic?
 
     Minimum removals equal the minimum backward-arc count over all
-    vertex orders, so enumerate orders: all m! of them, hence only for
-    ``m <= MAX_ENUMERATION_M``.
+    vertex orders, so enumerate orders: all m! of them, from
+    :func:`~votelab.models.all_rankings` and under its cap on ``m``.
     """
-    if g.m > MAX_ENUMERATION_M:
-        raise BudgetExceededError(f"feedback-arc enumeration limited to m<={MAX_ENUMERATION_M}")
+    orders = all_rankings(g.m)
     if not g.arcs:
         return t >= 0
-    best = min(
-        backward_arcs(g, Ranking(perm))
-        for perm in itertools.permutations(range(g.m))
-    )
-    return best <= t
+    return min(backward_arcs(g, r) for r in orders) <= t
 
 
 def efas_via_kemeny(

@@ -108,9 +108,10 @@ def dodgson_score_within(
     total_needed = sum(needed)
 
     # Feasible upper bound: lift a to the very top of every ballot, which
-    # passes each voter's alternatives above a once.
-    best_known = sum(against)
-    limit = best_known if cutoff is None else min(best_known, cutoff)
+    # passes each voter's alternatives above a once. Each stored completion
+    # lowers the limit to its cost, so a score above the final limit can
+    # only be a Condorcet winner's 0 above a negative cutoff.
+    limit = sum(against) if cutoff is None else min(sum(against), cutoff)
 
     ballots: list[tuple[int, list[tuple[int, tuple[int, ...]]]]] = []
     for r, count in p.grouped.items():
@@ -148,16 +149,11 @@ def dodgson_score_within(
                     old = frontier.get(key)
                     if old is None or new_cost < old:
                         frontier[key] = new_cost
-                        if remaining == 0 and new_cost < best_known:
-                            best_known = new_cost
-                            limit = best_known if cutoff is None else min(best_known, cutoff)
+                        if remaining == 0:
+                            limit = new_cost
 
     score = frontier.get(zero)
-    if score is None:
-        return None  # only reachable when a cutoff pruned everything
-    if cutoff is not None and score > cutoff:
-        return None
-    return score
+    return None if score is None or score > limit else score
 
 
 def dodgson_score_exact(p: Profile, a: int, *, budget: int = DEFAULT_DODGSON_BUDGET) -> int:

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import types
 from fractions import Fraction
 from pathlib import Path
 
@@ -339,9 +340,11 @@ class TestExitCodes:
 
     def test_shared_bottom_enumeration_capped(self, capsys, tmp_path, monkeypatch):
         # shared_bottom enumerates all m! rankings (362,880 at m=9); the cap
-        # applies before the ranking space is built.
+        # in models.all_rankings applies before the ranking space is built.
         enumerated = []
-        monkeypatch.setattr(votelab.experiments, "all_rankings", enumerated.append)
+        monkeypatch.setattr(
+            votelab.models, "itertools", types.SimpleNamespace(permutations=enumerated.append)
+        )
         config = {**SMALL_CONFIG, "m": 9, "model": {"model": "alpha_ic", "alpha": "8/9"}}
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(config))
@@ -768,6 +771,35 @@ class TestMalformedJson:
                 {**SMALL_CONFIG, "m": 9, "model": {"model": "alpha_ic", "alpha": "1/2"}},
                 "below the regime floor",
             ),
+            # A key nothing reads would change the config hash, not the rows;
+            # an integer parameter is a JSON integer, not a numeric string.
+            ("sample", {"model": "top_break", "K": 8, "alpha": "1/2"}, "unknown keys ['alpha']"),
+            ("sample", {"model": "partial_alt", "K": "2"}, "'K' must be a number, got '2'"),
+            (
+                "experiment",
+                {**SMALL_CONFIG, "model": {"model": "alpha_ic", "alpha": "2/3", "K": 2}},
+                "unknown keys ['K']",
+            ),
+            (
+                "experiment",
+                {**TOP_CONFIG, "model": {"model": "top_break", "K": "8"}},
+                "'K' must be a number, got '8'",
+            ),
+            (
+                "experiment",
+                {**TOP_CONFIG, "model": {"model": "partial_alt", "K": "m1", "alpha": "1/2"}},
+                "unknown keys ['alpha']",
+            ),
+            (
+                "experiment",
+                {**TOP_CONFIG, "instance": {"q": 3, "subsets": [[0, 1, 2]], "note": "x"}},
+                "unknown keys ['note']",
+            ),
+            (
+                "experiment",
+                {**TOP_CONFIG, "instance": {"q": "3", "subsets": [[0, 1, 2]]}},
+                "'q' must be a number, got '3'",
+            ),
         ],
     )
     def test_rejected_as_input_error(self, capsys, tmp_path, command, payload, named):
@@ -787,6 +819,21 @@ class TestMalformedJson:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert named in err
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {**TOP_CONFIG, "model": {"model": "top_break", "K": "8"}},
+            {**TOP_CONFIG, "model": {"model": "top_break", "K": 2, "note": "x"}},
+            {**TOP_CONFIG, "instance": {"q": 3, "subsets": [[0, 1, 2]], "note": "x"}},
+        ],
+    )
+    def test_schema_rejects_stray_model_and_instance_keys(self, tmp_path, config):
+        schema = load_schema("experiment_config.schema.json")
+        assert not jsonschema.Draft202012Validator(schema).is_valid(config)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        assert main(["experiment", "--config", str(cfg_path), "--out-dir", str(tmp_path)]) == 1
 
 
 class TestConsoleEntryPoint:

@@ -73,6 +73,8 @@ class TestRanking:
         assert CAB.position(2) == 0
         assert CAB.prefers(2, 1)
         assert not CAB.prefers(1, 0)
+        # A ranking stores only its order; positions are read off it.
+        assert set(vars(CAB)) == {"order"}
 
 
 class TestKtDistance:
@@ -356,6 +358,8 @@ class TestProfileRepresentation:
         assert p.rankings == (ABC, ABC, CBA)
         assert Profile.of([[0, 1, 2], [2, 1, 0], [0, 1, 2]]).rankings == (ABC, ABC, CBA)
         assert Profile.from_counts([(CBA, 1), ((0, 1, 2), 2), (CBA, 0)]).rankings == (CBA, ABC, ABC)
+        # Reading rankings keeps no n-entry expansion on the profile.
+        assert set(vars(p)) == {"grouped", "m", "n"}
 
     @settings(max_examples=100, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(orders=st.integers(1, 5).flatmap(

@@ -13,6 +13,7 @@ from votelab import (
     Committee,
     Profile,
     Ranking,
+    X3CInstance,
     app_last,
     cc_score,
     committee_decision,
@@ -156,6 +157,32 @@ class TestDodgsonExact:
         p = Profile.of([[1, 2, 0]] * 5)
         with pytest.raises(BudgetExceededError):
             dodgson_score_exact(p, 0, budget=1)
+
+    @pytest.mark.parametrize(
+        "query, cutoff, expected, least",
+        [
+            ("q6_no", "threshold", None, 303),
+            ("q6_no", None, 9, 345),
+            ("m6", None, 5, 285),
+            ("m6", 2, None, 21),
+        ],
+    )
+    def test_budget_boundaries_pinned(self, query, cutoff, expected, least):
+        # The least passing budget is the search's expansion count, so a
+        # change to the pruning or the processing order moves it.
+        if query == "q6_no":
+            out = x3c_to_dodgson(X3CInstance.of(6, [[0, 1, 2], [2, 3, 4], [0, 4, 5], [1, 3, 5]]))
+            p, a = out.profile, out.critical
+            cutoff = out.threshold if cutoff == "threshold" else cutoff
+        else:
+            p, a = Profile.of([
+                [3, 1, 4, 0, 5, 2], [5, 0, 2, 1, 3, 4], [1, 2, 3, 4, 5, 0],
+                [4, 3, 0, 5, 1, 2], [2, 5, 1, 0, 4, 3], [0, 4, 3, 2, 1, 5],
+                [5, 4, 3, 2, 1, 0], [1, 0, 5, 3, 2, 4], [3, 2, 1, 5, 4, 0],
+            ]), 0
+        assert dodgson_score_within(p, a, cutoff, budget=least) == expected
+        with pytest.raises(BudgetExceededError):
+            dodgson_score_within(p, a, cutoff, budget=least - 1)
 
     def test_rejects_small_m(self):
         with pytest.raises(ValueError):

@@ -39,6 +39,27 @@ def test_no_module_reads_profile_rankings():
     assert found == []
 
 
+def test_only_models_reads_the_enumeration_cap():
+    # models.all_rankings holds the m! cap; every enumeration goes through it.
+    def names(node) -> set:
+        if isinstance(node, ast.Name):
+            return {node.id}
+        if isinstance(node, ast.Attribute):
+            return {node.attr}
+        if isinstance(node, ast.ImportFrom):
+            return {alias.name for alias in node.names}
+        return set()
+
+    found = [
+        f"{path.relative_to(SRC)}:{node.lineno}"
+        for path in sorted(SRC.rglob("*.py"))
+        if path.name != "models.py"
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if "MAX_ENUMERATION_M" in names(node)
+    ]
+    assert found == []
+
+
 def test_only_core_builds_margin_matrices():
     # Margin matrices come from the one margin kernel, core._margin_kernel.
     def builds_wmg(node) -> bool:

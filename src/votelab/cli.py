@@ -98,6 +98,11 @@ def _cmd_score(args) -> int:
         score_fn = cc_score if args.rule == "cc" else monroe_score
         if args.committee:
             _reject_budget(args)
+            for flag, value in (("--k", args.k), ("--threshold", args.threshold)):
+                if value is not None:
+                    raise ValueError(
+                        f"{flag} decides over all committees, and --committee names one"
+                    )
             listed = [int(x) for x in args.committee.split(",")]
             repeated = [c for c, times in Counter(listed).items() if times > 1]
             if repeated:

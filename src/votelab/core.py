@@ -98,10 +98,10 @@ class Profile:
     Stored as its distinct rankings with their multiplicities: ``grouped``
     maps each distinct ranking to its count, in order of first appearance,
     and ``n`` is the sum of the counts. Every solver and the margin kernel
-    read ``grouped``. Three solvers still grow with the counts: Monroe
-    expands one row per voter, the Dodgson DP takes a ballot type once per
-    copy (up to the missing votes) and the Young search branches ``c + 1``
-    ways on a class of ``c`` ballots; the rest work per distinct ranking.
+    read ``grouped``. Two solvers still grow with the counts: the Dodgson
+    DP takes a ballot type once per copy (up to the missing votes) and the
+    Young search branches ``c + 1`` ways on a class of ``c`` ballots; the
+    rest work per distinct ranking.
     Two profiles are equal when they hold the same multiset.
     All three constructors count their input; no per-agent order is kept.
     """

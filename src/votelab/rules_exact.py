@@ -433,77 +433,85 @@ def cc_score(
     return min(max(row) for row, _ in table)
 
 
-def _balanced_bounds(n: int, k: int) -> tuple[int, int]:
-    return n // k, -(-n // k)
-
-
-def _balanced_assignment(table: Sequence[Sequence[Optional[int]]]) -> Optional[int]:
+def _balanced_assignment(table: Sequence[tuple[Sequence[Optional[int]], int]]) -> Optional[int]:
     """Best total over assignments of voters to members with near-equal loads.
 
-    ``table[i][j]`` is voter ``i``'s value for member ``j``, or ``None``
-    where ``i`` may not be assigned to ``j``. Every member serves between
-    ``floor(n/k)`` and ``ceil(n/k)`` voters; ``None`` means no assignment
-    does.
+    ``table`` holds ``(values, count)`` rows as :func:`_satisfaction_table`
+    builds them: ``count`` voters valuing member ``j`` at ``values[j]``, or
+    ``None`` where they may not serve ``j``. Every member serves between
+    ``floor(n/k)`` and ``ceil(n/k)`` voters; ``None`` means no assignment does.
 
-    Voters are placed one at a time, each along a longest augmenting path
-    of the assignment's flow network (successive shortest paths): the new
-    voter joins some member, which may pass one voter on to another
-    member, and so on until a member with a free slot takes the last one.
-    Bellman-Ford finds the path over the ``k`` members, where the edge
-    ``a -> b`` moves the voter of ``a`` who gains most from ``b``. Each of
-    a member's first ``floor(n/k)`` slots earns a bonus larger than any
-    difference between two totals, so the lower loads are met whenever
-    some assignment meets them.
+    Rows are placed one at a time along longest augmenting paths of the
+    flow network (successive shortest paths): the new row's voters join a
+    member, which may pass voters of one row on to another, and so on
+    until a member with free slots takes them. Bellman-Ford finds the
+    path over the ``k`` members; the edge ``a -> b`` moves the row at
+    ``a`` that gains most from ``b``. A path carries its bottleneck: the
+    new row's unplaced voters, each moved row's voters at its member, and
+    the end member's slots up to ``floor(n/k)``, or to ``ceil(n/k)`` once
+    that is met. A member's first ``floor(n/k)`` slots each earn a bonus
+    larger than any difference between two totals, so the lower loads are
+    met whenever some assignment meets them.
     """
-    n, k = len(table), len(table[0])
-    low, high = _balanced_bounds(n, k)
-    values = [v for row in table for v in row if v is not None]
+    n, k = sum(count for _, count in table), len(table[0][0])
+    low, high = n // k, -(-n // k)
+    values = [v for row, _ in table for v in row if v is not None]
     bonus = n * (max(values) - min(values)) + 1
-    served: list[list[int]] = [[] for _ in range(k)]
-    for i, row in enumerate(table):
-        # moves[a][b]: (gain, voter) of the best single move from a to b
-        moves: list[list[Optional[tuple[int, int]]]] = [[None] * k for _ in range(k)]
-        for a in range(k):
-            for v in served[a]:
-                here = table[v][a]
-                for b, there in enumerate(table[v]):
-                    if there is not None and b != a:
-                        gain = there - here
-                        if moves[a][b] is None or gain > moves[a][b][0]:
-                            moves[a][b] = (gain, v)
-        value = list(row)
-        pred: list[Optional[tuple[int, int]]] = [None] * k
-        for _ in range(k - 1):
-            changed = False
+    served: list[dict[int, int]] = [{} for _ in range(k)]  # row index -> voters
+    loads = [0] * k
+    for i, (row, left) in enumerate(table):
+        while left:
+            # moves[a][b]: (gain, row) of the best single move from a to b
+            moves: list[list[Optional[tuple[int, int]]]] = [[None] * k for _ in range(k)]
             for a in range(k):
-                if value[a] is None:
-                    continue
-                for b in range(k):
-                    move = moves[a][b]
-                    if move is not None and (value[b] is None or value[a] + move[0] > value[b]):
-                        value[b] = value[a] + move[0]
-                        pred[b] = (a, move[1])
-                        changed = True
-            if not changed:
-                break
-        end, end_value = None, None
-        for b in range(k):
-            load = len(served[b])
-            if value[b] is not None and load < high:
-                closed = value[b] + (bonus if load < low else 0)
-                if end is None or closed > end_value:
-                    end, end_value = b, closed
-        if end is None:
-            return None
-        while pred[end] is not None:
-            a, v = pred[end]
-            served[a].remove(v)
-            served[end].append(v)
-            end = a
-        served[end].append(i)
-    if any(len(voters) < low for voters in served):
+                for v in served[a]:
+                    here = table[v][0][a]
+                    for b, there in enumerate(table[v][0]):
+                        if there is not None and b != a:
+                            gain = there - here
+                            if moves[a][b] is None or gain > moves[a][b][0]:
+                                moves[a][b] = (gain, v)
+            value = list(row)
+            pred: list[Optional[tuple[int, int]]] = [None] * k
+            for _ in range(k - 1):
+                changed = False
+                for a in range(k):
+                    if value[a] is None:
+                        continue
+                    for b in range(k):
+                        move = moves[a][b]
+                        if move is not None and (value[b] is None or value[a] + move[0] > value[b]):
+                            value[b] = value[a] + move[0]
+                            pred[b] = (a, move[1])
+                            changed = True
+                if not changed:
+                    break
+            end, end_value = None, None
+            for b in range(k):
+                if value[b] is not None and loads[b] < high:
+                    closed = value[b] + (bonus if loads[b] < low else 0)
+                    if end is None or closed > end_value:
+                        end, end_value = b, closed
+            if end is None:
+                return None
+            push = min(left, (low if loads[end] < low else high) - loads[end])
+            steps, start = [], end
+            while pred[start] is not None:
+                a, v = pred[start]
+                steps.append((a, v, start))
+                push = min(push, served[a][v])
+                start = a
+            loads[end] += push
+            left -= push
+            served[start][i] = served[start].get(i, 0) + push
+            for a, v, b in steps:
+                served[a][v] -= push
+                if not served[a][v]:
+                    del served[a][v]
+                served[b][v] = served[b].get(v, 0) + push
+    if min(loads) < low:
         return None
-    return sum(table[v][j] for j, voters in enumerate(served) for v in voters)
+    return sum(table[v][0][j] * count for j, rows in enumerate(served) for v, count in rows.items())
 
 
 def monroe_score(
@@ -519,19 +527,16 @@ def monroe_score(
     ``min`` binary-searches the highest satisfaction level at which the
     voter-member pairs that reach it still admit a balanced assignment.
     """
-    # The assignment places voters one by one: one row per voter.
-    grouped = _satisfaction_table(p, committee, alpha, aggregator)
-    table = [row for row, count in grouped for _ in range(count)]
-
+    table = _satisfaction_table(p, committee, alpha, aggregator)
     if aggregator == "sum":
         return _balanced_assignment(table)  # never None: any voter may serve any member
 
-    levels = sorted({v for row in table for v in row})
+    levels = sorted({v for row, _ in table for v in row})
     lo, hi = 0, len(levels) - 1  # levels[0] is always feasible
     while lo < hi:
         mid = (lo + hi + 1) // 2
         level = levels[mid]
-        allowed = [[0 if v >= level else None for v in row] for row in table]
+        allowed = [([0 if v >= level else None for v in row], count) for row, count in table]
         if _balanced_assignment(allowed) is not None:
             lo = mid
         else:

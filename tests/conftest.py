@@ -7,8 +7,9 @@ oracle counts deficits and adjacency ballot by ballot, the Young oracle solves
 an integer program over kept ballots with SciPy, the Kemeny oracle
 enumerates all rankings or solves an integer program over pairwise
 orders with SciPy, the Kemeny block table is the subset DP as a
-plain loop, the assignment oracles enumerate raw assignment functions or
-solve a slot-replicated linear assignment with SciPy, the
+plain loop, the assignment oracles enumerate raw assignment functions,
+solve a slot-replicated linear assignment with SciPy, or solve a
+transportation LP over the distinct rankings with SciPy, the
 pairwise-disagreement and margin oracles count pairs ballot by ballot (or
 distinct ballot by distinct ballot, times its count), and the
 random-parameter sampler, the padded parameter profile and the
@@ -32,7 +33,8 @@ from typing import Callable, Optional
 import numpy as np
 import pytest
 from hypothesis import strategies as st
-from scipy.optimize import Bounds, LinearConstraint, linear_sum_assignment, milp
+from scipy import sparse
+from scipy.optimize import Bounds, LinearConstraint, linear_sum_assignment, linprog, milp
 
 from votelab import (
     AlphaIC,
@@ -481,6 +483,46 @@ def monroe_lsa(
         weights = np.where(allowed, mandatory, -(p.n + 1))
         rows, cols = linear_sum_assignment(weights, maximize=True)
         if allowed[rows, cols].all() and mandatory[cols].sum() == k * low:
+            return int(level)
+    raise AssertionError("the lowest level admits every assignment")
+
+
+def monroe_lp(
+    p: Profile, committee: Committee, aggregator: str, alpha: Callable[[int], int] = _minus_position
+) -> int:
+    """Monroe score as a transportation LP over the distinct rankings.
+
+    Variable ``x[r, j]`` counts the voters of distinct ranking ``r`` that
+    member ``j`` serves: every ranking's voters are all served, and every
+    member serves between ``n // k`` and ``ceil(n / k)``. The constraint
+    matrix is totally unimodular, so HiGHS reaches an integral optimum and
+    the ``sum`` objective is rounded. For ``min``, every level is tried
+    from the top as a feasibility check, with the pairs below the level
+    bounded to zero. Position ``i`` scores ``alpha(i)``.
+    """
+    members = sorted(committee.members)
+    k = len(members)
+    low, high = p.n // k, math.ceil(p.n / k)
+    values = np.array([[alpha(r.position(c) + 1) for c in members] for r in p.grouped])
+    d = len(p.grouped)
+    served = sparse.kron(sparse.eye(d), np.ones((1, k)))
+    loads = sparse.kron(np.ones((1, d)), sparse.eye(k))
+    constraints = {
+        "A_eq": served,
+        "b_eq": list(p.grouped.values()),
+        "A_ub": sparse.vstack([loads, -loads]),
+        "b_ub": [high] * k + [-low] * k,
+        "method": "highs",
+    }
+    if aggregator == "sum":
+        result = linprog(-values.ravel().astype(float), **constraints)
+        assert result.status == 0, result.message
+        return round(-result.fun)
+    for level in sorted(set(values.flat), reverse=True):
+        bounds = [(0, None if v >= level else 0) for v in values.flat]
+        result = linprog(np.zeros(d * k), bounds=bounds, **constraints)
+        assert result.status in (0, 2), result.message  # 2: infeasible
+        if result.status == 0:
             return int(level)
     raise AssertionError("the lowest level admits every assignment")
 

@@ -338,6 +338,24 @@ class TestExitCodes:
         assert code == 1
         assert "--budget caps a search, and this command runs none" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("rule", ["cc", "monroe"])
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--k", "2", "--threshold", "0"], "--k"),
+            (["--k", "2"], "--k"),
+            (["--threshold", "0"], "--threshold"),
+        ],
+        ids=["k_and_threshold", "k", "threshold"],
+    )
+    def test_committee_with_decision_flags_is_input_error(
+        self, capsys, unanimous, rule, flags, named
+    ):
+        code = main(["score", rule, "--profile", unanimous, "--committee", "0", *flags])
+        out, err = capsys.readouterr()
+        assert (code, out) == (1, "")
+        assert err == f"error: {named} decides over all committees, and --committee names one\n"
+
     def test_shared_bottom_enumeration_capped(self, capsys, tmp_path, monkeypatch):
         # shared_bottom enumerates all m! rankings (362,880 at m=9); the cap
         # in models.all_rankings applies before the ranking space is built.
@@ -671,6 +689,16 @@ class TestExperimentCommand:
             accepted = False
         schema = load_schema("experiment_config.schema.json")
         assert jsonschema.Draft202012Validator(schema).is_valid(config) == accepted
+
+    @pytest.mark.parametrize("alpha", [1, 0, 2, -1, True, 0.5, "2/3"], ids=repr)
+    def test_schema_and_cli_agree_on_alpha(self, capsys, tmp_path, alpha):
+        # top_preservation takes any model; the uniform-noise claims add a regime floor.
+        config = {**TOP_CONFIG, "model": {"model": "alpha_ic", "alpha": alpha}}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        code = main(["experiment", "--config", str(cfg_path), "--out-dir", str(tmp_path)])
+        schema = load_schema("experiment_config.schema.json")
+        assert jsonschema.Draft202012Validator(schema).is_valid(config) == (code != 1)
 
     def test_malformed_config_is_input_error(self, capsys, tmp_path):
         cfg_path = tmp_path / "bad.json"

@@ -41,6 +41,7 @@ from conftest import (
     kemeny_table_loop,
     margins_brute,
     monroe_brute,
+    monroe_lp,
     monroe_lsa,
     random_profile,
     random_ranking,
@@ -60,6 +61,17 @@ def st_profile(min_m, max_m, max_n):
         ).map(Profile.of)
     )
 
+
+
+def st_counted_profile(max_m, max_distinct, max_count):
+    """Profiles of at most ``max_distinct`` rankings, each with ``1..max_count`` copies."""
+    return st.integers(3, max_m).flatmap(
+        lambda m: st.lists(
+            st.tuples(st.permutations(range(m)), st.integers(1, max_count)),
+            min_size=1,
+            max_size=max_distinct,
+        ).map(Profile.from_counts)
+    )
 
 class TestDodgsonExact:
     def test_condorcet_winner_scores_zero(self):
@@ -453,6 +465,47 @@ class TestMonroeScore:
                 p, committee, None, "sum"
             )
 
+
+
+class TestMonroeCountedRows:
+    """The assignment places counted rankings, many voters per augmenting path."""
+
+    @staticmethod
+    def draw_committee(data, p):
+        k = data.draw(st.integers(1, min(4, p.m)))
+        return Committee.of(data.draw(st.sets(st.integers(0, p.m - 1), min_size=k, max_size=k)))
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_matches_linear_assignment(self, data):
+        p = data.draw(st_counted_profile(6, 4, 50))  # n <= 200
+        committee = self.draw_committee(data, p)
+        for alpha in (None, NON_LINEAR_ALPHAS["square"]):
+            for agg in ("sum", "min"):
+                expected = monroe_lsa(p, committee, agg, alpha or (lambda i: -i))
+                assert monroe_score(p, committee, alpha, agg) == expected
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_matches_transportation_lp(self, data):
+        p = data.draw(st_counted_profile(6, 8, 1250))  # n <= 10,000
+        committee = self.draw_committee(data, p)
+        for alpha in (None, NON_LINEAR_ALPHAS["square"]):
+            for agg in ("sum", "min"):
+                expected = monroe_lp(p, committee, agg, alpha or (lambda i: -i))
+                assert monroe_score(p, committee, alpha, agg) == expected
+
+    def test_assignment_reads_one_row_per_distinct_ranking(self):
+        p = Profile.from_counts([([0, 1, 2, 3], 40), ([3, 2, 1, 0], 25), ([1, 3, 0, 2], 7)])
+        for agg in ("sum", "min"):
+            with mock.patch.object(
+                rules_exact, "_balanced_assignment", wraps=rules_exact._balanced_assignment
+            ) as assign:
+                monroe_score(p, Committee.of([0, 3]), None, agg)
+            assert assign.call_count >= 1
+            assert [len(call.args[0]) for call in assign.call_args_list] == [
+                len(p.grouped)
+            ] * assign.call_count
 
 class TestCommitteeDecision:
     def test_minimum_threshold_always_yes(self):

@@ -71,6 +71,7 @@ def _cmd_score(args) -> int:
     if args.budget is not None and args.budget < 0:
         raise ValueError(f"--budget must be a nonnegative integer, got {args.budget}")
     budget = {} if args.budget is None else {"budget": args.budget}  # else solver default
+    _reject_unread(args)
     profile = vio.read_profile(args.profile)
     result: dict = {}
 
@@ -135,6 +136,21 @@ def _require_alt(args) -> int:
     if args.alt is None:
         raise ValueError("this rule needs --alt")
     return args.alt
+
+
+def _reject_unread(args) -> None:
+    """A flag the rule never reads asks a question that would go unanswered."""
+    if args.rule in ("cc", "monroe"):
+        unread = {"--alt": args.alt is not None}
+    else:
+        unread = {
+            "--k": args.k is not None,
+            "--committee": args.committee is not None,
+            "--aggregator": args.aggregator != "sum",
+        }
+    for flag, given in unread.items():
+        if given:
+            raise ValueError(f"score {args.rule} never reads {flag}")
 
 
 def _reject_budget(args) -> None:

@@ -9,10 +9,14 @@ Dodgson scores are computed over "lift vectors": per ballot, raising the
 target alternative by ``k`` adjacent swaps passes exactly the ``k``
 alternatives sitting directly above it. The search is a dynamic program
 over the vector of still-missing majority votes, with branch-and-bound
-pruning on partial swap counts. Its optimality over raw swap sequences
-is not assumed: the test suite checks it against an unrestricted
-breadth-first search over swaps at small scale, and the DP's search
-against an integer program over lift-vector counts.
+pruning on partial swap counts. A root bound, the missing votes times
+the cheapest swaps-per-vote rate of any lift, answers a cutoff below it
+before any expansion and ends the search at the first completion that
+costs it. Its optimality over raw swap sequences is not assumed: the
+test suite checks it against an unrestricted breadth-first search over
+swaps at small scale, the DP's search against an integer program over
+lift-vector counts, and its answers and expansion counts against the DP
+without the root bound.
 """
 
 from __future__ import annotations
@@ -89,6 +93,12 @@ def dodgson_score_within(
     With ``cutoff=None`` this always returns the score. The cutoff prunes
     every branch whose swaps-so-far plus still-missing votes overshoot,
     which makes decision queries on large reduction profiles cheap.
+
+    No completion costs less than the root bound: each lifted copy gains
+    at most ``len(gains)`` votes for ``k`` swaps, so the missing votes
+    take at least their number times the cheapest ``k / len(gains)``,
+    rounded up. A cutoff below it returns ``None`` with no expansion, and
+    the first completion stored at it is returned at once.
     """
     _require_rule_scale(p, a)
 
@@ -109,8 +119,7 @@ def dodgson_score_within(
 
     # Feasible upper bound: lift a to the very top of every ballot, which
     # passes each voter's alternatives above a once. Each stored completion
-    # lowers the limit to its cost, so a score above the final limit can
-    # only be a Condorcet winner's 0 above a negative cutoff.
+    # lowers the limit to its cost.
     limit = sum(against) if cutoff is None else min(sum(against), cutoff)
 
     ballots: list[tuple[int, list[tuple[int, tuple[int, ...]]]]] = []
@@ -120,6 +129,14 @@ def dodgson_score_within(
             # More lifted copies of one ballot type than missing votes can
             # never help; each lifted ballot must close at least one gap.
             ballots.append((min(count, total_needed), options))
+
+    # Root bound, in integers: the cheapest ceil(total_needed * k / len(gains)).
+    lower = min(
+        (-(-total_needed * k // len(gains)) for _, options in ballots for k, gains in options),
+        default=0,
+    )
+    if lower > limit:
+        return None
 
     start = tuple(needed)
     zero = (0,) * len(active)
@@ -150,10 +167,13 @@ def dodgson_score_within(
                     if old is None or new_cost < old:
                         frontier[key] = new_cost
                         if remaining == 0:
+                            if new_cost == lower:
+                                return new_cost
                             limit = new_cost
 
-    score = frontier.get(zero)
-    return None if score is None or score > limit else score
+    # A zero state is stored only within the limit, and a cutoff below the
+    # root bound, a Condorcet winner's 0 included, has already returned.
+    return frontier.get(zero)
 
 
 def dodgson_score_exact(p: Profile, a: int, *, budget: int = DEFAULT_DODGSON_BUDGET) -> int:

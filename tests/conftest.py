@@ -1,12 +1,13 @@
 """Shared fixtures and independent brute-force oracles.
 
 Oracles here deliberately avoid the package's solver code paths: the
-Dodgson oracles search raw adjacent swaps breadth-first or by A*, or
-solve an integer program over lift-vector counts with SciPy, the greedy
-oracle counts deficits and adjacency ballot by ballot, the Young oracle solves
-an integer program over kept ballots with SciPy, the Kemeny oracle
-enumerates all rankings or solves an integer program over pairwise
-orders with SciPy, the Kemeny block table is the subset DP as a
+Dodgson oracles search raw adjacent swaps breadth-first or by A*, solve
+an integer program over lift-vector counts with SciPy, or run the
+lift-vector DP as it was before its root bound, counting its expansions,
+the greedy oracle counts deficits and adjacency ballot by ballot, the
+Young oracle solves an integer program over kept ballots with SciPy, the
+Kemeny oracle enumerates all rankings or solves an integer program over
+pairwise orders with SciPy, the Kemeny block table is the subset DP as a
 plain loop, the assignment oracles enumerate raw assignment functions,
 solve a slot-replicated linear assignment with SciPy, or solve a
 transportation LP over the distinct rankings with SciPy, the
@@ -276,6 +277,75 @@ def dodgson_within_ilp(p: Profile, a: int, cutoff: Optional[int]) -> Optional[in
     """The ILP score, or ``None`` above ``cutoff``, as ``dodgson_score_within`` answers."""
     score = dodgson_ilp(p, a)
     return None if cutoff is not None and score > cutoff else score
+
+
+def _dodgson_lifts(p: Profile, a: int) -> tuple[list[int], list[tuple[int, list]]]:
+    """Each rival's missing votes, and each distinct ballot's useful lifts.
+
+    A lift of ``k`` passes the ``k`` alternatives right above ``a``; it is
+    kept when its last passed rival still misses a vote. Returns the
+    missing votes of the rivals that miss any, in index order, and
+    (copies, [(k, passed missing-rival indices)]) per distinct ballot with
+    a useful lift, in ``grouped`` order.
+    """
+    deficits = [deficit_brute(p, a, b) if b != a else 0 for b in range(p.m)]
+    short = [b for b in range(p.m) if deficits[b] > 0]
+    needed = [deficits[b] for b in short]
+    ballots = []
+    for r, count in p.grouped.items():
+        above = r.order[: r.order.index(a)][::-1]  # nearest to a first
+        options = [
+            (k, [short.index(b) for b in above[:k] if b in short])
+            for k in range(1, len(above) + 1)
+            if above[k - 1] in short
+        ]
+        if options:
+            ballots.append((min(count, sum(needed)), options))
+    return needed, ballots
+
+
+def dodgson_lift_dp(p: Profile, a: int, cutoff: Optional[int]) -> tuple[Optional[int], int]:
+    """The lift-vector DP with only its per-state bound, and its expansion count.
+
+    This is ``dodgson_score_within`` before the root bound: one frontier of
+    missing-vote vectors per lifted copy, in the same ballot order, pruned
+    where swaps so far plus votes still missing pass the limit, and run to
+    the last copy. Returns its answer (``None`` above ``cutoff``) and the
+    expansions it made, which is the least budget it succeeds within.
+    """
+    needed, ballots = _dodgson_lifts(p, a)
+    against = sum(votes_brute(p, b, a) for b in range(p.m) if b != a)
+    limit = against if cutoff is None else min(against, cutoff)
+    zero = (0,) * len(needed)
+    frontier = {tuple(needed): 0}
+    expansions = 0
+    for copies, options in ballots:
+        for _ in range(copies):
+            snapshot = list(frontier.items())
+            expansions += len(snapshot) * len(options)
+            for state, cost in snapshot:
+                if state == zero:
+                    continue
+                for k, gains in options:
+                    new_cost = cost + k
+                    if new_cost > limit:
+                        break
+                    new_state = tuple(max(0, v - (i in gains)) for i, v in enumerate(state))
+                    if new_cost + sum(new_state) > limit:
+                        continue
+                    if new_cost < frontier.get(new_state, new_cost + 1):
+                        frontier[new_state] = new_cost
+                        if not any(new_state):
+                            limit = new_cost
+    score = frontier.get(zero)
+    return (None if score is None or score > limit else score), expansions
+
+
+def dodgson_root_bound(p: Profile, a: int) -> int:
+    """Missing votes times the cheapest swaps-per-vote rate of any lift, rounded up."""
+    needed, ballots = _dodgson_lifts(p, a)
+    rates = [Fraction(k, len(gains)) for _, options in ballots for k, gains in options]
+    return math.ceil(sum(needed) * min(rates, default=0))
 
 
 def young_ilp(p: Profile, a: int) -> int:

@@ -356,6 +356,33 @@ class TestExitCodes:
         assert (code, out) == (1, "")
         assert err == f"error: {named} decides over all committees, and --committee names one\n"
 
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            *(
+                ([rule, *alt, *flag], flag[0])
+                for rule, alt in (
+                    ("dodgson", ["--alt", "0"]),
+                    ("young", ["--alt", "0"]),
+                    ("kemeny", []),
+                    ("greedy-dodgson", ["--alt", "0"]),
+                )
+                for flag in (["--k", "2"], ["--committee", "0"], ["--aggregator", "min"])
+            ),
+            (["cc", "--committee", "0", "--alt", "9"], "--alt"),
+            (["monroe", "--committee", "0", "--alt", "0"], "--alt"),
+            (["cc", "--k", "1", "--threshold", "0", "--alt", "0"], "--alt"),
+            (["monroe", "--k", "1", "--threshold", "0", "--alt", "0"], "--alt"),
+            (["dodgson", "--alt", "0", "--aggregator", "min", "--k", "3"], "--k"),
+        ],
+        ids=lambda value: "_".join(value) if isinstance(value, list) else value,
+    )
+    def test_flag_the_rule_never_reads_is_input_error(self, capsys, unanimous, argv, named):
+        code = main(["score", *argv, "--profile", unanimous])
+        out, err = capsys.readouterr()
+        assert (code, out) == (1, "")
+        assert err == f"error: score {argv[0]} never reads {named}\n"
+
     def test_shared_bottom_enumeration_capped(self, capsys, tmp_path, monkeypatch):
         # shared_bottom enumerates all m! rankings (362,880 at m=9); the cap
         # in models.all_rankings applies before the ranking space is built.

@@ -32,6 +32,9 @@ from votelab import (
 )
 from conftest import (
     cc_brute,
+    dodgson_ilp,
+    dodgson_lift_dp,
+    dodgson_root_bound,
     dodgson_score_astar_oracle,
     dodgson_score_bfs_oracle,
     dodgson_within_ilp,
@@ -52,6 +55,11 @@ from conftest import (
 
 ABC = Ranking.of([0, 1, 2])
 CYCLE = Profile.of([[0, 1, 2], [1, 2, 0], [2, 0, 1]])
+M6_PINNED = Profile.of([
+    [3, 1, 4, 0, 5, 2], [5, 0, 2, 1, 3, 4], [1, 2, 3, 4, 5, 0],
+    [4, 3, 0, 5, 1, 2], [2, 5, 1, 0, 4, 3], [0, 4, 3, 2, 1, 5],
+    [5, 4, 3, 2, 1, 0], [1, 0, 5, 3, 2, 4], [3, 2, 1, 5, 4, 0],
+])
 
 
 def st_profile(min_m, max_m, max_n):
@@ -123,6 +131,31 @@ class TestDodgsonExact:
             for cutoff in (None, out.threshold):
                 assert dodgson_score_within(p, a, cutoff) == dodgson_within_ilp(p, a, cutoff)
 
+    @given(st_counted_profile(7, 8, 5), st.data())
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_matches_the_dp_without_root_bound(self, p, data):
+        # The root bound and the stop at it only answer earlier: the same
+        # answer at every cutoff, within the expansions the DP made without
+        # them, and a cutoff below the bound needs none.
+        a = data.draw(st.integers(0, p.m - 1), label="a")
+        score, expansions = dodgson_lift_dp(p, a, None)
+        assert dodgson_score_within(p, a, None, budget=expansions) == score
+        lower = dodgson_root_bound(p, a)
+        assert lower <= score
+        assert dodgson_score_within(p, a, lower - 1, budget=0) is None
+        for cutoff in range(-1, score + 2):
+            answer, expansions = dodgson_lift_dp(p, a, cutoff)
+            assert dodgson_score_within(p, a, cutoff, budget=expansions) == answer
+
+    @given(st_profile(5, 8, 40), st.data())
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_stop_at_root_bound_matches_lift_count_ilp(self, p, data):
+        a = data.draw(st.integers(0, p.m - 1), label="a")
+        score = dodgson_ilp(p, a)
+        assert dodgson_score_within(p, a) == score
+        assert dodgson_score_within(p, a, score) == score
+        assert dodgson_score_within(p, a, score - 1) is None
+
     @given(st.data(), st.integers(3, 6), st.integers(1, 7))
     @settings(max_examples=100, deadline=None)
     def test_suffix_below_target_does_not_matter(self, data, m, n):
@@ -175,8 +208,7 @@ class TestDodgsonExact:
         [
             ("q6_no", "threshold", None, 303),
             ("q6_no", None, 9, 345),
-            ("m6", None, 5, 285),
-            ("m6", 2, None, 21),
+            ("m6", None, 5, 85),
         ],
     )
     def test_budget_boundaries_pinned(self, query, cutoff, expected, least):
@@ -187,14 +219,23 @@ class TestDodgsonExact:
             p, a = out.profile, out.critical
             cutoff = out.threshold if cutoff == "threshold" else cutoff
         else:
-            p, a = Profile.of([
-                [3, 1, 4, 0, 5, 2], [5, 0, 2, 1, 3, 4], [1, 2, 3, 4, 5, 0],
-                [4, 3, 0, 5, 1, 2], [2, 5, 1, 0, 4, 3], [0, 4, 3, 2, 1, 5],
-                [5, 4, 3, 2, 1, 0], [1, 0, 5, 3, 2, 4], [3, 2, 1, 5, 4, 0],
-            ]), 0
+            p, a = M6_PINNED, 0
         assert dodgson_score_within(p, a, cutoff, budget=least) == expected
         with pytest.raises(BudgetExceededError):
             dodgson_score_within(p, a, cutoff, budget=least - 1)
+
+    def test_cutoff_below_root_bound_needs_no_budget(self):
+        # 5 votes are missing and no lift gains more than one per swap, so
+        # a cutoff of 2 is a NO before any expansion.
+        assert dodgson_root_bound(M6_PINNED, 0) == 5
+        assert dodgson_score_within(M6_PINNED, 0, 2, budget=0) is None
+
+    def test_profile_past_the_dp_without_root_bound(self):
+        # 39 uniform ballots over 8 alternatives: without the stop at the
+        # root bound this query passes the default 5,000,000 expansions.
+        ballots = np.random.default_rng(0).permuted(np.tile(np.arange(8), (39, 1)), axis=1)
+        p = Profile.of(ballots.tolist())
+        assert dodgson_score_exact(p, 1) == 34 == dodgson_ilp(p, 1)
 
     def test_rejects_small_m(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,8 @@
 """Command-line front end: scoring, sampling, reductions, experiments.
 
+Each ``score`` rule and ``reduce`` construction is its own subcommand that
+declares only the flags it reads, so argparse rejects any other flag.
+
 Exit codes: 0 success, 1 malformed or too-large input, 2 search budget
 exceeded, 3 reduction construction failure, 4 experiment verdict failure.
 Machine output is JSON on stdout; ``--pretty`` adds a fixed-width table.
@@ -68,20 +71,18 @@ def _resolve_seed(seed: int | None) -> int:
 
 
 def _cmd_score(args) -> int:
-    if args.budget is not None and args.budget < 0:
-        raise ValueError(f"--budget must be a nonnegative integer, got {args.budget}")
-    budget = {} if args.budget is None else {"budget": args.budget}  # else solver default
-    _reject_unread(args)
+    # greedy-dodgson runs no search and has no --budget
+    budget = {} if getattr(args, "budget", None) is None else {"budget": args.budget}
     profile = vio.read_profile(args.profile)
     result: dict = {}
 
     if args.rule == "dodgson":
-        score = dodgson_score_exact(profile, _require_alt(args), **budget)
+        score = dodgson_score_exact(profile, args.alt, **budget)
         result["score"] = score
         if args.threshold is not None:
             result["decision"] = "yes" if score <= args.threshold else "no"
     elif args.rule == "young":
-        score = young_score_exact(profile, _require_alt(args), **budget)
+        score = young_score_exact(profile, args.alt, **budget)
         result["score"] = score
         if args.threshold is not None:
             result["decision"] = "yes" if score >= args.threshold else "no"
@@ -97,65 +98,34 @@ def _cmd_score(args) -> int:
             result["decision"] = "yes" if score <= args.threshold else "no"
     elif args.rule in ("cc", "monroe"):
         score_fn = cc_score if args.rule == "cc" else monroe_score
-        if args.committee:
-            _reject_budget(args)
-            for flag, value in (("--k", args.k), ("--threshold", args.threshold)):
+        if args.committee is not None:
+            for flag, value in (("--threshold", args.threshold), ("--budget", args.budget)):
                 if value is not None:
-                    raise ValueError(
-                        f"{flag} decides over all committees, and --committee names one"
-                    )
+                    raise ValueError(f"--committee scores one committee and takes no {flag}")
             listed = [int(x) for x in args.committee.split(",")]
             repeated = [c for c, times in Counter(listed).items() if times > 1]
             if repeated:
                 raise ValueError(f"--committee names member {repeated[0]} more than once")
             members = Committee.of(listed)
             result["score"] = score_fn(profile, members, None, args.aggregator)
-        elif args.k is not None and args.threshold is not None:
+        elif args.threshold is None:
+            raise ValueError("--k decides over all committees of that size and needs --threshold")
+        else:
             yes = committee_decision(
                 profile, args.k, args.threshold, args.rule, None, args.aggregator, **budget
             )
             result["decision"] = "yes" if yes else "no"
-        else:
-            raise ValueError("cc/monroe need --committee, or --k with --threshold")
     else:  # greedy-dodgson
-        _reject_budget(args)
-        alt = _require_alt(args)
-        greedy = greedy_dodgson(profile, alt)
+        greedy = greedy_dodgson(profile, args.alt)
         result["score"] = greedy.score
         result["certainty"] = greedy.certainty.value
         if args.threshold is not None:
             result["decision"] = semirandom_dodgson_decision(
-                profile, alt, args.threshold
+                profile, args.alt, args.threshold
             ).value
 
     _emit(result, args.pretty)
     return EXIT_OK
-
-
-def _require_alt(args) -> int:
-    if args.alt is None:
-        raise ValueError("this rule needs --alt")
-    return args.alt
-
-
-def _reject_unread(args) -> None:
-    """A flag the rule never reads asks a question that would go unanswered."""
-    if args.rule in ("cc", "monroe"):
-        unread = {"--alt": args.alt is not None}
-    else:
-        unread = {
-            "--k": args.k is not None,
-            "--committee": args.committee is not None,
-            "--aggregator": args.aggregator != "sum",
-        }
-    for flag, given in unread.items():
-        if given:
-            raise ValueError(f"score {args.rule} never reads {flag}")
-
-
-def _reject_budget(args) -> None:
-    if args.budget is not None:
-        raise ValueError("--budget caps a search, and this command runs none")
 
 
 def _cmd_sample(args) -> int:
@@ -177,8 +147,6 @@ def _cmd_sample(args) -> int:
 
 def _cmd_reduce(args) -> int:
     if args.construction == "x3c-dodgson":
-        if args.out_prefix is None:
-            raise ValueError("x3c-dodgson needs --out-prefix")
         inst = vio.read_x3c(args.input)
         out = x3c_to_dodgson(inst)
         profile_path = Path(f"{args.out_prefix}.profile")
@@ -194,16 +162,12 @@ def _cmd_reduce(args) -> int:
         layout_path.write_text(json.dumps(layout, sort_keys=True, indent=2) + "\n")
         _emit({"profile": str(profile_path), "layout": str(layout_path)}, args.pretty)
     elif args.construction == "mcgarvey":
-        if args.out is None:
-            raise ValueError("mcgarvey needs --out")
         graph = vio.read_digraph(args.input)
         profile = mcgarvey_profile(graph)
         vio.write_profile(profile, args.out)
         _emit({"out": str(args.out), "n": profile.n}, args.pretty)
     else:  # efas-check
         graph = vio.read_digraph(args.input)
-        if args.threshold is None:
-            raise ValueError("efas-check needs --threshold")
         answer = efas_via_kemeny(graph, args.threshold, kemeny_decision, strict=not args.no_strict)
         _emit({"decision": answer.value}, args.pretty)
     return EXIT_OK
@@ -221,8 +185,22 @@ def _cmd_experiment(args) -> int:
     return EXIT_OK if report.all_pass else EXIT_VERDICT
 
 
+def _budget(text: str) -> int:
+    """Parse ``--budget``, a count of search-work units."""
+    try:
+        if (value := int(text)) >= 0:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text!r}")
+
+
 class _Parser(argparse.ArgumentParser):
-    """Flag errors are malformed input: exit 1, not argparse's default 2."""
+    """Flags match only when spelled in full, and flag errors are malformed
+    input: exit 1, not argparse's default 2."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -231,6 +209,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Each score rule and reduce construction declares only the flags it reads."""
     parser = _Parser(
         prog="votelab",
         description="Winner determination under NP-hard rules, at desk scale.",
@@ -238,19 +217,24 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     score = sub.add_parser("score", help="exact and greedy scoring")
-    score.add_argument(
-        "rule",
-        choices=["dodgson", "young", "kemeny", "cc", "monroe", "greedy-dodgson"],
-    )
-    score.add_argument("--profile", required=True)
-    score.add_argument("--alt", type=int)
-    score.add_argument("--threshold", type=int)
-    score.add_argument("--k", type=int)
-    score.add_argument("--committee")
-    score.add_argument("--aggregator", choices=["sum", "min"], default="sum")
-    score.add_argument("--budget", type=int, help="most units of the solver's own search work")
-    score.add_argument("--pretty", action="store_true")
     score.set_defaults(func=_cmd_score)
+    rules = score.add_subparsers(dest="rule", required=True)
+    for name in ("dodgson", "young", "kemeny", "cc", "monroe", "greedy-dodgson"):
+        rule = rules.add_parser(name)
+        rule.add_argument("--profile", required=True)
+        if name in ("cc", "monroe"):
+            committee = rule.add_mutually_exclusive_group(required=True)
+            committee.add_argument("--committee", help="score this committee, e.g. 0,2,5")
+            committee.add_argument("--k", type=int, help="decide over all committees of k members")
+            rule.add_argument("--aggregator", choices=["sum", "min"], default="sum")
+        else:
+            rule.add_argument("--alt", type=int, required=name != "kemeny")
+        rule.add_argument("--threshold", type=int)
+        if name != "greedy-dodgson":
+            rule.add_argument(
+                "--budget", type=_budget, help="most units of the solver's own search work"
+            )
+        rule.add_argument("--pretty", action="store_true")
 
     sample = sub.add_parser("sample", help="draw a profile from a parameter profile")
     sample.add_argument("--model", required=True, help="model spec JSON, or @file")
@@ -261,16 +245,19 @@ def build_parser() -> argparse.ArgumentParser:
     sample.set_defaults(func=_cmd_sample)
 
     reduce_p = sub.add_parser("reduce", help="reduction constructions and checks")
-    reduce_p.add_argument(
-        "construction", choices=["x3c-dodgson", "mcgarvey", "efas-check"]
-    )
-    reduce_p.add_argument("--input", required=True)
-    reduce_p.add_argument("--out")
-    reduce_p.add_argument("--out-prefix")
-    reduce_p.add_argument("--threshold", type=int)
-    reduce_p.add_argument("--no-strict", action="store_true")
-    reduce_p.add_argument("--pretty", action="store_true")
     reduce_p.set_defaults(func=_cmd_reduce)
+    constructions = reduce_p.add_subparsers(dest="construction", required=True)
+    for name, flag, kind in (
+        ("x3c-dodgson", "--out-prefix", str),
+        ("mcgarvey", "--out", str),
+        ("efas-check", "--threshold", int),
+    ):
+        construction = constructions.add_parser(name)
+        construction.add_argument("--input", required=True)
+        construction.add_argument(flag, type=kind, required=True)
+        if name == "efas-check":
+            construction.add_argument("--no-strict", action="store_true")
+        construction.add_argument("--pretty", action="store_true")
 
     experiment = sub.add_parser("experiment", help="run a claim verification")
     experiment.add_argument("--config", required=True)

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 import types
@@ -54,6 +55,26 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out.strip()
     return code, json.loads(out) if out else None
+
+
+def cli_exit(capsys, argv):
+    """(exit code, stdout, stderr) of ``main``, counting argparse's own exit."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def assert_rejected(capsys, argv, flag):
+    """Exit 1 before any output, with an ``error:`` line naming ``flag``."""
+    code, out, err = cli_exit(capsys, argv)
+    assert (code, out) == (1, "")
+    assert "Traceback" not in err
+    last = err.splitlines()[-1]
+    assert last.startswith("error: ") and flag in last
+    return last
 
 
 ST_PROFILE = st.integers(1, 5).flatmap(
@@ -334,9 +355,8 @@ class TestExitCodes:
         ids=lambda argv: argv[0],
     )
     def test_budget_without_a_search_is_input_error(self, capsys, unanimous, argv):
-        code = main(["score", *argv, "--profile", unanimous, "--budget", "10"])
-        assert code == 1
-        assert "--budget caps a search, and this command runs none" in capsys.readouterr().err
+        argv = ["score", *argv, "--profile", unanimous, "--budget", "10"]
+        assert_rejected(capsys, argv, "--budget")
 
     @pytest.mark.parametrize("rule", ["cc", "monroe"])
     @pytest.mark.parametrize(
@@ -351,10 +371,19 @@ class TestExitCodes:
     def test_committee_with_decision_flags_is_input_error(
         self, capsys, unanimous, rule, flags, named
     ):
-        code = main(["score", rule, "--profile", unanimous, "--committee", "0", *flags])
-        out, err = capsys.readouterr()
-        assert (code, out) == (1, "")
-        assert err == f"error: {named} decides over all committees, and --committee names one\n"
+        argv = ["score", rule, "--profile", unanimous, "--committee", "0", *flags]
+        assert_rejected(capsys, argv, named)
+
+    @pytest.mark.parametrize("rule", ["cc", "monroe"])
+    @pytest.mark.parametrize(
+        "flags, named",
+        [([], "--committee"), (["--k", "2"], "--threshold"), (["--threshold", "0"], "--k")],
+        ids=["neither", "k", "threshold"],
+    )
+    def test_committee_or_decision_flags_missing_is_input_error(
+        self, capsys, unanimous, rule, flags, named
+    ):
+        assert_rejected(capsys, ["score", rule, "--profile", unanimous, *flags], named)
 
     @pytest.mark.parametrize(
         "argv, named",
@@ -367,7 +396,12 @@ class TestExitCodes:
                     ("kemeny", []),
                     ("greedy-dodgson", ["--alt", "0"]),
                 )
-                for flag in (["--k", "2"], ["--committee", "0"], ["--aggregator", "min"])
+                for flag in (
+                    ["--k", "2"],
+                    ["--committee", "0"],
+                    ["--aggregator", "min"],
+                    ["--aggregator", "sum"],
+                )
             ),
             (["cc", "--committee", "0", "--alt", "9"], "--alt"),
             (["monroe", "--committee", "0", "--alt", "0"], "--alt"),
@@ -378,10 +412,7 @@ class TestExitCodes:
         ids=lambda value: "_".join(value) if isinstance(value, list) else value,
     )
     def test_flag_the_rule_never_reads_is_input_error(self, capsys, unanimous, argv, named):
-        code = main(["score", *argv, "--profile", unanimous])
-        out, err = capsys.readouterr()
-        assert (code, out) == (1, "")
-        assert err == f"error: score {argv[0]} never reads {named}\n"
+        assert_rejected(capsys, ["score", *argv, "--profile", unanimous], named)
 
     def test_shared_bottom_enumeration_capped(self, capsys, tmp_path, monkeypatch):
         # shared_bottom enumerates all m! rankings (362,880 at m=9); the cap
@@ -405,9 +436,8 @@ class TestExitCodes:
         assert "young search exceeded its budget of 5000 " in capsys.readouterr().err
 
     def test_negative_budget_is_input_error(self, capsys, unanimous):
-        code = main(["score", "kemeny", "--profile", unanimous, "--budget", "-1"])
-        assert code == 1
-        assert "nonnegative" in capsys.readouterr().err
+        argv = ["score", "kemeny", "--profile", unanimous, "--budget", "-1"]
+        assert "nonnegative" in assert_rejected(capsys, argv, "--budget")
 
     def test_construction_error(self, capsys, tmp_path):
         path = tmp_path / "twocycle.digraph"
@@ -470,6 +500,93 @@ class TestExitCodes:
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: JSON nested too deeply") and err.count("\n") == 1
+
+
+# The flags each score rule and reduce construction reads: its --help lists
+# exactly these, and argparse rejects every other flag.
+READ_FLAGS = {
+    **dict.fromkeys(
+        ["score dodgson", "score young", "score kemeny"],
+        "--profile --alt --threshold --budget --pretty",
+    ),
+    "score greedy-dodgson": "--profile --alt --threshold --pretty",
+    **dict.fromkeys(
+        ["score cc", "score monroe"],
+        "--profile --committee --k --aggregator --threshold --budget --pretty",
+    ),
+    "reduce x3c-dodgson": "--input --out-prefix --pretty",
+    "reduce mcgarvey": "--input --out --pretty",
+    "reduce efas-check": "--input --threshold --no-strict --pretty",
+}
+SWITCHES = {"--pretty", "--no-strict"}
+ALL_FLAGS = sorted({flag for flags in READ_FLAGS.values() for flag in flags.split()})
+ST_INT_TEXT = (st.integers(-1, 6) | st.integers(-(2**70), 2**70)).map(str)
+ST_FLAG_VALUE = {
+    "--profile": st.just("input"),
+    "--input": st.just("input"),
+    "--out": st.just("out"),
+    "--out-prefix": st.just("out"),
+    "--committee": st.lists(st.integers(-1, 6), max_size=4).map(
+        lambda members: ",".join(map(str, members))
+    ),
+    "--aggregator": st.sampled_from(["sum", "min"]),
+}
+ST_ANY_VALUE = st.one_of(
+    ST_INT_TEXT, *ST_FLAG_VALUE.values(), st.sampled_from(["missing", "", "x", "1/2"])
+)
+ST_ANY_TABLE = st.one_of(ST_PROFILE, ST_DIGRAPH, ST_X3C, READER_TEXT)
+
+
+@pytest.mark.parametrize(
+    "command, flags", READ_FLAGS.items(), ids=[command.replace(" ", "_") for command in READ_FLAGS]
+)
+def test_help_lists_exactly_the_flags_read(capsys, command, flags):
+    code, out, err = cli_exit(capsys, [*command.split(), "--help"])
+    assert (code, err) == (0, "")
+    assert set(re.findall(r"--[a-z][a-z-]*", out)) == {"--help", *flags.split()}
+
+
+@settings(
+    max_examples=500,
+    derandomize=True,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_score_and_reduce_exit_with_a_documented_code(capsys, tmp_path, monkeypatch, data):
+    # The flags the command needs, each other flag of its own or not, all with
+    # a value of their type, then up to two flags of any command with any
+    # value; the input table is of the command's kind or any other, valid or
+    # broken.
+    monkeypatch.chdir(tmp_path)
+    command = data.draw(st.sampled_from(list(READ_FLAGS)))
+    verb, name = command.split()
+    kind = ST_PROFILE if verb == "score" else ST_X3C if name == "x3c-dodgson" else ST_DIGRAPH
+    table = data.draw(kind | ST_ANY_TABLE)
+    if isinstance(table, str):
+        Path("input").write_text(table)
+    else:
+        writer = {Profile: vio.write_profile, Digraph: vio.write_digraph}
+        writer.get(type(table), vio.write_x3c)(table, "input")
+    argv = [verb, name]
+    needed = {"--profile", "--input", "--out", "--out-prefix"}
+    if name != "kemeny":
+        needed.add("--alt")
+    if name == "efas-check":
+        needed.add("--threshold")
+    flags = [
+        (flag, data.draw(ST_FLAG_VALUE.get(flag, ST_INT_TEXT)))
+        for flag in READ_FLAGS[command].split()
+        if flag in needed or data.draw(st.booleans())
+    ]
+    flags += data.draw(st.lists(st.tuples(st.sampled_from(ALL_FLAGS), ST_ANY_VALUE), max_size=2))
+    for flag, value in flags:
+        argv += [flag] if flag in SWITCHES else [flag, value]
+    code, _, err = cli_exit(capsys, argv)
+    assert code in range(5)
+    assert "Traceback" not in err
+    if code:
+        assert err.splitlines()[-1].startswith("error: ")
 
 
 class TestSampleCommand:
@@ -633,8 +750,36 @@ class TestReduceCommand:
             vio.write_x3c(X3CInstance.of(3, [[0, 1, 2]]), tmp_path / "input")
         else:
             vio.write_digraph(Digraph.of(3, [(0, 1), (1, 2), (2, 0)]), tmp_path / "input")
-        assert main(["reduce", construction, "--input", "input"]) == 1
-        assert capsys.readouterr().err == f"error: {construction} needs {flag}\n"
+        assert_rejected(capsys, ["reduce", construction, "--input", "input"], flag)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["input"]
+
+    @pytest.mark.parametrize(
+        "construction, unread",
+        [
+            ("mcgarvey", ["--threshold", "5"]),
+            ("mcgarvey", ["--no-strict"]),
+            ("mcgarvey", ["--out-prefix", "zz"]),
+            ("x3c-dodgson", ["--out", "y"]),
+            ("x3c-dodgson", ["--threshold", "3"]),
+            ("x3c-dodgson", ["--no-strict"]),
+            ("efas-check", ["--out", "y"]),
+            ("efas-check", ["--out-prefix", "zz"]),
+        ],
+        ids=lambda value: "_".join(value) if isinstance(value, list) else value,
+    )
+    def test_flag_the_construction_never_reads_writes_nothing(
+        self, capsys, tmp_path, monkeypatch, construction, unread
+    ):
+        monkeypatch.chdir(tmp_path)
+        if construction == "x3c-dodgson":
+            vio.write_x3c(X3CInstance.of(3, [[0, 1, 2]]), tmp_path / "input")
+        else:
+            vio.write_digraph(Digraph.of(3, [(0, 1), (1, 2), (2, 0)]), tmp_path / "input")
+        needed = {"x3c-dodgson": ["--out-prefix", "zz"], "mcgarvey": ["--out", "out"]}.get(
+            construction, ["--threshold", "1"]
+        )
+        argv = ["reduce", construction, "--input", "input", *needed, *unread]
+        assert_rejected(capsys, argv, unread[0])
         assert sorted(p.name for p in tmp_path.iterdir()) == ["input"]
 
     def test_efas_check(self, capsys, cycle_graph):

@@ -102,11 +102,7 @@ def _cmd_score(args) -> int:
             for flag, value in (("--threshold", args.threshold), ("--budget", args.budget)):
                 if value is not None:
                     raise ValueError(f"--committee scores one committee and takes no {flag}")
-            listed = [int(x) for x in args.committee.split(",")]
-            repeated = [c for c, times in Counter(listed).items() if times > 1]
-            if repeated:
-                raise ValueError(f"--committee names member {repeated[0]} more than once")
-            members = Committee.of(listed)
+            members = Committee.of(args.committee)
             result["score"] = score_fn(profile, members, None, args.aggregator)
         elif args.threshold is None:
             raise ValueError("--k decides over all committees of that size and needs --threshold")
@@ -195,6 +191,22 @@ def _budget(text: str) -> int:
     raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text!r}")
 
 
+def _committee(text: str) -> list[int]:
+    """Parse ``--committee``, distinct comma-separated alternatives."""
+    try:
+        members = [int(member) for member in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"must be distinct comma-separated integers, got {text!r}"
+        ) from None
+    repeated = [member for member, times in Counter(members).items() if times > 1]
+    if repeated:
+        raise argparse.ArgumentTypeError(
+            f"names member {repeated[0]} more than once, got {text!r}"
+        )
+    return members
+
+
 class _Parser(argparse.ArgumentParser):
     """Flags match only when spelled in full, and flag errors are malformed
     input: exit 1, not argparse's default 2."""
@@ -224,7 +236,9 @@ def build_parser() -> argparse.ArgumentParser:
         rule.add_argument("--profile", required=True)
         if name in ("cc", "monroe"):
             committee = rule.add_mutually_exclusive_group(required=True)
-            committee.add_argument("--committee", help="score this committee, e.g. 0,2,5")
+            committee.add_argument(
+                "--committee", type=_committee, help="score this committee, e.g. 0,2,5"
+            )
             committee.add_argument("--k", type=int, help="decide over all committees of k members")
             rule.add_argument("--aggregator", choices=["sum", "min"], default="sum")
         else:
@@ -280,7 +294,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONSTRUCTION
     except (ValueError, OSError, KeyError, json.JSONDecodeError, MemoryError, OverflowError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # A failed allocation can raise MemoryError with no message.
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_INPUT
 
 

@@ -28,7 +28,6 @@ import hashlib
 import json
 import math
 import time
-from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
@@ -123,10 +122,10 @@ class ExperimentConfig:
     def from_dict(cls, data: dict) -> "ExperimentConfig":
         if not isinstance(data, dict):
             raise ValueError(f"experiment config must be a JSON object, got {data!r}")
-        allowed = {f.name for f in fields(cls)}
-        unknown = set(data) - allowed
-        if unknown:
+        if unknown := set(data) - {f.name for f in fields(cls)}:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        if missing := {"claim", "trials", "seed"} - set(data):
+            raise ValueError(f"missing config keys: {sorted(missing)}")
         return cls(**data)
 
     def to_dict(self) -> dict:
@@ -183,10 +182,8 @@ def _check(
         ok = empirical >= threshold
     elif kind == "upper_bound":
         ok = empirical <= threshold
-    elif kind == "exact":
+    else:  # exact
         ok = empirical == threshold
-    else:
-        raise ValueError(kind)
     return {
         "name": name,
         "kind": kind,
@@ -316,6 +313,8 @@ def _trial_tallies(cfg: ExperimentConfig) -> tuple[list[int], np.ndarray]:
     """
     if cfg.m is None or cfg.n is None:
         raise ValueError("this claim needs explicit m and n")
+    if cfg.instance is not None:
+        raise ValueError("this claim reads no exact-cover instance")
     m, n = cfg.m, cfg.n
     model = model_from_spec(cfg.model, m)
     if not isinstance(model, AlphaIC):
@@ -393,54 +392,39 @@ def run_definitely_rate(cfg: ExperimentConfig) -> TrialReport:
     return _report(cfg, started, rows, flags, checks, frequencies, bounds)
 
 
-def _worst_label_rate(events: dict[int, int], rivals: dict[int, int]) -> tuple[float, float]:
-    """Highest per-label event rate and its standard error.
-
-    Each label's rate is over the trials where it was a rival, not over
-    all trials: under per-trial targets a label is sometimes the target.
-    """
-    worst, se = 0.0, 0.0
-    for b in sorted(events):
-        rate = events[b] / rivals[b]
-        if rate > worst:
-            worst, se = rate, _binomial_se(rate, rivals[b])
-    return worst, se
-
-
 def run_concentration_tails(cfg: ExperimentConfig) -> TrialReport:
     """Both per-pair tail events vs. the shared exponential bound."""
     started = time.perf_counter()
     targets, tallies = _trial_tallies(cfg)
     m, n = cfg.m, cfg.n
     beta = (Fraction(3, 4) - Fraction(1, 2 * m)) * Fraction(n, m)
-    prec_limit = Fraction(n, 2) + beta
-
-    rival_counts, exceed_counts, scarce_counts = Counter(), Counter(), Counter()
-    rows, flags = [], []
+    rival = np.arange(m) != np.array(targets)[:, None]
+    # Tallies are integers, so they exceed n/2 + beta exactly when they
+    # exceed its floor, and fall short of beta exactly when short of its ceiling.
+    tails = {
+        "majority_overshoot_tail": rival & (tallies[:, :m] > math.floor(Fraction(n, 2) + beta)),
+        "adjacency_shortfall_tail": rival & (tallies[:, m:] < math.ceil(beta)),
+    }
+    flags = np.logical_or(*tails.values()).any(axis=1).astype(int).tolist()
+    rows = []
     for trial, (target, tally) in enumerate(zip(targets, tallies.tolist())):
         row = {"trial": trial}
-        hit = 0
         for b in range(m):
-            if b == target:
-                continue
-            rival_counts[b] += 1
-            outranked, adjacent = tally[b], tally[m + b]
-            row[f"outranked_by_{b}"] = outranked
-            row[f"directly_above_{b}"] = adjacent
-            if outranked > prec_limit:
-                exceed_counts[b] += 1
-                hit = 1
-            if adjacent < beta:
-                scarce_counts[b] += 1
-                hit = 1
-        flags.append(hit)
+            if b != target:
+                row[f"outranked_by_{b}"], row[f"directly_above_{b}"] = tally[b], tally[m + b]
         rows.append(row)
 
+    # Each label's rate is over the trials where it was a rival: under
+    # per-trial targets a label is sometimes the target. One that never was
+    # has no events, so its rate reads 0 over one trial.
+    rivals = np.maximum(rival.sum(axis=0), 1)
     exponent, tail_bound = _tail_exponent_bound(m, n)
     checks, frequencies = [], {}
-    tails = {"majority_overshoot_tail": exceed_counts, "adjacency_shortfall_tail": scarce_counts}
-    for name, counts in tails.items():
-        worst, se = _worst_label_rate(counts, rival_counts)
+    for name, events in tails.items():
+        rates = events.sum(axis=0) / rivals
+        b = int(rates.argmax())  # the first label at the highest rate
+        worst = float(rates[b])
+        se = _binomial_se(worst, int(rivals[b]))
         checks.append(
             _check(name, worst, tail_bound + SLACK_SIGMAS * se, "upper_bound", bound=tail_bound)
         )

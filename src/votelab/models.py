@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -351,14 +352,24 @@ def _check_keys(data: dict, allowed: set, what: str) -> None:
         raise ValueError(f"{what} takes only {sorted(allowed)}, got unknown keys {unknown}")
 
 
+# A number in text is digits, or digits over digits not all zero: the
+# pattern of an ``alpha`` string in ``schemas/experiment_config.schema.json``.
+_FRACTION_TEXT = re.compile(r"[0-9]+(/0*[1-9][0-9]*)?")
+
+
 def _spec_number(spec: dict, key: str, convert: Callable, what: str = "model spec"):
     value = spec.get(key)
     # int() would truncate 2.5 and Fraction() keep 0.1's binary expansion;
     # exact inputs are integers or fraction strings.
     if isinstance(value, float):
         raise ValueError(f"{what} {key!r} must not be a float, got {value!r}")
-    # JSON true would convert to 1 and int() would parse "8"; neither is a number here.
-    if isinstance(value, bool) or (convert is int and not isinstance(value, int)):
+    # JSON true would convert to 1, int() would parse "8" and Fraction() "0.5"
+    # or " 1e3"; none is a number here.
+    if (
+        isinstance(value, bool)
+        or (convert is int and not isinstance(value, int))
+        or (isinstance(value, str) and not _FRACTION_TEXT.fullmatch(value))
+    ):
         raise ValueError(f"{what} {key!r} must be a number, got {value!r}")
     try:
         return convert(value)

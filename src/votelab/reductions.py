@@ -393,7 +393,7 @@ def efas_via_kemeny(
     every ``t >= 0`` without a Kemeny query, which needs 3 alternatives.
     """
     if strict and not g.is_eulerian():
-        raise ValueError("graph is not Eulerian; pass strict=False to override")
+        raise ValueError("graph is not Eulerian; pass strict=False (--no-strict) to override")
     profile = profile_builder(g)  # rejects a 2-cycle at every m
     if g.m <= 2:
         return Decision.YES if t >= 0 else Decision.NO

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -293,9 +294,14 @@ class TestScoreCommand:
 
     @pytest.mark.parametrize("rule", ["cc", "monroe"])
     def test_committee_naming_a_member_twice_rejected(self, capsys, unanimous, rule):
-        code = main(["score", rule, "--profile", unanimous, "--committee", "0,2,0"])
-        assert code == 1
-        assert "member 0 more than once" in capsys.readouterr().err
+        argv = ["score", rule, "--profile", unanimous, "--committee", "0,2,0"]
+        assert "member 0 more than once" in assert_rejected(capsys, argv, "--committee")
+
+    @pytest.mark.parametrize("rule", ["cc", "monroe"])
+    @pytest.mark.parametrize("committee", ["", "0,x", "0,,1"])
+    def test_committee_member_not_an_integer_rejected(self, capsys, unanimous, rule, committee):
+        argv = ["score", rule, "--profile", unanimous, "--committee", committee]
+        assert repr(committee) in assert_rejected(capsys, argv, "--committee")
 
 
 @pytest.mark.parametrize(
@@ -481,6 +487,13 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_failed_allocation_names_itself(self, capsys, tmp_path):
+        # 2**62 padded alternatives fail to allocate at once, with an empty MemoryError.
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({**TOP_CONFIG, "pad": 2**62}))
+        argv = ["experiment", "--config", str(config), "--out-dir", str(tmp_path)]
+        assert assert_rejected(capsys, argv, "MemoryError") == "error: MemoryError"
 
     def test_unknown_flag_rejected_as_input_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -792,6 +805,14 @@ class TestReduceCommand:
         )
         assert (code, result) == (0, {"decision": "no"})
 
+    def test_efas_check_on_a_non_eulerian_graph_names_no_strict(self, capsys, tmp_path):
+        path = tmp_path / "path.digraph"
+        vio.write_digraph(Digraph.of(4, [(0, 1), (1, 2), (2, 3)]), path)
+        argv = ["reduce", "efas-check", "--input", str(path), "--threshold", "1"]
+        assert "not Eulerian" in assert_rejected(capsys, argv, "--no-strict")
+        code, result = run_cli(capsys, *argv, "--no-strict")
+        assert (code, result) == (0, {"decision": "yes"})
+
     def test_efas_check_two_vertices(self, capsys, tmp_path):
         path = tmp_path / "pair.digraph"
         path.write_text("2 0\n")
@@ -878,6 +899,7 @@ class TestExperimentCommand:
         assert main(["experiment", "--config", str(cfg_path)]) == 1
 
 
+CONFIG_SCHEMA = load_schema("experiment_config.schema.json")
 SMALL_CONFIG = {
     "claim": "definitely_rate", "trials": 5, "seed": 1, "m": 3, "n": 10,
     "model": {"model": "alpha_ic", "alpha": "2/3"},
@@ -1000,6 +1022,28 @@ class TestMalformedJson:
                 {**TOP_CONFIG, "instance": {"q": "3", "subsets": [[0, 1, 2]]}},
                 "'q' must be a number, got '3'",
             ),
+            # An alpha string is digits over digits, the config schema's pattern.
+            (
+                "sample",
+                {"model": "alpha_ic", "alpha": "0.5"},
+                "'alpha' must be a number, got '0.5'",
+            ),
+            (
+                "experiment",
+                {**SMALL_CONFIG, "model": {"model": "alpha_ic", "alpha": " 2/3"}},
+                "'alpha' must be a number, got ' 2/3'",
+            ),
+            # The uniform-noise claims read no instance, and every claim needs a seed.
+            (
+                "experiment",
+                {**SMALL_CONFIG, "instance": {"q": 3, "subsets": [[0, 1, 2]]}},
+                "this claim reads no exact-cover instance",
+            ),
+            (
+                "experiment",
+                {key: value for key, value in SMALL_CONFIG.items() if key != "seed"},
+                "missing config keys: ['seed']",
+            ),
         ],
     )
     def test_rejected_as_input_error(self, capsys, tmp_path, command, payload, named):
@@ -1034,6 +1078,127 @@ class TestMalformedJson:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(config))
         assert main(["experiment", "--config", str(cfg_path), "--out-dir", str(tmp_path)]) == 1
+
+
+# One-field mutations of a valid JSON object: one key of it, or of its model or
+# instance, deleted, added or set to a value of another JSON type, an extreme
+# integer or an enum value. Every accepted mutation runs in milliseconds.
+DELETE = object()
+ST_MUTATION_VALUE = st.sampled_from([
+    DELETE, None, True, -1, 0, 1, 3, 2**63 - 1, 2**63, 2**70, 0.5, "x", "2/3", [], [0, 1, 2],
+    {}, {"q": 3}, "definitely_rate", "concentration", "top_preservation", "cover_driver",
+    "shared_bottom", "random_profile", "alpha_ic", "partial_alt", "top_break", "m1", "2*m1*n",
+])
+
+
+@st.composite
+def one_field_mutations(draw, bases, keys):
+    mutated = json.loads(json.dumps(draw(st.sampled_from(bases))))
+    path = draw(st.sampled_from([path for path in keys if not path or path[0] in mutated]))
+    node = mutated[path[0]] if path else mutated
+    key = draw(st.sampled_from(keys[path]))
+    value = draw(ST_MUTATION_VALUE)
+    if value is DELETE:
+        node.pop(key, None)
+    else:
+        node[key] = value
+    return mutated
+
+
+MODEL_KEYS = ["model", "alpha", "K", "stray"]
+CONFIGS = [SMALL_CONFIG, TOP_CONFIG]
+ST_CONFIG = one_field_mutations(
+    CONFIGS,
+    {
+        (): [f.name for f in dataclasses.fields(ExperimentConfig)] + ["stray"],
+        ("model",): MODEL_KEYS,
+        ("instance",): ["q", "subsets", "stray"],
+    },
+)
+SPECS = [
+    {"model": "alpha_ic", "alpha": "2/3"}, {"model": "partial_alt", "K": 2},
+    {"model": "top_break", "K": 2},
+]
+ST_SPEC = one_field_mutations(SPECS, {(): MODEL_KEYS})
+# A parameter profile that sample can draw from: whole agents per ranking.
+ST_AGENTS = st.integers(1, 5).flatmap(
+    lambda m: st.lists(
+        st.tuples(st.permutations(range(m)), st.integers(1, 4)), min_size=1, max_size=4
+    )
+).map(WeightedProfile.of)
+ST_BROKEN_JSON = st.sampled_from(
+    ["", "{", '{"model": ', "null", "NaN", "[" * 100_000 + "]" * 100_000, '{"a": ' * 100_000]
+)
+# Rules the schema leaves to run time, as they need arithmetic across fields
+# or memory: alpha's regime floor and a fraction string's range, a partial_alt
+# K against the reduction's width, and the padded alternatives' allocation.
+RUN_TIME_RULES = (
+    "below the regime floor", "alpha must lie in [0, 1]", "below reduction width",
+    "too large to convert", "MemoryError",
+)
+
+
+@settings(
+    max_examples=300,
+    derandomize=True,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(config=ST_CONFIG)
+def test_schema_valid_exactly_when_the_cli_accepts(capsys, tmp_path, config):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    argv = ["experiment", "--config", str(path), "--out-dir", str(tmp_path)]
+    code, _, err = cli_exit(capsys, argv)
+    valid = jsonschema.Draft202012Validator(CONFIG_SCHEMA).is_valid(config)
+    if valid and code == 1:
+        assert any(rule in err for rule in RUN_TIME_RULES), err
+    else:
+        assert valid == (code != 1), err
+
+
+@pytest.mark.parametrize("command", ["sample", "experiment"])
+@settings(
+    max_examples=200,
+    derandomize=True,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_sample_and_experiment_exit_with_a_documented_code(
+    capsys, tmp_path, monkeypatch, command, data
+):
+    # A valid spec or config, one a field away from valid, or broken or deep
+    # JSON, inline or in a file that may be missing; for sample, a parameter
+    # table valid or broken, an output path or a directory, and a seed at
+    # either extreme or none. Valid pieces are drawn more often than broken ones.
+    monkeypatch.chdir(tmp_path)
+    bases, mutated = (SPECS, ST_SPEC) if command == "sample" else (CONFIGS, ST_CONFIG)
+    valid = st.sampled_from(bases)
+    text = data.draw(st.one_of(valid, valid, mutated).map(json.dumps) | ST_BROKEN_JSON)
+    Path("input.json").write_text(text)
+    if command == "experiment":
+        config = data.draw(st.sampled_from(["input.json"] * 3 + ["missing.json"]))
+        argv = ["experiment", "--config", config, "--out-dir", "out"]
+    else:
+        table = data.draw(st.one_of(ST_AGENTS, ST_AGENTS, ST_WEIGHTED_PROFILE, READER_TEXT))
+        if isinstance(table, str):
+            Path("params").write_text(table)
+        else:
+            vio.write_weighted_profile(table, "params")
+        spec = data.draw(st.sampled_from([text, "@input.json", text, "@missing.json"]))
+        out = data.draw(st.sampled_from(["out"] * 3 + ["."]))
+        argv = ["sample", "--model", spec, "--params", "params", "--out", out]
+        if data.draw(st.booleans()):
+            argv += ["--seed", data.draw(ST_INT_TEXT)]
+    code, _, err = cli_exit(capsys, argv)
+    assert code in range(5)
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    if code in (1, 2, 3):
+        assert lines[-1].startswith("error: ") and lines[-1] != "error: "
+    elif code == 4:
+        assert len(lines) == 1 and lines[0].startswith("wall clock: ")
 
 
 class TestConsoleEntryPoint:

@@ -282,22 +282,44 @@ class TestClaim1:
         assert report.all_pass
         assert math.isclose(report.summary["bounds"]["tail_bound"], math.exp(-1))
 
-    def test_per_label_rates_count_only_rival_trials(self):
+    @pytest.mark.parametrize(
+        "m, n, trials, seed, shortfall_rate",
+        [
+            (4, 40, 200, 11, 19 / 151),
+            # Two labels tie at the highest rate over different rival counts.
+            (3, 1, 7, 18, None),
+            # beta = 13 is an integer, so a tally equal to it is no shortfall.
+            (5, 100, 20, 1030231462524, None),
+            # One trial: its target is never a rival.
+            (6, 5, 1, 3, None),
+        ],
+        ids=["rival_share", "tie", "integer_beta", "never_a_rival"],
+    )
+    def test_per_label_rates_count_only_rival_trials(self, m, n, trials, seed, shortfall_rate):
         # Under per-trial targets a label is the target, not a rival, in
-        # about 1/m of the trials; its rate is over the others only.
+        # about 1/m of the trials; its rate is over the others only, and the
+        # worst label is the first at the highest rate.
         cfg = ExperimentConfig(
-            claim="concentration", trials=200, seed=11, m=4, n=40,
-            model={"model": "alpha_ic", "alpha": "3/4"}, adversary="random_profile",
+            claim="concentration", trials=trials, seed=seed, m=m, n=n,
+            model={"model": "alpha_ic", "alpha": str(1 - Fraction(1, m))},
+            adversary="random_profile",
         )
         report = run_concentration_tails(cfg)
         beta = Fraction(report.summary["bounds"]["beta"])
         tail_bound = report.summary["bounds"]["tail_bound"]
         per_label = {"majority_overshoot_tail": [], "adjacency_shortfall_tail": []}
+        hits = [0] * cfg.trials
         for b in range(cfg.m):
-            rival_rows = [row for row in report.rows if f"outranked_by_{b}" in row]
+            rival_rows = [(t, row) for t, row in enumerate(report.rows) if f"outranked_by_{b}" in row]
+            if not rival_rows:
+                continue
             rivals = len(rival_rows)
-            overshoot = sum(row[f"outranked_by_{b}"] > Fraction(cfg.n, 2) + beta for row in rival_rows)
-            shortfall = sum(row[f"directly_above_{b}"] < beta for row in rival_rows)
+            overshoot = shortfall = 0
+            for t, row in rival_rows:
+                over = row[f"outranked_by_{b}"] > Fraction(cfg.n, 2) + beta
+                short = row[f"directly_above_{b}"] < beta
+                overshoot, shortfall = overshoot + over, shortfall + short
+                hits[t] |= over or short
             per_label["majority_overshoot_tail"].append((overshoot / rivals, rivals))
             per_label["adjacency_shortfall_tail"].append((shortfall / rivals, rivals))
         for check in report.summary["checks"]:
@@ -305,7 +327,9 @@ class TestClaim1:
             se = math.sqrt(rate * (1 - rate) / rivals)
             assert report.summary["frequencies"][check["name"]] == rate
             assert check["threshold"] == pytest.approx(tail_bound + 3 * se, rel=1e-12)
-        assert report.summary["frequencies"]["adjacency_shortfall_tail"] == 19 / 151
+        assert report.summary["plot_series"][-1] == (cfg.trials, sum(hits) / cfg.trials)
+        if shortfall_rate is not None:
+            assert report.summary["frequencies"]["adjacency_shortfall_tail"] == shortfall_rate
 
     def test_maybe_rate_bounded_by_union_of_tails(self):
         # same seed => identical sampled profiles in both runs

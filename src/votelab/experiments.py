@@ -442,6 +442,13 @@ def _padded_reduction(cfg: ExperimentConfig):
     """
     if not cfg.instance:
         raise ValueError("this claim needs an exact-cover instance in the config")
+    # The instance fixes the alternatives and agents, and no adversary is
+    # drawn, so these fields would change the config hash, not the rows.
+    for name in ("m", "n"):
+        if getattr(cfg, name) is not None:
+            raise ValueError(f"this claim reads no config field {name!r}: the instance fixes it")
+    if cfg.adversary != "shared_bottom":
+        raise ValueError("this claim reads no config field 'adversary'")
     _check_keys(cfg.instance, {"q", "subsets"}, "instance")
     q = _spec_number(cfg.instance, "q", int, "instance")
     subsets = cfg.instance.get("subsets")

@@ -370,6 +370,48 @@ def _kemeny_witness(p: Profile) -> tuple[list[int], int]:
     return order, (p.n * (m * (m - 1) // 2) - agreed) // 2
 
 
+@functools.lru_cache(maxsize=16)  # every m the default budget admits
+def _short_cycles(m: int) -> tuple[tuple[int, ...], ...]:
+    """Every directed 3-cycle, then every directed 4-cycle, on ``m`` vertices.
+
+    Each cycle is its arcs ``x -> y`` as flat indices ``x * m + y``, and
+    starts at its smallest vertex, so each is listed once.
+    """
+    cycles = []
+    for size in (3, 4):
+        for first, *rest in itertools.combinations(range(m), size):
+            for tail in itertools.permutations(rest):
+                loop = (first, *tail, first)
+                cycles.append(tuple(x * m + y for x, y in zip(loop, loop[1:])))
+    return tuple(cycles)
+
+
+def _kemeny_cycle_bound(p: Profile, stop: float) -> int:
+    """A lower bound on the Kemeny score of ``p``, packed until it exceeds ``stop``.
+
+    A ranking pays ``(n - |margin|) / 2`` on every pair, plus ``|margin|``
+    on every majority arc it puts backward. It puts at least one arc of
+    each directed cycle of the majority graph backward, so a packing of
+    cycles, each arc's load within its ``|margin|``, adds at least its
+    total (the cycle bound of Conitzer, Davenport and Kalagnanam, AAAI
+    2006). The packing is greedy over :func:`_short_cycles`.
+    """
+    m = p.m
+    capacity = [max(margin, 0) for row in wmg(p).margins for margin in row]
+    # n and every margin share parity, so each pair's (n - |margin|) is even
+    bound = (p.n * (m * (m - 1) // 2) - sum(capacity)) // 2
+    left = capacity.__getitem__
+    for cycle in _short_cycles(m):
+        if all(map(left, cycle)):  # stops at the first spent arc, unlike min
+            load = min(map(left, cycle))
+            bound += load
+            if bound > stop:
+                break
+            for arc in cycle:
+                capacity[arc] -= load
+    return bound
+
+
 def kemeny_decision(p: Profile, t: int, *, budget: int = DEFAULT_KEMENY_BUDGET) -> bool:
     """Does some alternative have Kemeny score at most ``t``?
 
@@ -378,12 +420,17 @@ def kemeny_decision(p: Profile, t: int, *, budget: int = DEFAULT_KEMENY_BUDGET) 
     score is attained by the global optimum's top alternative.
 
     The budget is checked first. Then, unless ``p`` already keeps its
-    table, one wins-order ranking (:func:`_kemeny_witness`) within ``t``
-    answers YES without the ``2**m`` table; otherwise the table decides.
+    table, two certificates are tried before the ``2**m`` table: one
+    wins-order ranking (:func:`_kemeny_witness`) within ``t`` answers
+    YES, and a cycle-packing lower bound (:func:`_kemeny_cycle_bound`)
+    above ``t`` answers NO. Otherwise the table decides.
     """
     _require_kemeny_budget(p, budget)
-    if "_kemeny_table" not in p.__dict__ and _kemeny_witness(p)[1] <= t:
-        return True
+    if "_kemeny_table" not in p.__dict__:
+        if _kemeny_witness(p)[1] <= t:
+            return True
+        if _kemeny_cycle_bound(p, t) > t:
+            return False
     best, _ = _kemeny_table(p, budget)
     return int(best[-1]) <= t
 

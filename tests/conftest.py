@@ -79,6 +79,23 @@ def st_pooled_profile(min_m: int, max_m: int, max_n: int, max_pool: int = 6):
     return st.integers(min_m, max_m).flatmap(ballots)
 
 
+def st_two_cycle_free_digraph(min_m: int = 1):
+    """Each vertex pair of an m-vertex graph, m in ``min_m..6``, gets no arc or one arc."""
+
+    def build(m):
+        pairs = list(itertools.combinations(range(m), 2))
+        orientations = st.lists(
+            st.sampled_from((0, 1, 2)), min_size=len(pairs), max_size=len(pairs)
+        )
+        return orientations.map(
+            lambda chosen: Digraph.of(
+                m, [(u, v) if o == 1 else (v, u) for (u, v), o in zip(pairs, chosen) if o]
+            )
+        )
+
+    return st.integers(min_m, 6).flatmap(build)
+
+
 def kt_brute(r1: Ranking, r2: Ranking) -> int:
     """Count disagreeing pairs one by one."""
     return sum(

@@ -1044,6 +1044,19 @@ class TestMalformedJson:
                 {key: value for key, value in SMALL_CONFIG.items() if key != "seed"},
                 "missing config keys: ['seed']",
             ),
+            # The reduction claims read their m and n off the instance, and
+            # draw no adversary.
+            ("experiment", {**TOP_CONFIG, "m": 7}, "reads no config field 'm'"),
+            (
+                "experiment",
+                {**TOP_CONFIG, "claim": "cover_driver", "n": 10},
+                "reads no config field 'n'",
+            ),
+            (
+                "experiment",
+                {**TOP_CONFIG, "adversary": "random_profile"},
+                "reads no config field 'adversary'",
+            ),
         ],
     )
     def test_rejected_as_input_error(self, capsys, tmp_path, command, payload, named):
@@ -1070,6 +1083,9 @@ class TestMalformedJson:
             {**TOP_CONFIG, "model": {"model": "top_break", "K": "8"}},
             {**TOP_CONFIG, "model": {"model": "top_break", "K": 2, "note": "x"}},
             {**TOP_CONFIG, "instance": {"q": 3, "subsets": [[0, 1, 2]], "note": "x"}},
+            {**TOP_CONFIG, "m": 7},
+            {**TOP_CONFIG, "claim": "cover_driver", "n": 10},
+            {**TOP_CONFIG, "adversary": "random_profile"},
         ],
     )
     def test_schema_rejects_stray_model_and_instance_keys(self, tmp_path, config):

@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import example, given, settings
 
 from votelab import (
     AlphaIC,
@@ -46,29 +46,13 @@ from conftest import (
     padded_parameter_profile_per_agent,
     random_ranking,
     sample_orders_per_agent,
+    st_two_cycle_free_digraph,
 )
 
 SINGLETON = X3CInstance.of(3, [[0, 1, 2]])
 Q6_YES = X3CInstance.of(6, [[0, 1, 2], [3, 4, 5]])
 Q6_NO = X3CInstance.of(6, [[0, 1, 2], [2, 3, 4], [0, 4, 5], [1, 3, 5]])
 THREE_CYCLE = Digraph.of(3, [(0, 1), (1, 2), (2, 0)])
-
-
-def st_two_cycle_free_digraph():
-    """Each vertex pair of an m-vertex graph, m in 1..6, gets no arc or one arc."""
-
-    def build(m):
-        pairs = list(itertools.combinations(range(m), 2))
-        orientations = st.lists(
-            st.sampled_from((0, 1, 2)), min_size=len(pairs), max_size=len(pairs)
-        )
-        return orientations.map(
-            lambda chosen: Digraph.of(
-                m, [(u, v) if o == 1 else (v, u) for (u, v), o in zip(pairs, chosen) if o]
-            )
-        )
-
-    return st.integers(1, 6).flatmap(build)
 
 
 def exact_dodgson_decider(p, a, t):
@@ -379,7 +363,8 @@ class TestAlgorithm2:
             efas_via_kemeny(Digraph.of(2, [(0, 1), (1, 0)]), 1, kemeny_decision)
 
     def test_kemeny_tables_built_on_the_m3_to_m5_family(self):
-        # The witness settles most yes queries, so most build no 2^m table.
+        # The witness settles most yes queries and the cycle bound most no
+        # queries, so most build no 2^m table.
         queries = [
             (g, t)
             for m in (3, 4, 5)
@@ -390,7 +375,7 @@ class TestAlgorithm2:
             rules_exact, "_kemeny_block_table", wraps=rules_exact._kemeny_block_table
         ) as build:
             yes = sum(efas_via_kemeny(g, t, kemeny_decision) is Decision.YES for g, t in queries)
-        assert (len(queries), yes, build.call_count) == (1611, 1209, 459)
+        assert (len(queries), yes, build.call_count) == (1611, 1209, 81)
 
     @given(st_two_cycle_free_digraph())
     @example(Digraph.of(3, []))

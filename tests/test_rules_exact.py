@@ -11,6 +11,8 @@ from votelab import rules_exact
 from votelab import (
     BudgetExceededError,
     Committee,
+    Decision,
+    Digraph,
     Profile,
     Ranking,
     X3CInstance,
@@ -20,11 +22,14 @@ from votelab import (
     condorcet_winner,
     dodgson_score_exact,
     dodgson_score_within,
+    efas_bruteforce,
+    efas_via_kemeny,
     enumerate_x3c_instances,
     kemeny_best,
     kemeny_decision,
     kemeny_score_of_alternative,
     kt_profile_distance,
+    mcgarvey_profile,
     monroe_score,
     permute_profile,
     x3c_to_dodgson,
@@ -49,6 +54,7 @@ from conftest import (
     random_profile,
     random_ranking,
     st_pooled_profile,
+    st_two_cycle_free_digraph,
     voter_rankings,
     young_ilp,
 )
@@ -397,20 +403,68 @@ class TestKemeny:
     @given(st_pooled_profile(3, 10, 30))
     @settings(max_examples=60, deadline=None)
     def test_decision_on_fresh_profiles(self, p):
-        # A profile with no table kept tries the witness first; the table is
-        # built only when the witness misses t.
+        # A profile with no table kept tries the witness, then the cycle
+        # bound; the table is built only when the witness misses t and the
+        # bound does not exceed it.
         _, score = kemeny_best(p)
         for t in [*range(score - 2, score + 3), Fraction(2 * score + 1, 2)]:
             fresh = Profile.from_counts(p.grouped.items())
             _, witness_cost = rules_exact._kemeny_witness(Profile.from_counts(p.grouped.items()))
+            bound = rules_exact._kemeny_cycle_bound(Profile.from_counts(p.grouped.items()), t)
             with mock.patch.object(
                 rules_exact, "_kemeny_block_table", wraps=rules_exact._kemeny_block_table
             ) as build:
                 assert kemeny_decision(fresh, t) == (score <= t)
-            assert build.call_count == (0 if witness_cost <= t else 1)
+            assert build.call_count == (0 if witness_cost <= t or bound > t else 1)
         with mock.patch.object(rules_exact, "_kemeny_witness") as witness:
             assert kemeny_decision(p, score)  # p keeps its table: no witness
         assert witness.call_count == 0
+
+    @given(
+        st.one_of(st_pooled_profile(3, 10, 30), st_two_cycle_free_digraph(3).map(mcgarvey_profile))
+    )
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    def test_cycle_bound_never_exceeds_the_score(self, p):
+        _, score = kemeny_best(p)
+        full = rules_exact._kemeny_cycle_bound(p, math.inf)
+        # stopped early, the packing is a prefix of the full one
+        assert rules_exact._kemeny_cycle_bound(p, score - 1) <= full <= score
+
+    def test_no_on_the_three_cycle_builds_no_table(self):
+        # Every pair costs 2 of the 6 ballots, and one arc of the cycle goes
+        # backward at margin 2: base 6 plus one packed 3-cycle of load 2.
+        p = mcgarvey_profile(Digraph.of(3, [(0, 1), (1, 2), (2, 0)]))
+        assert rules_exact._kemeny_cycle_bound(p, math.inf) == 8 == kemeny_best(p)[1]
+        with mock.patch.object(
+            rules_exact, "_kemeny_block_table", wraps=rules_exact._kemeny_block_table
+        ) as build:
+            assert not kemeny_decision(Profile.from_counts(p.grouped.items()), 7)
+            assert kemeny_decision(Profile.from_counts(p.grouped.items()), 8)
+        assert build.call_count == 0
+
+    def test_efas_matches_bruteforce_at_m7_and_m8(self):
+        # Random 2-cycle-free Eulerian digraphs: a union of arc-disjoint simple
+        # cycles, each dropped if it would reuse a vertex pair. m=7 and 8 read
+        # cycle lists past the m <= 6 of the other feedback-arc tests.
+        rng = np.random.default_rng(20261020)
+        for m in [7] * 6 + [8] * 6:
+            pairs, arcs = set(), []
+            for _ in range(10):
+                loop = rng.permutation(m)[: int(rng.integers(3, m + 1))].tolist()
+                cycle = list(zip(loop, loop[1:] + loop[:1]))
+                used = {frozenset(arc) for arc in cycle}
+                if not pairs & used:
+                    pairs |= used
+                    arcs += cycle
+            g = Digraph.of(m, arcs)
+            answers = [
+                efas_via_kemeny(g, t, kemeny_decision) is Decision.YES
+                for t in range(g.edge_count + 1)
+            ]
+            first_yes = answers.index(True)
+            assert answers == [False] * first_yes + [True] * (len(answers) - first_yes)
+            assert efas_bruteforce(g, first_yes)
+            assert not efas_bruteforce(g, first_yes - 1)
 
     @given(st_pooled_profile(3, 10, 30))
     @settings(max_examples=60, deadline=None)

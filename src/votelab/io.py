@@ -59,10 +59,10 @@ def _read_table(
     lines = [line.strip() for line in Path(path).read_text().splitlines() if line.strip()]
     if not lines:
         raise ValueError(f"empty {file} file")
-    parts = lines[0].split()
-    if len(parts) != 2:
-        raise ValueError(f"{header} header must be two integers, got {lines[0]!r}")
-    first, count = int(parts[0]), int(parts[1])
+    try:
+        first, count = map(int, lines[0].split())
+    except ValueError:  # a token that is not an integer, or not two tokens
+        raise ValueError(f"{header} header must be two integers, got {lines[0]!r}") from None
     if len(lines) != count + 1:
         raise ValueError(f"expected {count} {rows}, found {len(lines) - 1}")
     body = [line.split() for line in lines[1:]]

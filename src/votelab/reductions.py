@@ -306,27 +306,26 @@ def mcgarvey_profile(g: Digraph) -> Profile:
 
 
 def detect_margin_multiplier(p: Union[Profile, WeightedProfile], g: Digraph) -> Fraction:
-    """The constant lambda with margins(p) = lambda * margins(g), or raise."""
-    graph = wmg(p)
-    multiplier = None
-    for a in range(g.m):
-        for b in range(a + 1, g.m):
-            value = graph.margin(a, b)
-            if (a, b) in g.arcs:
-                expected_sign = 1
-            elif (b, a) in g.arcs:
-                expected_sign = -1
-            else:
-                if value != 0:
-                    raise ConstructionError(f"nonzero margin on non-arc pair ({a},{b})")
-                continue
-            scaled = value * expected_sign
-            if multiplier is None:
-                multiplier = scaled
-            elif scaled != multiplier:
-                raise ConstructionError("margins are not proportional to the graph")
+    """The constant lambda with margins(p) = lambda * margins(g), or raise.
+
+    Lambda is read off one arc (0 for an arcless graph); the whole margin
+    matrix must equal lambda on each arc, -lambda against it and 0
+    elsewhere. A profile over other alternatives than the graph's is
+    rejected first, since an arc may name one the profile lacks.
+    """
+    margins = wmg(p).margins
+    if len(margins) != g.m:
+        raise ConstructionError("profile and graph must share m")
+    u, v = next(iter(g.arcs), (0, 0))  # margins[0][0] is 0
+    multiplier = margins[u][v]
+    expected = [[0] * g.m for _ in range(g.m)]
+    for u, v in g.arcs:
+        expected[u][v] = multiplier
+        expected[v][u] = -multiplier
+    if margins != tuple(map(tuple, expected)):
+        raise ConstructionError("margins are not proportional to the graph")
     # Kernel values are ints for a Profile; the closed form needs a Fraction.
-    return Fraction(multiplier or 0)
+    return Fraction(multiplier)
 
 
 def _closed_form_distance(
@@ -351,8 +350,8 @@ def kt_formula(p: Union[Profile, WeightedProfile], g: Digraph, r: Ranking) -> Fr
     its weight evenly; each arc shifts one pair by ``lambda/2`` toward
     its orientation, and a backward arc flips that shift's sign.
     """
-    if p.m != g.m or r.m != g.m:
-        raise ConstructionError("profile, graph, and ranking must share m")
+    if r.m != g.m:
+        raise ConstructionError("ranking and graph must share m")
     return _closed_form_distance(p, g, backward_arcs(g, r))
 
 

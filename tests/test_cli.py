@@ -179,6 +179,7 @@ MALFORMED = [
     (vio.read_profile, "3\n", "profile header must be two integers, got '3'"),
     (vio.read_profile, "3 2\n0 1 2\n", "expected 2 ballots, found 1"),
     (vio.read_profile, "3 1\n0 1\n", "ballot '0 1' does not list 3 alternatives"),
+    (vio.read_profile, "3 x\n", "profile header must be two integers, got '3 x'"),
     (vio.read_weighted_profile, "", "empty profile file"),
     (vio.read_weighted_profile, "3\n", "weighted profile header must be two integers, got '3'"),
     (vio.read_weighted_profile, "3 2\n1 0 1 2\n", "expected 2 entries, found 1"),
@@ -187,14 +188,17 @@ MALFORMED = [
         "3 1\n1 0 1\n",
         "entry '1 0 1' must be a weight plus 3 alternatives",
     ),
+    (vio.read_weighted_profile, "3 x\n", "weighted profile header must be two integers, got '3 x'"),
     (vio.read_digraph, "", "empty digraph file"),
     (vio.read_digraph, "3\n", "digraph header must be two integers, got '3'"),
     (vio.read_digraph, "3 2\n0 1\n", "expected 2 arcs, found 1"),
     (vio.read_digraph, "3 1\n0 1 2\n", "arc line '0 1 2' must be 'u v'"),
+    (vio.read_digraph, "3 x\n", "digraph header must be two integers, got '3 x'"),
     (vio.read_x3c, "", "empty instance file"),
     (vio.read_x3c, "3\n", "exact-cover instance header must be two integers, got '3'"),
     (vio.read_x3c, "3 2\n0 1 2\n", "expected 2 subsets, found 1"),
     (vio.read_x3c, "3 1\n0 1\n", "subset line '0 1' must list 3 elements"),
+    (vio.read_x3c, "3 x\n", "exact-cover instance header must be two integers, got '3 x'"),
 ]
 
 
@@ -204,7 +208,7 @@ MALFORMED = [
     ids=[
         f"{reader.__name__}-{case}"
         for reader in (vio.read_profile, vio.read_weighted_profile, vio.read_digraph, vio.read_x3c)
-        for case in ("empty", "header", "row_count", "row_width")
+        for case in ("empty", "header", "row_count", "row_width", "header_token")
     ],
 )
 def test_reader_message(tmp_path, reader, text, message):
@@ -246,6 +250,17 @@ class TestScoreCommand:
         code, result = run_cli(capsys, "score", "dodgson", "--profile", unanimous, "--alt", "0")
         assert code == 0
         assert result == {"score": 0}
+        jsonschema.validate(result, load_schema("score_result.schema.json"))
+
+    @pytest.mark.parametrize("threshold, decision", [("4", "yes"), ("3", "no")])
+    def test_dodgson_with_threshold(self, capsys, unanimous, threshold, decision):
+        # Alternative 2 is last on all three ballots: two swaps on each of two.
+        code, result = run_cli(
+            capsys, "score", "dodgson", "--profile", unanimous, "--alt", "2",
+            "--threshold", threshold,
+        )
+        assert code == 0
+        assert result == {"score": 4, "decision": decision}
         jsonschema.validate(result, load_schema("score_result.schema.json"))
 
     def test_kemeny_with_threshold(self, capsys, unanimous):

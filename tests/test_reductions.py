@@ -55,6 +55,12 @@ Q6_NO = X3CInstance.of(6, [[0, 1, 2], [2, 3, 4], [0, 4, 5], [1, 3, 5]])
 THREE_CYCLE = Digraph.of(3, [(0, 1), (1, 2), (2, 0)])
 
 
+def three_cycle_profile_with_3_last():
+    """The 3-cycle's McGarvey profile with alternative 3 appended to each ballot."""
+    counted = mcgarvey_profile(THREE_CYCLE).grouped.items()
+    return Profile.from_counts((r.order + (3,), count) for r, count in counted)
+
+
 def exact_dodgson_decider(p, a, t):
     return Decision.YES if dodgson_score_within(p, a, t) is not None else Decision.NO
 
@@ -306,6 +312,38 @@ class TestMcgarvey:
         ):
             multiplier = detect_margin_multiplier(p, g)
             assert type(multiplier) is Fraction and multiplier == expected
+
+    def test_wider_profile_rejected(self):
+        # The 3-cycle's profile with alternative 3 ranked last everywhere:
+        # its first three alternatives still realize the graph exactly.
+        p = three_cycle_profile_with_3_last()
+        assert wmg(p).margins[0] == (0, 2, -2, 6)
+        with pytest.raises(ConstructionError, match="share m"):
+            detect_margin_multiplier(p, THREE_CYCLE)
+
+    def test_narrower_profile_rejected(self):
+        with pytest.raises(ConstructionError, match="share m"):
+            detect_margin_multiplier(Profile.of([[0, 1], [1, 0]]), THREE_CYCLE)
+
+    @pytest.mark.parametrize(
+        "arcs, scaled",
+        [([(0, 1), (1, 2)], [(0, 1), (1, 2), (1, 2)]), ([(0, 1)], [(0, 1), (1, 2)])],
+        ids=["arc_margins_differ", "margin_off_the_arcs"],
+    )
+    def test_margins_not_proportional_rejected(self, arcs, scaled):
+        # One McGarvey ballot pair per arc in ``scaled``: an arc listed twice
+        # carries twice the margin of the others, and one missing from
+        # ``arcs`` puts a margin off the graph.
+        p = Profile.from_counts(
+            pair for arc in scaled for pair in mcgarvey_profile(Digraph.of(3, [arc])).grouped.items()
+        )
+        with pytest.raises(ConstructionError, match="not proportional"):
+            detect_margin_multiplier(p, Digraph.of(3, arcs))
+
+    def test_kt_formula_rejects_a_profile_of_another_m(self):
+        p = three_cycle_profile_with_3_last()
+        with pytest.raises(ConstructionError, match="share m"):
+            kt_formula(p, THREE_CYCLE, Ranking.of([0, 1, 2]))
 
 
 class TestKtFormula:

@@ -12,14 +12,15 @@ integer is the number of body lines:
 * exact-cover instance: ``q s`` then ``s`` lines of 3 element indices.
 
 Readers raise ``ValueError`` on a malformed file (an empty file, a bad
-header, a wrong line count or line width, a bad token, or a value the
-constructor rejects), which the CLI reports with exit code 1. A
-profile is read as its distinct ballots with counts, in order of first
-appearance, and writing it lists each distinct ballot's copies together
-in ``grouped`` order, so a written profile reads back with the same
-``grouped`` items in the same order. Agent order lives in a sampler's
-``(n, m)`` arrays, not in a profile; :func:`write_ballots` writes such
-rows line for line. The other formats round-trip exactly.
+header or a negative count in it, a wrong line count or line width, a
+bad token, or a value the constructor rejects), which the CLI reports
+with exit code 1. A profile is read as its distinct ballots with
+counts, in order of first appearance, and writing it lists each
+distinct ballot's copies together in ``grouped`` order, so a written
+profile reads back with the same ``grouped`` items in the same order.
+Agent order lives in a sampler's ``(n, m)`` arrays, not in a profile;
+:func:`write_ballots` writes such rows line for line. The other formats
+round-trip exactly.
 """
 
 from __future__ import annotations
@@ -63,6 +64,8 @@ def _read_table(
         first, count = map(int, lines[0].split())
     except ValueError:  # a token that is not an integer, or not two tokens
         raise ValueError(f"{header} header must be two integers, got {lines[0]!r}") from None
+    if count < 0:
+        raise ValueError(f"{header} header must give a non-negative count, got {lines[0]!r}")
     if len(lines) != count + 1:
         raise ValueError(f"expected {count} {rows}, found {len(lines) - 1}")
     body = [line.split() for line in lines[1:]]

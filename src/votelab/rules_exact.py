@@ -266,17 +266,18 @@ def _blocks_by_size(m: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     return bits, tuple(blocks[sizes == size] for size in range(2, m + 1))
 
 
-def _kemeny_block_table(p: Profile) -> tuple[np.ndarray, np.ndarray]:
-    """Subset DP over all ``2**m`` blocks: best internal disagreement of each.
+def _subset_table(wrong: np.ndarray) -> np.ndarray:
+    """Subset DP over all ``2**k`` blocks of a ``k x k`` disagreement matrix.
 
-    A block's best order puts some member ``x`` first, at the cost of
+    Entry ``B`` is the best internal disagreement of block ``B``. A
+    block's best order puts some member ``x`` first, at the cost of
     ``x``'s disagreements with the rest of the block plus the rest's own
     best. Blocks of one size read only smaller blocks, so each size is
     solved in vectorized slices of at most ``_LAYER_SLICE`` blocks.
     """
-    wrong = _disagreement_matrix(p)
-    bits, layers = _blocks_by_size(p.m)
-    best = np.full(1 << p.m, _UNSOLVED, dtype=np.int64)
+    k = len(wrong)
+    bits, layers = _blocks_by_size(k)
+    best = np.full(1 << k, _UNSOLVED, dtype=np.int64)
     best[0] = 0
     best[bits] = 0
     for layer in layers:
@@ -287,7 +288,76 @@ def _kemeny_block_table(p: Profile) -> tuple[np.ndarray, np.ndarray]:
             # for any other x, rest is a larger block, still _UNSOLVED.
             cost = (rest < blocks) @ wrong.T + best[rest]
             best[blocks[:, 0]] = cost.min(1)
-    return best, wrong
+    return best
+
+
+def _majority_components(margins: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Strongly connected components of the weak majority graph, first to last.
+
+    The graph has an arc ``x -> y`` wherever ``margin[x][y] >= 0``, so a
+    tie gives arcs both ways and every pair has at least one. Its
+    components therefore form a chain, in which every member of a
+    component beats every member of each later one by strict majority.
+
+    They are read off Copeland scores, majority wins minus losses. A set
+    of ``k`` alternatives that beats the other ``m - k`` scores exactly
+    ``k * (m - k)`` in total, as its wins and losses among themselves
+    cancel, and any other set scores less. Each member of a component
+    outscores each member of every later one, so in descending score
+    order the components are consecutive, and each ends where the running
+    total meets ``k * (m - k)`` (Landau's criterion for tournaments, with
+    a tie as half a win each way). Members are listed ascending.
+    """
+    m = len(margins)
+    copeland = [sum((margin > 0) - (margin < 0) for margin in row) for row in margins]
+    order = sorted(range(m), key=lambda x: -copeland[x])
+    components: list[list[int]] = []
+    start = total = 0
+    for k, x in enumerate(order, start=1):
+        total += copeland[x]
+        if total == k * (m - k):
+            components.append(sorted(order[start:k]))
+            start = k
+    return components
+
+
+@dataclass(frozen=True)
+class _KemenyTables:
+    """A profile's Kemeny tables: one per majority-graph component.
+
+    ``parts`` holds each component's members, ascending, with its
+    :func:`_subset_table` over local bits (bit ``i`` is ``members[i]``),
+    in chain order. ``score`` is the optimum: each part's optimum plus
+    the disagreements of the pairs between parts, which every optimal
+    ranking fixes.
+    """
+
+    parts: tuple[tuple[tuple[int, ...], np.ndarray], ...]
+    wrong: np.ndarray
+    score: int
+
+
+def _kemeny_block_table(p: Profile) -> _KemenyTables:
+    """The block tables of ``p``, one subset DP per majority-graph component.
+
+    Every ranking that puts a member of a later component above a member
+    of an earlier one has such a pair adjacent, and swapping it lowers
+    the disagreement by a strict majority margin. So every optimal
+    ranking keeps the components in chain order (the extended Condorcet
+    criterion: Truchon 1998; Conitzer, Davenport and Kalagnanam 2006),
+    and each component is ordered on its own table of ``2**|C|`` blocks.
+    """
+    wrong = _disagreement_matrix(p)
+    components = _majority_components(wmg(p).margins)
+    order = [x for members in components for x in members]
+    chained = wrong[np.ix_(order, order)]  # rows and columns in chain order
+    parts, cross, start = [], 0, 0
+    for members in components:
+        end = start + len(members)
+        parts.append((tuple(members), _subset_table(chained[start:end, start:end])))
+        cross += chained[start:end, end:].sum()  # this part above every later one
+        start = end
+    return _KemenyTables(tuple(parts), wrong, int(cross + sum(best[-1] for _, best in parts)))
 
 
 def _require_kemeny_budget(p: Profile, budget: int) -> None:
@@ -303,11 +373,12 @@ def _require_kemeny_budget(p: Profile, budget: int) -> None:
         _budget_exceeded("kemeny subset DP", budget, "subset states")
 
 
-def _kemeny_table(p: Profile, budget: int) -> tuple[np.ndarray, np.ndarray]:
-    """The block table of ``p`` and its disagreement matrix, built once per profile.
+def _kemeny_table(p: Profile, budget: int) -> _KemenyTables:
+    """The block tables of ``p``, built once per profile.
 
-    The budget is checked on every call, so a smaller budget still fails
-    on a profile whose table is already cached.
+    The budget counts ``2**m`` states, however few the components fill,
+    and it is checked on every call, so a smaller budget still fails on
+    a profile whose tables are already cached.
     """
     _require_kemeny_budget(p, budget)
     table = p.__dict__.get("_kemeny_table")
@@ -319,30 +390,50 @@ def _kemeny_table(p: Profile, budget: int) -> tuple[np.ndarray, np.ndarray]:
 def kemeny_best(p: Profile, *, budget: int = DEFAULT_KEMENY_BUDGET) -> tuple[Ranking, int]:
     """A profile-closest ranking and its total disagreement.
 
-    Ties broken toward the lexicographically smallest ranking.
+    Ties broken toward the lexicographically smallest ranking. Every
+    optimal ranking keeps the majority-graph components in chain order,
+    so this is each component's lexicographically smallest optimal
+    order, concatenated.
     """
-    best, wrong = _kemeny_table(p, budget)
-    wrong = wrong.tolist()  # the walk below reads single entries: Python ints are faster
-    m = p.m
-    subset = (1 << m) - 1
+    tables = _kemeny_table(p, budget)
     order: list[int] = []
-    while subset:
-        members = [x for x in range(m) if subset >> x & 1]
-        for x in members:  # ascending: first hit is lexicographically smallest
-            rest = subset & ~(1 << x)
-            if best[rest] + sum(wrong[x][y] for y in members if y != x) == best[subset]:
-                order.append(x)
-                subset = rest
-                break
-    return Ranking(tuple(order)), int(best[-1])
+    for members, best in tables.parts:
+        # the walk below reads single entries: Python ints are faster
+        wrong = tables.wrong[np.ix_(members, members)].tolist()
+        subset = len(best) - 1
+        while subset:
+            local = [i for i in range(len(members)) if subset >> i & 1]
+            for i in local:  # ascending: first hit is lexicographically smallest
+                rest = subset & ~(1 << i)
+                if best[rest] + sum(wrong[i][j] for j in local if j != i) == best[subset]:
+                    order.append(members[i])
+                    subset = rest
+                    break
+    return Ranking(tuple(order)), tables.score
 
 
 def kemeny_score_of_alternative(p: Profile, a: int, *, budget: int = DEFAULT_KEMENY_BUDGET) -> int:
-    """Minimum profile disagreement over rankings that put ``a`` on top."""
+    """Minimum profile disagreement over rankings that put ``a`` on top.
+
+    That is ``a``'s disagreements with every other alternative plus the
+    best order of the rest, which keeps the component chain with ``a``'s
+    component less ``a`` in its place. So it is read off the optimum:
+    that component's optimum gives way to its table entry without ``a``,
+    and ``a`` moves above the members of the earlier components.
+    """
     _require_rule_scale(p, a)
-    best, wrong = _kemeny_table(p, budget)
-    rest = (1 << p.m) - 1 & ~(1 << a)
-    return int(best[rest] + wrong[a].sum())
+    tables = _kemeny_table(p, budget)
+    wrong = tables.wrong
+    above: list[int] = []  # members of the components before a's
+    for members, best in tables.parts:  # a is in range, so some component holds it
+        if a in members:
+            break
+        above += members
+    full = len(best) - 1
+    rest = full & ~(1 << members.index(a))
+    # a's pairs with later components cost wrong[a][y] in the optimum too
+    moved = (wrong[a, above] - wrong[above, a]).sum()
+    return int(tables.score - best[full] + best[rest] + wrong[a, list(members)].sum() + moved)
 
 
 def _kemeny_witness(p: Profile) -> tuple[list[int], int]:
@@ -420,10 +511,10 @@ def kemeny_decision(p: Profile, t: int, *, budget: int = DEFAULT_KEMENY_BUDGET) 
     score is attained by the global optimum's top alternative.
 
     The budget is checked first. Then, unless ``p`` already keeps its
-    table, two certificates are tried before the ``2**m`` table: one
+    tables, two certificates are tried before the tables are built: one
     wins-order ranking (:func:`_kemeny_witness`) within ``t`` answers
     YES, and a cycle-packing lower bound (:func:`_kemeny_cycle_bound`)
-    above ``t`` answers NO. Otherwise the table decides.
+    above ``t`` answers NO. Otherwise the tables' optimum decides.
     """
     _require_kemeny_budget(p, budget)
     if "_kemeny_table" not in p.__dict__:
@@ -431,8 +522,7 @@ def kemeny_decision(p: Profile, t: int, *, budget: int = DEFAULT_KEMENY_BUDGET) 
             return True
         if _kemeny_cycle_bound(p, t) > t:
             return False
-    best, _ = _kemeny_table(p, budget)
-    return int(best[-1]) <= t
+    return _kemeny_table(p, budget).score <= t
 
 
 # ---------------------------------------------------------------------------
@@ -621,15 +711,24 @@ def committee_decision(
     *,
     budget: int = DEFAULT_COMMITTEE_BUDGET,
 ) -> bool:
-    """Does some ``k``-committee score at least ``t``? Brute force over committees."""
+    """Does some ``k``-committee score at least ``t``? Brute force over committees.
+
+    For one committee, Monroe's balanced assignment is one of the free
+    assignments CC maximizes over, so its score is at most the CC score
+    under either aggregator. The Monroe decision therefore skips, without
+    an assignment, every committee whose CC score is below ``t``. A
+    skipped committee still counts toward ``budget``.
+    """
     if not 1 <= k <= p.m:
         raise ValueError(f"k={k} out of range 1..{p.m}")
     if rule not in ("cc", "monroe"):
         raise ValueError(f"unknown rule {rule!r}")
-    score_fn = cc_score if rule == "cc" else monroe_score
     for count, members in enumerate(itertools.combinations(range(p.m), k), start=1):
         if count > budget:
             _budget_exceeded("committee enumeration", budget, "committees")
-        if score_fn(p, Committee.of(members), alpha, aggregator) >= t:
+        committee = Committee.of(members)
+        if cc_score(p, committee, alpha, aggregator) >= t and (
+            rule == "cc" or monroe_score(p, committee, alpha, aggregator) >= t
+        ):
             return True
     return False

@@ -282,6 +282,28 @@ class TestScoreCommand:
         assert main(["score", "kemeny", "--profile", unanimous, "--alt", alt]) == code
         assert len(built) == tables
 
+    @pytest.mark.parametrize(
+        "threshold, stdout",
+        [
+            ("696", '{"decision": "no", "min_score": 697, '
+                    '"ranking": [11, 6, 1, 8, 9, 0, 7, 4, 3, 10, 5, 2], "score": 721}\n'),
+            ("697", '{"decision": "yes", "min_score": 697, '
+                    '"ranking": [11, 6, 1, 8, 9, 0, 7, 4, 3, 10, 5, 2], "score": 721}\n'),
+        ],
+        ids=["no", "yes"],
+    )
+    def test_kemeny_on_a_split_profile_pinned(self, capsys, tmp_path, threshold, stdout):
+        # Frozen output, written when one 2^12 table solved the whole profile.
+        # Its majority graph splits into components of 1, 1, 6 and 4
+        # alternatives, with alternative 0 in the third.
+        p = random_profile(np.random.default_rng(20261039), 12, 25)
+        parts = rules_exact._kemeny_block_table(p).parts
+        assert [len(members) for members, _ in parts] == [1, 1, 6, 4] and 0 in parts[2][0]
+        path = tmp_path / "split.profile"
+        vio.write_profile(p, path)
+        argv = ["score", "kemeny", "--profile", str(path), "--alt", "0", "--threshold", threshold]
+        assert cli_exit(capsys, argv) == (0, stdout, "")
+
     def test_greedy_maybe_exits_zero(self, capsys, tmp_path):
         path = tmp_path / "maybe.profile"
         vio.write_profile(Profile.of([[1, 2, 0], [1, 2, 0], [0, 1, 2]]), path)
@@ -344,6 +366,26 @@ def test_pretty_mirrors_stdout_as_aligned_rows(capsys, unanimous, cycle_graph, t
 class TestExitCodes:
     def test_missing_file_is_input_error(self, capsys):
         assert main(["score", "dodgson", "--profile", "/nonexistent", "--alt", "0"]) == 1
+
+    @pytest.mark.parametrize(
+        "header, argv",
+        [
+            ("profile", ["score", "dodgson", "--alt", "0", "--profile"]),
+            ("weighted profile", [
+                "sample", "--model", '{"model": "alpha_ic", "alpha": "1/2"}', "--out", "out",
+                "--seed", "1", "--params",
+            ]),
+            ("digraph", ["reduce", "mcgarvey", "--out", "out", "--input"]),
+            ("exact-cover instance", ["reduce", "x3c-dodgson", "--out-prefix", "out", "--input"]),
+        ],
+        ids=["profile", "weighted_profile", "digraph", "x3c"],
+    )
+    def test_negative_header_count_is_a_header_error(self, capsys, tmp_path, monkeypatch, header, argv):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "bad.txt").write_text("3 -1\n")
+        last = assert_rejected(capsys, [*argv, "bad.txt"], "header")
+        assert last == f"error: {header} header must give a non-negative count, got '3 -1'"
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["bad.txt"]
 
     def test_budget_exceeded(self, capsys, tmp_path):
         path = tmp_path / "wide.profile"

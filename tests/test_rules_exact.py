@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 from fractions import Fraction
 from unittest import mock
 
@@ -75,6 +76,30 @@ def st_profile(min_m, max_m, max_n):
         ).map(Profile.of)
     )
 
+
+@st.composite
+def st_near_consensus_profile(draw, min_m, max_m, max_n, max_swaps=2):
+    """Ballots that keep the order of a center ranking's blocks (two or three),
+    each shuffled within its blocks and then moved by up to ``max_swaps``
+    adjacent swaps.
+
+    Their majority graph often splits into several strongly connected
+    components. The ballots come from a drawn seed, as Hypothesis's own
+    permutations lean toward the identity and would mostly agree.
+    """
+    m, n = draw(st.integers(min_m, max_m)), draw(st.integers(1, max_n))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    cuts = sorted(rng.sample(range(1, m), rng.randint(1, min(2, m - 1))))
+    center = rng.sample(range(m), m)
+    blocks = [center[i:j] for i, j in zip([0, *cuts], [*cuts, m])]
+    ballots = []
+    for _ in range(n):
+        order = [x for block in blocks for x in rng.sample(block, len(block))]
+        for _ in range(rng.randint(0, max_swaps)):
+            i = rng.randrange(m - 1)
+            order[i], order[i + 1] = order[i + 1], order[i]
+        ballots.append(order)
+    return Profile.of(ballots)
 
 
 def st_counted_profile(max_m, max_distinct, max_count):
@@ -390,13 +415,40 @@ class TestKemeny:
         assert kemeny_score_of_alternative(p, 4) == score
         assert kemeny_decision(p, score) and not kemeny_decision(p, score - 1)
 
-    @given(st_profile(3, 10, 25))
+    @given(st.one_of(st_profile(3, 10, 25), st_near_consensus_profile(3, 10, 25)))
     @settings(max_examples=60, deadline=None)
     def test_block_table_matches_loop(self, p):
-        best, _ = rules_exact._kemeny_block_table(p)
-        assert best.tolist() == kemeny_table_loop(p)
+        # The parts are the strongly connected components of the graph with
+        # an arc x -> y wherever margin[x][y] >= 0, members ascending, the
+        # component that reaches most first.
+        tables = rules_exact._kemeny_block_table(p)
+        margins = margins_brute(p)
+        reach = [{y for y in range(p.m) if margins[x][y] >= 0} for x in range(p.m)]
+        for k in range(p.m):
+            for x in range(p.m):
+                if k in reach[x]:
+                    reach[x] |= reach[k]
+        components = {tuple(y for y in sorted(reach[x]) if x in reach[y]) for x in range(p.m)}
+        assert [members for members, _ in tables.parts] == sorted(
+            components, key=lambda members: -len(reach[members[0]])
+        )
+        # Each component's table is the whole table of p restricted to that
+        # component; the components' optima plus the pairs between them,
+        # earlier component above, make the optimum of p's whole table.
+        full = kemeny_table_loop(p)
+        placed, total = [], 0
+        for members, best in tables.parts:
+            local = {x: i for i, x in enumerate(members)}
+            restricted = Profile.from_counts(
+                ([local[x] for x in r.order if x in local], count) for r, count in p.grouped.items()
+            )
+            assert best.tolist() == kemeny_table_loop(restricted)
+            total += best[-1] + sum(
+                count for r, count in p.grouped.items() for x in placed for y in members if r.prefers(y, x)
+            )
+            placed += members
         ranking, score = kemeny_best(p)
-        assert type(score) is int and score == best[-1]
+        assert type(score) is int and score == tables.score == total == full[-1]
         assert all(type(x) is int for x in ranking.order)
         assert type(kemeny_score_of_alternative(p, ranking.order[0])) is int
 
@@ -492,6 +544,22 @@ class TestKemeny:
             assert kt_profile_distance(p, top_ranking) == top_score
         assert kemeny_decision(p, ilp_score)
         assert not kemeny_decision(p, ilp_score - 1)
+
+    @given(st_near_consensus_profile(3, 9, 30))
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_split_profiles_match_brute_and_ilp(self, p):
+        # Near-consensus profiles split into several components, each solved
+        # on its own table; the oracles see the whole profile.
+        ranking, score = kemeny_best(p)
+        if p.m <= 7:
+            assert (ranking, score) == kemeny_brute(p)
+        _, ilp_score = kemeny_ilp(p)
+        assert score == ilp_score == kt_profile_distance(p, ranking)
+        for a in range(p.m):
+            assert kemeny_score_of_alternative(p, a) == kemeny_ilp(p, top=a)[1]
+        for t in (score, score - 1):
+            assert kemeny_decision(Profile.from_counts(p.grouped.items()), t) == (t == score)
+            assert kemeny_decision(p, t) == (t == score)
 
 
 class TestCcScore:
@@ -612,6 +680,24 @@ class TestCommitteeDecision:
         best = cc_score(p, Committee.of(range(3)), None, "sum")
         assert committee_decision(p, 3, best, "cc")
         assert not committee_decision(p, 3, best + 1, "cc")
+
+    @given(st_profile(3, 6, 12), st.data())
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_monroe_decision_matches_a_scan(self, p, data):
+        # The decision skips committees whose CC score is below t; a scan
+        # scores every committee. A NO reads every committee, skipped or not,
+        # against the budget.
+        k = data.draw(st.integers(1, p.m), label="k")
+        committees = [Committee.of(c) for c in itertools.combinations(range(p.m), k)]
+        for agg in ("sum", "min"):
+            scores = [monroe_score(p, c, None, agg) for c in committees]
+            for t in range(max(scores) - 1, max(scores) + 2):
+                scan = any(score >= t for score in scores)
+                assert committee_decision(p, k, t, "monroe", None, agg) == scan
+            t = max(scores) + 1
+            assert not committee_decision(p, k, t, "monroe", None, agg, budget=len(committees))
+            with pytest.raises(BudgetExceededError):
+                committee_decision(p, k, t, "monroe", None, agg, budget=len(committees) - 1)
 
     def test_cc_winner_invariant_under_app_last(self, rng):
         for _ in range(10):

@@ -358,7 +358,7 @@ def run_definitely_rate(cfg: ExperimentConfig) -> TrialReport:
     started = time.perf_counter()
     _, tallies = _trial_tallies(cfg)
     m, n = cfg.m, cfg.n
-    scores, definite = _certify(n, n - tallies[:, :m], tallies[:, m:])
+    scores, definite = _certify(n, tallies[:, :m], tallies[:, m:])
     flags = definite.astype(int).tolist()
     rows = [
         {"trial": trial, "definitely": flag, "score_lower_bound": score}

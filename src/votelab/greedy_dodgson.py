@@ -81,18 +81,20 @@ def _tallies(p: Profile, a: int) -> np.ndarray:
     return np.fromiter(p.grouped.values(), np.int64, len(orders)) @ _tally_table(orders, a)
 
 
-def _certify(n: int, votes, adjacent) -> tuple:
+def _certify(n: int, against, adjacent) -> tuple:
     """Greedy score and certificate of a target from its per-rival tallies.
 
-    ``votes[..., b]`` counts the voters ranking the target above rival
-    ``b`` and ``adjacent[..., b]`` the ballots with ``b`` directly above
-    it. Rival ``b`` is owed ``max(0, n//2 + 1 - votes)`` votes; the score
-    is the sum of what is owed, and it is definite iff every adjacency
-    count covers what its rival is owed. The last axis runs over rivals,
-    so one call takes one row or a stack of trials; a column for the
-    target itself, with ``n`` votes, owes nothing. Scores are Python ints.
+    ``against[..., b]`` counts the voters ranking rival ``b`` above the
+    target and ``adjacent[..., b]`` the ballots with ``b`` directly above
+    it. A strict majority lets ``(n-1)//2`` of the former stay, so rival
+    ``b`` is owed ``max(0, against - (n-1)//2)`` votes, the exact DP's
+    ``count - kept``; the score is the sum of what is owed, and it is
+    definite iff every adjacency count covers what its rival is owed. The
+    last axis runs over rivals, so one call takes one row or a stack of
+    trials; the target's own column, 0 against, owes nothing. Scores are
+    Python ints.
     """
-    owed = np.maximum(0, n // 2 + 1 - np.asarray(votes, dtype=np.int64))
+    owed = np.maximum(0, np.asarray(against, dtype=np.int64) - (n - 1) // 2)
     return owed.sum(axis=-1, dtype=object), (np.asarray(adjacent) >= owed).all(axis=-1)
 
 
@@ -109,7 +111,7 @@ def greedy_dodgson(p: Profile, a: int) -> GreedyResult:
     """
     _require_rule_scale(p, a)
     tallies = _tallies(p, a)
-    score, definite = _certify(p.n, p.n - tallies[: p.m], tallies[p.m :])
+    score, definite = _certify(p.n, tallies[: p.m], tallies[p.m :])
     return GreedyResult(score, Certainty.DEFINITELY if definite else Certainty.MAYBE)
 
 

@@ -18,19 +18,11 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Sequence, Union
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .core import (
-    Digraph,
-    Profile,
-    Ranking,
-    WeightedProfile,
-    app_last,
-    backward_arcs,
-    wmg,
-)
+from .core import Digraph, Profile, Ranking, app_last, backward_arcs, wmg
 from .errors import BudgetExceededError, ConstructionError
 from .greedy_dodgson import Decision
 from .models import ParameterProfile, PartialAltRandomization, all_rankings
@@ -305,13 +297,13 @@ def mcgarvey_profile(g: Digraph) -> Profile:
     return Profile.of(ballots)
 
 
-def detect_margin_multiplier(p: Union[Profile, WeightedProfile], g: Digraph) -> Fraction:
-    """The constant lambda with margins(p) = lambda * margins(g), or raise.
+def detect_margin_multiplier(p: Profile, g: Digraph) -> int:
+    """The int lambda with margins(p) = lambda * margins(g), or raise.
 
-    Lambda is read off one arc (0 for an arcless graph); the whole margin
-    matrix must equal lambda on each arc, -lambda against it and 0
-    elsewhere. A profile over other alternatives than the graph's is
-    rejected first, since an arc may name one the profile lacks.
+    Lambda is the kernel's margin on one arc (0 for an arcless graph);
+    the whole margin matrix must equal lambda on each arc, -lambda
+    against it and 0 elsewhere. A profile over other alternatives than
+    the graph's is rejected first, since an arc may name one it lacks.
     """
     margins = wmg(p).margins
     if len(margins) != g.m:
@@ -324,31 +316,24 @@ def detect_margin_multiplier(p: Union[Profile, WeightedProfile], g: Digraph) -> 
         expected[v][u] = -multiplier
     if margins != tuple(map(tuple, expected)):
         raise ConstructionError("margins are not proportional to the graph")
-    # Kernel values are ints for a Profile; the closed form needs a Fraction.
-    return Fraction(multiplier)
+    return multiplier
 
 
-def _closed_form_distance(
-    p: Union[Profile, WeightedProfile], g: Digraph, f: int
-) -> Fraction:
-    """``W/2 * C(m,2) - lambda*|E|/2 + lambda*f`` for a margin-realizing profile.
-
-    ``W`` is the total ballot weight and ``lambda`` the margin multiplier,
-    which :func:`detect_margin_multiplier` checks against the graph.
-    """
+def _closed_form_distance(p: Profile, g: Digraph, f: int) -> int:
+    """:func:`kt_formula` at ``f`` backward arcs, with lambda checked against ``g``."""
     multiplier = detect_margin_multiplier(p, g)
-    total = Fraction(p.n) if isinstance(p, Profile) else p.total_weight
-    return total * math.comb(g.m, 2) / 2 - multiplier * g.edge_count / 2 + multiplier * f
+    return (p.n * math.comb(g.m, 2) - multiplier * g.edge_count) // 2 + multiplier * f
 
 
-def kt_formula(p: Union[Profile, WeightedProfile], g: Digraph, r: Ranking) -> Fraction:
+def kt_formula(p: Profile, g: Digraph, r: Ranking) -> int:
     """Closed-form profile distance for margin-realizing profiles.
 
-    With total ballot weight ``W``, ``lambda`` the margin multiplier and
-    ``f`` the number of arcs pointing up the ranking:
-    ``W/2 * C(m,2) - lambda*|E|/2 + lambda*f``. Each arcless pair splits
-    its weight evenly; each arc shifts one pair by ``lambda/2`` toward
-    its orientation, and a backward arc flips that shift's sign.
+    With ``n`` ballots, ``lambda`` the margin multiplier and ``f`` the
+    number of arcs pointing up the ranking:
+    ``(n * C(m,2) - lambda*|E|) / 2 + lambda*f``. Each arcless pair
+    splits its ballots evenly; each arc shifts one pair by ``lambda/2``
+    toward its orientation, and a backward arc flips that shift's sign.
+    The division is exact, since ``n`` and every margin share parity.
     """
     if r.m != g.m:
         raise ConstructionError("ranking and graph must share m")
@@ -375,7 +360,7 @@ def efas_bruteforce(g: Digraph, t: int) -> bool:
 def efas_via_kemeny(
     g: Digraph,
     t: int,
-    kemeny_decider: Callable[[Profile, Fraction], bool],
+    kemeny_decider: Callable[[Profile, int], bool],
     profile_builder: Callable[[Digraph], Profile] = mcgarvey_profile,
     *,
     strict: bool = True,
@@ -384,12 +369,13 @@ def efas_via_kemeny(
 
     Build a margin-realizing profile and ask whether any ranking's total
     disagreement stays within the closed-form distance at ``t`` backward
-    arcs. The chain is exact: rankings within that limit correspond
-    one-to-one to orders with at most ``t`` backward arcs. A negative
-    ``t`` is NO outright, since no order has fewer than zero backward
-    arcs; the limit alone cannot say so when the multiplier is 0. A
-    2-cycle-free graph on at most 2 vertices is acyclic, so it is YES at
-    every ``t >= 0`` without a Kemeny query, which needs 3 alternatives.
+    arcs, an exact int for the counted profile. The chain is exact:
+    rankings within that limit correspond one-to-one to orders with at
+    most ``t`` backward arcs. A negative ``t`` is NO outright, since no
+    order has fewer than zero backward arcs; the limit alone cannot say
+    so when the multiplier is 0. A 2-cycle-free graph on at most 2
+    vertices is acyclic, so it is YES at every ``t >= 0`` without a
+    Kemeny query, which needs 3 alternatives.
     """
     if strict and not g.is_eulerian():
         raise ValueError("graph is not Eulerian; pass strict=False (--no-strict) to override")

@@ -477,7 +477,7 @@ def _short_cycles(m: int) -> tuple[tuple[int, ...], ...]:
     return tuple(cycles)
 
 
-def _kemeny_cycle_bound(p: Profile, stop: float) -> int:
+def _kemeny_cycle_bound(p: Profile, stop: int) -> int:
     """A lower bound on the Kemeny score of ``p``, packed until it exceeds ``stop``.
 
     A ranking pays ``(n - |margin|) / 2`` on every pair, plus ``|margin|``
@@ -514,7 +514,8 @@ def kemeny_decision(p: Profile, t: int, *, budget: int = DEFAULT_KEMENY_BUDGET) 
     tables, two certificates are tried before the tables are built: one
     wins-order ranking (:func:`_kemeny_witness`) within ``t`` answers
     YES, and a cycle-packing lower bound (:func:`_kemeny_cycle_bound`)
-    above ``t`` answers NO. Otherwise the tables' optimum decides.
+    above ``t`` answers NO. Otherwise the tables' optimum decides. All
+    three compare int scores with ``t``, an int from the EFAS driver too.
     """
     _require_kemeny_budget(p, budget)
     if "_kemeny_table" not in p.__dict__:
@@ -584,7 +585,11 @@ def cc_score(
     best-ranked member, so ``sum`` totals those values and ``min`` takes
     the worst of them.
     """
-    table = _satisfaction_table(p, committee, alpha, aggregator)
+    return _cc_total(_satisfaction_table(p, committee, alpha, aggregator), aggregator)
+
+
+def _cc_total(table: list[tuple[list[int], int]], aggregator: str) -> int:
+    """:func:`cc_score` of a :func:`_satisfaction_table`."""
     if aggregator == "sum":
         return sum(max(row) * count for row, count in table)
     return min(max(row) for row, _ in table)
@@ -684,7 +689,11 @@ def monroe_score(
     ``min`` binary-searches the highest satisfaction level at which the
     voter-member pairs that reach it still admit a balanced assignment.
     """
-    table = _satisfaction_table(p, committee, alpha, aggregator)
+    return _monroe_total(_satisfaction_table(p, committee, alpha, aggregator), aggregator)
+
+
+def _monroe_total(table: list[tuple[list[int], int]], aggregator: str) -> int:
+    """:func:`monroe_score` of a :func:`_satisfaction_table`."""
     if aggregator == "sum":
         return _balanced_assignment(table)  # never None: any voter may serve any member
 
@@ -716,8 +725,9 @@ def committee_decision(
     For one committee, Monroe's balanced assignment is one of the free
     assignments CC maximizes over, so its score is at most the CC score
     under either aggregator. The Monroe decision therefore skips, without
-    an assignment, every committee whose CC score is below ``t``. A
-    skipped committee still counts toward ``budget``.
+    an assignment, every committee whose CC score is below ``t``; both
+    scores are read off the one satisfaction table built per committee.
+    A skipped committee still counts toward ``budget``.
     """
     if not 1 <= k <= p.m:
         raise ValueError(f"k={k} out of range 1..{p.m}")
@@ -726,9 +736,9 @@ def committee_decision(
     for count, members in enumerate(itertools.combinations(range(p.m), k), start=1):
         if count > budget:
             _budget_exceeded("committee enumeration", budget, "committees")
-        committee = Committee.of(members)
-        if cc_score(p, committee, alpha, aggregator) >= t and (
-            rule == "cc" or monroe_score(p, committee, alpha, aggregator) >= t
+        table = _satisfaction_table(p, Committee.of(members), alpha, aggregator)
+        if _cc_total(table, aggregator) >= t and (
+            rule == "cc" or _monroe_total(table, aggregator) >= t
         ):
             return True
     return False

@@ -76,6 +76,9 @@ class TestRanking:
         # A ranking stores only its order; positions are read off it.
         assert set(vars(CAB)) == {"order"}
 
+    def test_repr_lists_the_order(self):
+        assert repr(CAB) == "Ranking(2>0>1)"
+
 
 class TestKtDistance:
     def test_identity(self):
@@ -349,6 +352,11 @@ class TestProfileRepresentation:
         assert Profile((ABC, CBA, ABC)) == Profile((ABC, ABC, CBA))
         assert hash(Profile((ABC, CBA, ABC))) == hash(Profile.of([[2, 1, 0], [0, 1, 2], [0, 1, 2]]))
         assert Profile((ABC, CBA)) != Profile((ABC, ABC))
+
+    def test_not_equal_to_other_types(self):
+        p = Profile((ABC,))
+        assert p.__eq__(p.grouped) is NotImplemented
+        assert p != p.grouped and p != ABC
 
     def test_rankings_expand_grouped(self):
         # Every constructor counts its input and stores nothing per agent;

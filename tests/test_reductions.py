@@ -17,7 +17,6 @@ from votelab import (
     PartialAltRandomization,
     Profile,
     Ranking,
-    WeightedProfile,
     X3CInstance,
     x3c_via_dodgson,
     efas_via_kemeny,
@@ -299,19 +298,13 @@ class TestMcgarvey:
                 Fraction(MCGARVEY_MULTIPLIER),
             )
 
-    def test_multiplier_is_a_fraction(self):
-        # 3.0 == Fraction(3), so only the type catches an int or a float
-        # reaching the closed form's ``multiplier * |E| / 2``.
-        counted = mcgarvey_profile(THREE_CYCLE).grouped.items()
-        weighted = WeightedProfile(tuple((r, Fraction(c, 3)) for r, c in counted))
+    def test_multiplier_is_the_kernels_int(self):
+        # 2.0 == 2, so only the type catches a float or a Fraction reaching
+        # the closed form in place of the kernel's int.
         arcless = Digraph.of(3, [])
-        for p, g, expected in (
-            (mcgarvey_profile(THREE_CYCLE), THREE_CYCLE, Fraction(MCGARVEY_MULTIPLIER)),
-            (weighted, THREE_CYCLE, Fraction(MCGARVEY_MULTIPLIER, 3)),
-            (mcgarvey_profile(arcless), arcless, Fraction(0)),
-        ):
-            multiplier = detect_margin_multiplier(p, g)
-            assert type(multiplier) is Fraction and multiplier == expected
+        for g, expected in ((THREE_CYCLE, MCGARVEY_MULTIPLIER), (arcless, 0)):
+            multiplier = detect_margin_multiplier(mcgarvey_profile(g), g)
+            assert type(multiplier) is int and multiplier == expected
 
     def test_wider_profile_rejected(self):
         # The 3-cycle's profile with alternative 3 ranked last everywhere:
@@ -345,6 +338,11 @@ class TestMcgarvey:
         with pytest.raises(ConstructionError, match="share m"):
             kt_formula(p, THREE_CYCLE, Ranking.of([0, 1, 2]))
 
+    def test_kt_formula_rejects_a_ranking_of_another_m(self):
+        p = mcgarvey_profile(THREE_CYCLE)
+        with pytest.raises(ConstructionError, match="ranking and graph must share m"):
+            kt_formula(p, THREE_CYCLE, Ranking.of([0, 1, 2, 3]))
+
 
 class TestKtFormula:
     def test_empty_graph_constant(self):
@@ -365,6 +363,19 @@ class TestKtFormula:
         for perm in itertools.permutations(range(3)):
             r = Ranking(perm)
             assert kt_formula(p, THREE_CYCLE, r) == kt_profile_distance(p, r)
+
+    @pytest.mark.parametrize("m", [3, 4, 5])
+    def test_odd_multiplier_stays_an_int(self, m):
+        # One ballot 0 > 1 > ... > m-1 realizes the transitive tournament
+        # with lambda = 1 and n = 1: every halved term is odd on its own.
+        p = Profile.of([list(range(m))])
+        g = Digraph.of(m, itertools.combinations(range(m), 2))
+        multiplier = detect_margin_multiplier(p, g)
+        assert type(multiplier) is int and multiplier == 1
+        for perm in itertools.permutations(range(m)):
+            r = Ranking(perm)
+            distance = kt_formula(p, g, r)
+            assert type(distance) is int and distance == kt_profile_distance(p, r)
 
     def test_proportionality_violation_detected(self):
         p = Profile.of([[0, 1, 2]])
@@ -414,6 +425,31 @@ class TestAlgorithm2:
         ) as build:
             yes = sum(efas_via_kemeny(g, t, kemeny_decision) is Decision.YES for g, t in queries)
         assert (len(queries), yes, build.call_count) == (1611, 1209, 81)
+
+    def test_scaled_multiplier_on_the_m3_to_m5_family(self):
+        # Every McGarvey count doubled gives lambda = 4; the driver's limit
+        # scales with it and reaches the decider as an int.
+        def doubled(g):
+            return Profile.from_counts((r, 2 * c) for r, c in mcgarvey_profile(g).grouped.items())
+
+        limits = []
+
+        def decider(p, t):
+            limits.append(t)
+            return kemeny_decision(p, t)
+
+        queries = [
+            (g, t)
+            for m in (3, 4, 5)
+            for g in enumerate_eulerian_digraphs(m)
+            for t in range(g.edge_count + 1)
+        ]
+        assert detect_margin_multiplier(doubled(THREE_CYCLE), THREE_CYCLE) == 4
+        for g, t in queries:
+            answer = efas_via_kemeny(g, t, decider, doubled)
+            assert (answer is Decision.YES) == efas_bruteforce(g, t)
+        assert len(queries) == 1611 and len(limits) == 1611
+        assert all(type(limit) is int for limit in limits)
 
     @given(st_two_cycle_free_digraph())
     @example(Digraph.of(3, []))

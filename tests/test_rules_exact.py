@@ -699,6 +699,21 @@ class TestCommitteeDecision:
             with pytest.raises(BudgetExceededError):
                 committee_decision(p, k, t, "monroe", None, agg, budget=len(committees) - 1)
 
+    def test_one_satisfaction_table_per_committee(self):
+        # CC and Monroe are read off one table per committee. At t above
+        # every Monroe score, some committees pass the CC bound and are then
+        # assigned, and the NO still builds one table per committee.
+        p = random_profile(np.random.default_rng(32), 6, 12)
+        committees = [Committee.of(c) for c in itertools.combinations(range(6), 3)]
+        for agg in ("sum", "min"):
+            t = max(monroe_score(p, c, None, agg) for c in committees) + 1
+            assert any(cc_score(p, c, None, agg) >= t for c in committees)
+            with mock.patch.object(
+                rules_exact, "_satisfaction_table", wraps=rules_exact._satisfaction_table
+            ) as build:
+                assert not committee_decision(p, 3, t, "monroe", None, agg)
+            assert build.call_count == len(committees)
+
     def test_cc_winner_invariant_under_app_last(self, rng):
         for _ in range(10):
             p = random_profile(rng, 4, int(rng.integers(1, 6)))

@@ -595,13 +595,12 @@ def _cc_total(table: list[tuple[list[int], int]], aggregator: str) -> int:
     return min(max(row) for row, _ in table)
 
 
-def _balanced_assignment(table: Sequence[tuple[Sequence[Optional[int]], int]]) -> Optional[int]:
+def _balanced_assignment(table: Sequence[tuple[Sequence[int], int]]) -> int:
     """Best total over assignments of voters to members with near-equal loads.
 
     ``table`` holds ``(values, count)`` rows as :func:`_satisfaction_table`
-    builds them: ``count`` voters valuing member ``j`` at ``values[j]``, or
-    ``None`` where they may not serve ``j``. Every member serves between
-    ``floor(n/k)`` and ``ceil(n/k)`` voters; ``None`` means no assignment does.
+    builds them: ``count`` voters valuing member ``j`` at ``values[j]``.
+    Every member serves between ``floor(n/k)`` and ``ceil(n/k)`` voters.
 
     Rows are placed one at a time along longest augmenting paths of the
     flow network (successive shortest paths): the new row's voters join a
@@ -613,11 +612,13 @@ def _balanced_assignment(table: Sequence[tuple[Sequence[Optional[int]], int]]) -
     the end member's slots up to ``floor(n/k)``, or to ``ceil(n/k)`` once
     that is met. A member's first ``floor(n/k)`` slots each earn a bonus
     larger than any difference between two totals, so the lower loads are
-    met whenever some assignment meets them.
+    met first. Any voter may serve any member, so while voters remain
+    some member has a free slot, and every member ends with at least
+    ``floor(n/k)`` voters.
     """
     n, k = sum(count for _, count in table), len(table[0][0])
     low, high = n // k, -(-n // k)
-    values = [v for row, _ in table for v in row if v is not None]
+    values = [v for row, _ in table for v in row]
     bonus = n * (max(values) - min(values)) + 1
     served: list[dict[int, int]] = [{} for _ in range(k)]  # row index -> voters
     loads = [0] * k
@@ -629,7 +630,7 @@ def _balanced_assignment(table: Sequence[tuple[Sequence[Optional[int]], int]]) -
                 for v in served[a]:
                     here = table[v][0][a]
                     for b, there in enumerate(table[v][0]):
-                        if there is not None and b != a:
+                        if b != a:
                             gain = there - here
                             if moves[a][b] is None or gain > moves[a][b][0]:
                                 moves[a][b] = (gain, v)
@@ -638,24 +639,18 @@ def _balanced_assignment(table: Sequence[tuple[Sequence[Optional[int]], int]]) -
             for _ in range(k - 1):
                 changed = False
                 for a in range(k):
-                    if value[a] is None:
-                        continue
                     for b in range(k):
                         move = moves[a][b]
-                        if move is not None and (value[b] is None or value[a] + move[0] > value[b]):
+                        if move is not None and value[a] + move[0] > value[b]:
                             value[b] = value[a] + move[0]
                             pred[b] = (a, move[1])
                             changed = True
                 if not changed:
                     break
-            end, end_value = None, None
-            for b in range(k):
-                if value[b] is not None and loads[b] < high:
-                    closed = value[b] + (bonus if loads[b] < low else 0)
-                    if end is None or closed > end_value:
-                        end, end_value = b, closed
-            if end is None:
-                return None
+            end = max(
+                (b for b in range(k) if loads[b] < high),
+                key=lambda b: value[b] + (bonus if loads[b] < low else 0),
+            )
             push = min(left, (low if loads[end] < low else high) - loads[end])
             steps, start = [], end
             while pred[start] is not None:
@@ -671,8 +666,6 @@ def _balanced_assignment(table: Sequence[tuple[Sequence[Optional[int]], int]]) -
                 if not served[a][v]:
                     del served[a][v]
                 served[b][v] = served[b].get(v, 0) + push
-    if min(loads) < low:
-        return None
     return sum(table[v][0][j] * count for j, rows in enumerate(served) for v, count in rows.items())
 
 
@@ -685,29 +678,33 @@ def monroe_score(
     """Best committee satisfaction under near-equal member loads.
 
     Every member serves between ``floor(n/k)`` and ``ceil(n/k)`` voters.
-    The ``sum`` aggregator is an exact capacitated assignment;
-    ``min`` binary-searches the highest satisfaction level at which the
-    voter-member pairs that reach it still admit a balanced assignment.
+    Both aggregators are one exact capacitated assignment: ``sum`` of the
+    satisfactions, ``min`` of level weights that make the worst level
+    served dominate the total.
     """
     return _monroe_total(_satisfaction_table(p, committee, alpha, aggregator), aggregator)
 
 
 def _monroe_total(table: list[tuple[list[int], int]], aggregator: str) -> int:
-    """:func:`monroe_score` of a :func:`_satisfaction_table`."""
-    if aggregator == "sum":
-        return _balanced_assignment(table)  # never None: any voter may serve any member
+    """:func:`monroe_score` of a :func:`_satisfaction_table`.
 
-    levels = sorted({v for row, _ in table for v in row})
-    lo, hi = 0, len(levels) - 1  # levels[0] is always feasible
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        level = levels[mid]
-        allowed = [([0 if v >= level else None for v in row], count) for row, count in table]
-        if _balanced_assignment(allowed) is not None:
-            lo = mid
-        else:
-            hi = mid - 1
-    return levels[lo]
+    For ``min``, a voter served at the ``i``-th best distinct level weighs
+    ``-(n+1)**i``. No level holds more than ``n`` voters, so the cost,
+    minus the best total, has one base-``(n+1)`` digit per level, the
+    voters served there. It is least exactly when its leading digit, the
+    worst level served, is as good as any balanced assignment allows, and
+    that level is the largest ``i`` with ``(n+1)**i <= cost``.
+    """
+    if aggregator == "sum":
+        return _balanced_assignment(table)
+    n = sum(count for _, count in table)
+    levels = sorted({v for row, _ in table for v in row}, reverse=True)
+    weight = {level: -((n + 1) ** i) for i, level in enumerate(levels)}
+    cost = -_balanced_assignment([([weight[v] for v in row], count) for row, count in table])
+    worst = 0
+    while (n + 1) ** (worst + 1) <= cost:
+        worst += 1
+    return levels[worst]
 
 
 def committee_decision(

@@ -161,7 +161,7 @@ def test_c06_kt_formula_exhaustive():
             r = vl.Ranking(perm)
             assert vl.kt_formula(p, g, r) == vl.kt_profile_distance(p, r)
             checked += 1
-    report(6, f"closed-form distance == direct distance on {checked} (graph, ranking) pairs, exact rationals")
+    report(6, f"closed-form distance == direct distance on {checked} (graph, ranking) pairs, exact ints")
 
 
 def test_c07_efas_driver_equals_bruteforce():

@@ -624,9 +624,10 @@ class TestMonroeScore:
             p = random_profile(rng, 5, int(rng.integers(1, 7)))
             k = int(rng.integers(1, 4))
             committee = Committee.of(rng.choice(5, size=k, replace=False).tolist())
-            assert monroe_score(p, committee, None, "sum") <= cc_score(
-                p, committee, None, "sum"
-            )
+            for agg in ("sum", "min"):
+                assert monroe_score(p, committee, None, agg) <= cc_score(
+                    p, committee, None, agg
+                )
 
 
 
@@ -669,6 +670,40 @@ class TestMonroeCountedRows:
             assert [len(call.args[0]) for call in assign.call_args_list] == [
                 len(p.grouped)
             ] * assign.call_count
+
+    def test_min_is_one_assignment(self):
+        # Four levels, scored by one assignment.
+        p = Profile.from_counts([([0, 1, 2, 3], 40), ([3, 2, 1, 0], 25), ([1, 3, 0, 2], 7)])
+        with mock.patch.object(
+            rules_exact, "_balanced_assignment", wraps=rules_exact._balanced_assignment
+        ) as assign:
+            assert monroe_score(p, Committee.of([0, 3]), None, "min") == -4
+        assert assign.call_count == 1
+
+    @pytest.mark.parametrize(
+        "ballots, members",
+        [
+            ([[0, 1, 2]] * 3, [0]),  # a single level
+            ([[2, 0, 1], [0, 1, 2], [1, 2, 0], [0, 2, 1]], [1]),  # k = 1
+            # Both voters rank 0 first, but one must serve 2, the lowest value.
+            ([[0, 1, 2]] * 2, [0, 2]),
+        ],
+    )
+    def test_level_weights_edge_cases(self, ballots, members):
+        p, committee = Profile.of(ballots), Committee.of(members)
+        for agg in ("sum", "min"):
+            assert monroe_score(p, committee, None, agg) == monroe_brute(p, committee, agg)
+
+    @given(st.data())
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    def test_level_weights_at_large_n(self, data):
+        # Up to 8 levels at n <= 100,000: the level weights pass 64 bits.
+        p = data.draw(st_counted_profile(8, 8, 12_500))
+        committee = self.draw_committee(data, p)
+        for alpha in (None, *NON_LINEAR_ALPHAS.values()):
+            for agg in ("sum", "min"):
+                expected = monroe_lp(p, committee, agg, alpha or (lambda i: -i))
+                assert monroe_score(p, committee, alpha, agg) == expected
 
 class TestCommitteeDecision:
     def test_minimum_threshold_always_yes(self):

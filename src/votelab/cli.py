@@ -14,7 +14,7 @@ import argparse
 import json
 import sys
 from collections import Counter
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -171,11 +171,8 @@ def _cmd_reduce(args) -> int:
 
 def _cmd_experiment(args) -> int:
     cfg = ExperimentConfig.from_dict(_load_json(Path(args.config).read_text()))
-    if args.out_dir is not None:
-        cfg = replace(cfg, out_dir=args.out_dir)
     report = run_experiment(cfg)
-    out_dir = cfg.out_dir or "."
-    paths = write_report(report, out_dir)
+    paths = write_report(report, args.out_dir)
     print(f"wall clock: {report.wall_clock_seconds:.3f}s", file=sys.stderr)
     _emit({"all_pass": report.all_pass, **paths}, args.pretty)
     return EXIT_OK if report.all_pass else EXIT_VERDICT
@@ -275,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     experiment = sub.add_parser("experiment", help="run a claim verification")
     experiment.add_argument("--config", required=True)
-    experiment.add_argument("--out-dir")
+    experiment.add_argument("--out-dir", default=".")
     experiment.add_argument("--pretty", action="store_true")
     experiment.set_defaults(func=_cmd_experiment)
 
@@ -293,7 +290,7 @@ def main(argv=None) -> int:
     except ConstructionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONSTRUCTION
-    except (ValueError, OSError, KeyError, json.JSONDecodeError, MemoryError, OverflowError) as exc:
+    except (ValueError, OSError, MemoryError, OverflowError) as exc:
         # A failed allocation can raise MemoryError with no message.
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_INPUT

@@ -56,8 +56,8 @@ class Ranking:
     """A linear order over ``m`` alternatives, most-preferred first.
 
     ``order`` must be a permutation of ``{0, ..., m-1}``. Structural
-    operations accept any ``m >= 1``; voting-rule computations elsewhere
-    require ``m >= 3``.
+    operations and committee scores accept any ``m >= 1``; Dodgson, Young
+    and Kemeny need ``m >= 3``.
     """
 
     order: tuple[int, ...]
@@ -103,16 +103,12 @@ class Profile:
     Young search branches ``c + 1`` ways on a class of ``c`` ballots; the
     rest work per distinct ranking.
     Two profiles are equal when they hold the same multiset.
-    All three constructors count their input; no per-agent order is kept.
+    Both constructors count their input; no per-agent order is kept.
     """
 
     grouped: dict[Ranking, int]
     m: int
     n: int
-
-    def __init__(self, rankings: Iterable[Ranking]) -> None:
-        self.__dict__["grouped"] = dict(Counter(rankings))
-        self.__post_init__()
 
     def __post_init__(self) -> None:
         """Check each distinct ranking once and set ``m`` and ``n``."""

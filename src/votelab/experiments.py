@@ -87,7 +87,6 @@ class ExperimentConfig:
     instance: Optional[dict] = None
     pad: int = 2
     plot_data: bool = False
-    out_dir: Optional[str] = None
 
     def __post_init__(self) -> None:
         # A JSON config can carry any value, so check each field's type
@@ -129,9 +128,8 @@ class ExperimentConfig:
         return cls(**data)
 
     def to_dict(self) -> dict:
-        """Every field that shapes the results; output options stay out of the hash."""
-        output_only = ("plot_data", "out_dir")
-        return {f.name: getattr(self, f.name) for f in fields(self) if f.name not in output_only}
+        """Every field that shapes the results, and so the hash: all but ``plot_data``."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "plot_data"}
 
     def canonical_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))

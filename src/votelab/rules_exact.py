@@ -138,9 +138,7 @@ def dodgson_score_within(
     if lower > limit:
         return None
 
-    start = tuple(needed)
-    zero = (0,) * len(active)
-    frontier: dict[tuple[int, ...], int] = {start: 0}
+    frontier: dict[tuple[int, ...], int] = {tuple(needed): 0}
     expansions = 0
     for copies, options in ballots:
         for _ in range(copies):
@@ -149,12 +147,12 @@ def dodgson_score_within(
             if expansions > budget:
                 _budget_exceeded("dodgson search", budget, "expansions")
             for state, cost in snapshot:
-                if state == zero:
-                    continue
                 for k, gains in options:
                     new_cost = cost + k
                     if new_cost > limit:
-                        break  # options are sorted by cost
+                        # Options are sorted by cost. A stored zero state costs
+                        # the limit itself, so it stops at its first option.
+                        break
                     new_state = list(state)
                     for idx in gains:
                         if new_state[idx] > 0:
@@ -173,7 +171,7 @@ def dodgson_score_within(
 
     # A zero state is stored only within the limit, and a cutoff below the
     # root bound, a Condorcet winner's 0 included, has already returned.
-    return frontier.get(zero)
+    return frontier.get((0,) * len(active))
 
 
 def dodgson_score_exact(p: Profile, a: int, *, budget: int = DEFAULT_DODGSON_BUDGET) -> int:

@@ -63,7 +63,7 @@ def random_ranking(rng: np.random.Generator, m: int) -> Ranking:
 
 
 def random_profile(rng: np.random.Generator, m: int, n: int) -> Profile:
-    return Profile(tuple(random_ranking(rng, m) for _ in range(n)))
+    return Profile.from_counts((random_ranking(rng, m), 1) for _ in range(n))
 
 
 def st_pooled_profile(min_m: int, max_m: int, max_n: int, max_pool: int = 6):
@@ -648,7 +648,7 @@ def random_parameter_profiles_per_agent(seed: int, trials: int, m: int, n: int, 
         rng = np.random.default_rng(child)
         parameters = [random_ranking(rng, m) for _ in range(n)]
         ballots = tuple(sample_per_agent(model, parameter, rng) for parameter in parameters)
-        yield Profile(ballots), parameters[-1].order[-1]
+        yield Profile.from_counts((r, 1) for r in ballots), parameters[-1].order[-1]
 
 
 def partial_alt_sample_by_index(model, parameter: Ranking, rng: np.random.Generator) -> Ranking:

@@ -367,6 +367,15 @@ class TestExitCodes:
     def test_missing_file_is_input_error(self, capsys):
         assert main(["score", "dodgson", "--profile", "/nonexistent", "--alt", "0"]) == 1
 
+    def test_key_error_is_a_bug_not_input(self, monkeypatch, unanimous):
+        # No reader raises KeyError on malformed input, so main does not map it to exit 1.
+        def broken(path):
+            raise KeyError("not an input error")
+
+        monkeypatch.setattr(votelab.cli.vio, "read_profile", broken)
+        with pytest.raises(KeyError):
+            main(["score", "dodgson", "--profile", unanimous, "--alt", "0"])
+
     @pytest.mark.parametrize(
         "header, argv",
         [
@@ -900,6 +909,14 @@ class TestExperimentCommand:
         summary = json.loads(Path(result["json"]).read_text())
         jsonschema.validate(summary, load_schema("experiment_summary.schema.json"))
 
+    def test_reports_go_to_the_working_directory_by_default(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        Path("cfg.json").write_text(json.dumps(TOP_CONFIG))
+        code, result = run_cli(capsys, "experiment", "--config", "cfg.json")
+        assert code == 0
+        written = sorted(path.name for path in tmp_path.iterdir())
+        assert written == sorted(["cfg.json", result["csv"], result["json"]])
+
     def test_rows_with_varying_columns(self, capsys, tmp_path):
         # Each trial queries the bottom of its own last parameter, so rows
         # name different rivals; absent cells are written empty.
@@ -927,7 +944,7 @@ class TestExperimentCommand:
         "field, value",
         [
             ("seed", -1), ("pad", -1), ("n", 2**63 - 1), ("n", 2**63), ("trials", 0),
-            ("trials", 2**32), ("trials", 2**32 + 1), ("m", 2),
+            ("trials", 2**32), ("trials", 2**32 + 1), ("m", 2), ("out_dir", "x"),
         ],
     )
     def test_schema_accepts_exactly_what_the_config_accepts(self, field, value):
@@ -992,6 +1009,8 @@ class TestMalformedJson:
             ("experiment", {**SMALL_CONFIG, "n": 2**63}, f"'n' must be at most {2**63 - 1}, got {2**63}"),
             ("experiment", {**SMALL_CONFIG, "n": 10**30}, f"'n' must be at most {2**63 - 1}, got {10**30}"),
             ("experiment", {**TOP_CONFIG, "pad": -1}, "'pad' must be non-negative, got -1"),
+            # Reports go where --out-dir says; a config names no directory.
+            ("experiment", {**SMALL_CONFIG, "out_dir": "x"}, "unknown config keys: ['out_dir']"),
             ("sample", {"model": "alpha_ic", "alpha": True}, "'alpha' must be a number, got True"),
             ("sample", {"model": "partial_alt", "K": True}, "'K' must be a number, got True"),
             (

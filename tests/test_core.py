@@ -49,7 +49,7 @@ st_three_rankings = st_m.flatmap(
 def st_profile(max_m=5, max_n=6):
     return st.integers(3, max_m).flatmap(
         lambda m: st.lists(st_ranking(m), min_size=1, max_size=max_n).map(
-            lambda rs: Profile(tuple(rs))
+            lambda rs: Profile.from_counts((r, 1) for r in rs)
         )
     )
 
@@ -118,11 +118,11 @@ class TestKtDistance:
 
 class TestKtProfileDistance:
     def test_unanimous_zero(self):
-        assert kt_profile_distance(Profile((ABC,) * 4), ABC) == 0
+        assert kt_profile_distance(Profile.from_counts([(ABC, 4)]), ABC) == 0
 
     def test_cycle_profile(self):
         # 0 + 2 + 2, summands frozen from the pair oracle
-        p = Profile((ABC, BCA, CAB))
+        p = Profile.from_counts([(ABC, 1), (BCA, 1), (CAB, 1)])
         assert kt_profile_distance(p, ABC) == 4
 
     def test_weighted_half_reversal(self):
@@ -131,7 +131,7 @@ class TestKtProfileDistance:
 
     def test_dimension_error(self):
         with pytest.raises(DimensionError):
-            kt_profile_distance(Profile((ABC,)), Ranking.of([0, 1, 2, 3]))
+            kt_profile_distance(Profile.from_counts([(ABC, 1)]), Ranking.of([0, 1, 2, 3]))
 
 
 class TestTopK:
@@ -182,7 +182,7 @@ class TestApplyPermutation:
 
 class TestAppLast:
     def test_top_slice_recovers_input(self):
-        p = Profile((CAB, BCA))
+        p = Profile.from_counts([(CAB, 1), (BCA, 1)])
         padded = app_last(p, 2)
         for before, after in zip(voter_rankings(p), voter_rankings(padded)):
             assert after.order[: p.m] == before.order
@@ -191,17 +191,17 @@ class TestAppLast:
 
 class TestWmg:
     def test_unanimous(self):
-        graph = wmg(Profile((ABC,) * 5))
+        graph = wmg(Profile.from_counts([(ABC, 5)]))
         assert graph.margin(0, 1) == graph.margin(0, 2) == graph.margin(1, 2) == 5
 
     def test_reversal_pair_cancels(self):
-        graph = wmg(Profile((ABC, CBA)))
+        graph = wmg(Profile.from_counts([(ABC, 1), (CBA, 1)]))
         assert all(
             graph.margin(a, b) == 0 for a in range(3) for b in range(3) if a != b
         )
 
     def test_condorcet_cycle_margins(self):
-        graph = wmg(Profile((ABC, BCA, CAB)))
+        graph = wmg(Profile.from_counts([(ABC, 1), (BCA, 1), (CAB, 1)]))
         assert graph.margin(0, 1) == 1
         assert graph.margin(1, 2) == 1
         assert graph.margin(2, 0) == 1
@@ -222,26 +222,26 @@ class TestWmg:
 
 class TestCondorcetAndDeficit:
     def test_unanimous_winner(self):
-        assert condorcet_winner(Profile((CAB,) * 3)) == 2
+        assert condorcet_winner(Profile.from_counts([(CAB, 3)])) == 2
 
     def test_cycle_has_none(self):
-        assert condorcet_winner(Profile((ABC, BCA, CAB))) is None
+        assert condorcet_winner(Profile.from_counts([(ABC, 1), (BCA, 1), (CAB, 1)])) is None
 
     def test_tie_is_not_strict_majority(self):
         p = Profile.of([[0, 1, 2], [1, 0, 2]])
         assert condorcet_winner(p) is None
 
     def test_deficit_examples(self):
-        assert deficit(Profile((ABC,) * 4), 0, 1) == 0
+        assert deficit(Profile.from_counts([(ABC, 4)]), 0, 1) == 0
         assert deficit(Profile.of([[1, 0, 2]] * 3), 0, 1) == 2
         p = Profile.of([[0, 1, 2], [0, 1, 2], [1, 0, 2], [1, 0, 2]])
         assert deficit(p, 0, 1) == 1
 
     def test_deficit_rejects_equal_pair(self):
         with pytest.raises(ValueError):
-            deficit(Profile((ABC,)), 1, 1)
+            deficit(Profile.from_counts([(ABC, 1)]), 1, 1)
         with pytest.raises(ValueError):
-            deficit(Profile((ABC,)), -1, 0)
+            deficit(Profile.from_counts([(ABC, 1)]), -1, 0)
 
     @given(st_profile())
     @settings(max_examples=60, deadline=None)
@@ -332,7 +332,8 @@ class TestMarginKernel:
         expected = margins_brute(p)
         monkeypatch.setattr(core, "_KERNEL_CELLS", 3 * 6 * 6)  # three rows per step
         ballots = voter_rankings(p)
-        assert [list(row) for row in wmg(Profile(ballots)).margins] == expected
+        fresh = Profile.from_counts((r, 1) for r in ballots)
+        assert [list(row) for row in wmg(fresh).margins] == expected
         wp = WeightedProfile(tuple((r, Fraction(i + 1, 3)) for i, r in enumerate(ballots)))
         assert [list(row) for row in wmg(wp).margins] == margins_brute(wp)
 
@@ -349,19 +350,20 @@ class TestMarginKernel:
 
 class TestProfileRepresentation:
     def test_equality_is_multiset_equality(self):
-        assert Profile((ABC, CBA, ABC)) == Profile((ABC, ABC, CBA))
-        assert hash(Profile((ABC, CBA, ABC))) == hash(Profile.of([[2, 1, 0], [0, 1, 2], [0, 1, 2]]))
-        assert Profile((ABC, CBA)) != Profile((ABC, ABC))
+        p = Profile.from_counts([(ABC, 1), (CBA, 1), (ABC, 1)])
+        assert p == Profile.from_counts([(ABC, 2), (CBA, 1)])
+        assert hash(p) == hash(Profile.of([[2, 1, 0], [0, 1, 2], [0, 1, 2]]))
+        assert Profile.from_counts([(ABC, 1), (CBA, 1)]) != Profile.from_counts([(ABC, 2)])
 
     def test_not_equal_to_other_types(self):
-        p = Profile((ABC,))
+        p = Profile.from_counts([(ABC, 1)])
         assert p.__eq__(p.grouped) is NotImplemented
         assert p != p.grouped and p != ABC
 
     def test_rankings_expand_grouped(self):
-        # Every constructor counts its input and stores nothing per agent;
+        # Both constructors count their input and store nothing per agent;
         # rankings lists each ranking's copies together, first appearance first.
-        p = Profile((ABC, CBA, ABC))
+        p = Profile.from_counts([(ABC, 1), (CBA, 1), (ABC, 1)])
         assert set(vars(p)) == {"grouped", "m", "n"}
         assert p.rankings == (ABC, ABC, CBA)
         assert Profile.of([[0, 1, 2], [2, 1, 0], [0, 1, 2]]).rankings == (ABC, ABC, CBA)
@@ -374,7 +376,7 @@ class TestProfileRepresentation:
         lambda m: st.lists(st.permutations(range(m)), min_size=1, max_size=12)
     ))
     def test_constructors_and_io_agree_on_grouped_order(self, tmp_path, orders):
-        expected = list(Profile(Ranking(tuple(o)) for o in orders).grouped.items())
+        expected = list(Profile.from_counts((Ranking(tuple(o)), 1) for o in orders).grouped.items())
         assert list(Profile.of(orders).grouped.items()) == expected
         counted = Counter(map(tuple, orders)).items()
         assert list(Profile.from_counts(counted).grouped.items()) == expected
@@ -442,11 +444,16 @@ class TestDigraph:
 class TestProfileValidation:
     def test_needs_a_voter(self):
         with pytest.raises(ValueError):
-            Profile(())
+            Profile.from_counts(())
+
+    def test_no_per_voter_constructor(self):
+        # A profile is built by counting: Profile.of or Profile.from_counts.
+        with pytest.raises(TypeError):
+            Profile([ABC])
 
     def test_mixed_m_rejected(self):
         with pytest.raises(DimensionError):
-            Profile((ABC, Ranking.of([0, 1, 2, 3])))
+            Profile.from_counts([(ABC, 1), (Ranking.of([0, 1, 2, 3]), 1)])
 
     def test_weighted_needs_positive_total(self):
         with pytest.raises(ValueError):

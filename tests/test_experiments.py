@@ -77,7 +77,7 @@ class TestConfig:
     def test_hash_stable_and_path_independent(self):
         a = ExperimentConfig(claim="definitely_rate", trials=5, seed=1, m=3, n=10, model=ALPHA_IC)
         b = ExperimentConfig(
-            claim="definitely_rate", trials=5, seed=1, m=3, n=10, model=ALPHA_IC, out_dir="/tmp/x"
+            claim="definitely_rate", trials=5, seed=1, m=3, n=10, model=ALPHA_IC, plot_data=True
         )
         assert a.config_hash() == b.config_hash()
 

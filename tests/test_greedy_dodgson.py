@@ -14,7 +14,7 @@ from votelab import (
     permute_profile,
     semirandom_dodgson_decision,
 )
-from conftest import greedy_brute, random_profile, st_pooled_profile, voter_rankings
+from conftest import greedy_brute, random_profile, st_pooled_profile
 
 DEFINITE = Profile.of([[1, 0, 2], [1, 0, 2], [0, 1, 2]])
 MAYBE = Profile.of([[1, 2, 0], [1, 2, 0], [0, 1, 2]])
@@ -109,7 +109,7 @@ class TestGreedy:
             a = int(rng.integers(m))
             before = greedy_dodgson(p, a)
             supporter = Ranking(tuple([a] + [x for x in range(m) if x != a]))
-            grown = Profile(voter_rankings(p) + [supporter])
+            grown = Profile.from_counts([*p.grouped.items(), (supporter, 1)])
             after = greedy_dodgson(grown, a)
             for b in range(m):
                 if b != a:

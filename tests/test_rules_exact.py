@@ -630,6 +630,17 @@ class TestMonroeScore:
                 )
 
 
+def test_committee_scores_take_one_or_two_alternatives(rng):
+    # Only Dodgson, Young and Kemeny need m >= 3; a committee score is defined for any m >= 1.
+    for m in (1, 2):
+        for _ in range(30):
+            p = random_profile(rng, m, int(rng.integers(1, 7)))
+            k = int(rng.integers(1, m + 1))
+            committee = Committee.of(rng.choice(m, size=k, replace=False).tolist())
+            for agg in ("sum", "min"):
+                assert cc_score(p, committee, None, agg) == cc_brute(p, committee, agg)
+                assert monroe_score(p, committee, None, agg) == monroe_brute(p, committee, agg)
+
 
 class TestMonroeCountedRows:
     """The assignment places counted rankings, many voters per augmenting path."""

@@ -22,6 +22,7 @@ without the root bound.
 from __future__ import annotations
 
 import functools
+import heapq
 import itertools
 import math
 import operator
@@ -549,14 +550,17 @@ class Committee:
 
 def _satisfaction_table(
     p: Profile, committee: Committee, alpha: Optional[Callable[[int], int]], aggregator: str
-) -> list[tuple[list[int], int]]:
+) -> list[tuple[tuple[int, ...], int]]:
     """Satisfaction for each member, members in sorted order, with its voter count.
 
-    One row per distinct ranking of ``p``. ``alpha`` maps 1-based ballot
-    positions to integers and must strictly decrease over ``1..m``; it
-    defaults to ``-i`` at position ``i``. It takes only the position, not
-    ``m``, so appending alternatives at the bottom of every ballot leaves
-    each member's satisfaction, and so every committee score, unchanged.
+    One row per distinct satisfaction vector, counting every voter whose
+    ranking gives it, in order of first appearance in ``p``, so a
+    ``k``-committee has at most ``m!/(m-k)!`` rows. ``alpha`` maps 1-based
+    ballot positions to integers and must strictly decrease over ``1..m``;
+    it defaults to ``-i`` at position ``i``. It takes only the position,
+    not ``m``, so appending alternatives at the bottom of every ballot
+    leaves each member's satisfaction, and so every committee score,
+    unchanged.
     """
     members = sorted(committee.members)
     for c in members:
@@ -568,7 +572,11 @@ def _satisfaction_table(
             raise ValueError(f"positional scores must strictly decrease (at {i})")
     if aggregator not in ("sum", "min"):
         raise ValueError(f"unknown aggregator {aggregator!r}")
-    return [([alpha(r.position(c) + 1) for c in members], count) for r, count in p.grouped.items()]
+    table: dict[tuple[int, ...], int] = {}
+    for r, count in p.grouped.items():
+        values = tuple(alpha(r.position(c) + 1) for c in members)
+        table[values] = table.get(values, 0) + count
+    return list(table.items())
 
 
 def cc_score(
@@ -586,7 +594,7 @@ def cc_score(
     return _cc_total(_satisfaction_table(p, committee, alpha, aggregator), aggregator)
 
 
-def _cc_total(table: list[tuple[list[int], int]], aggregator: str) -> int:
+def _cc_total(table: list[tuple[tuple[int, ...], int]], aggregator: str) -> int:
     """:func:`cc_score` of a :func:`_satisfaction_table`."""
     if aggregator == "sum":
         return sum(max(row) * count for row, count in table)
@@ -605,7 +613,10 @@ def _balanced_assignment(table: Sequence[tuple[Sequence[int], int]]) -> int:
     member, which may pass voters of one row on to another, and so on
     until a member with free slots takes them. Bellman-Ford finds the
     path over the ``k`` members; the edge ``a -> b`` moves the row at
-    ``a`` that gains most from ``b``. A path carries its bottleneck: the
+    ``a`` that gains most from ``b``. That row tops a heap kept per
+    ordered member pair, of ``(values[a] - values[b], row)`` pushed when
+    the row gains voters at ``a``; a row no longer served at ``a`` is
+    popped when it reaches the top. A path carries its bottleneck: the
     new row's unplaced voters, each moved row's voters at its member, and
     the end member's slots up to ``floor(n/k)``, or to ``ceil(n/k)`` once
     that is met. A member's first ``floor(n/k)`` slots each earn a bonus
@@ -619,19 +630,27 @@ def _balanced_assignment(table: Sequence[tuple[Sequence[int], int]]) -> int:
     values = [v for row, _ in table for v in row]
     bonus = n * (max(values) - min(values)) + 1
     served: list[dict[int, int]] = [{} for _ in range(k)]  # row index -> voters
+    heaps: list[list[list[tuple[int, int]]]] = [[[] for _ in range(k)] for _ in range(k)]
     loads = [0] * k
+
+    def serve(a: int, v: int, voters: int) -> None:
+        if v not in served[a]:
+            served[a][v] = 0
+            for b, there in enumerate(table[v][0]):
+                if b != a:
+                    heapq.heappush(heaps[a][b], (table[v][0][a] - there, v))
+        served[a][v] += voters
+
     for i, (row, left) in enumerate(table):
         while left:
-            # moves[a][b]: (gain, row) of the best single move from a to b
+            # moves[a][b]: (loss, row) of the best single move from a to b
             moves: list[list[Optional[tuple[int, int]]]] = [[None] * k for _ in range(k)]
             for a in range(k):
-                for v in served[a]:
-                    here = table[v][0][a]
-                    for b, there in enumerate(table[v][0]):
-                        if b != a:
-                            gain = there - here
-                            if moves[a][b] is None or gain > moves[a][b][0]:
-                                moves[a][b] = (gain, v)
+                for b, heap in enumerate(heaps[a]):
+                    while heap and heap[0][1] not in served[a]:
+                        heapq.heappop(heap)
+                    if heap:
+                        moves[a][b] = heap[0]
             value = list(row)
             pred: list[Optional[tuple[int, int]]] = [None] * k
             for _ in range(k - 1):
@@ -639,8 +658,8 @@ def _balanced_assignment(table: Sequence[tuple[Sequence[int], int]]) -> int:
                 for a in range(k):
                     for b in range(k):
                         move = moves[a][b]
-                        if move is not None and value[a] + move[0] > value[b]:
-                            value[b] = value[a] + move[0]
+                        if move is not None and value[a] - move[0] > value[b]:
+                            value[b] = value[a] - move[0]
                             pred[b] = (a, move[1])
                             changed = True
                 if not changed:
@@ -658,12 +677,12 @@ def _balanced_assignment(table: Sequence[tuple[Sequence[int], int]]) -> int:
                 start = a
             loads[end] += push
             left -= push
-            served[start][i] = served[start].get(i, 0) + push
+            serve(start, i, push)
             for a, v, b in steps:
                 served[a][v] -= push
                 if not served[a][v]:
                     del served[a][v]
-                served[b][v] = served[b].get(v, 0) + push
+                serve(b, v, push)
     return sum(table[v][0][j] * count for j, rows in enumerate(served) for v, count in rows.items())
 
 
@@ -683,7 +702,7 @@ def monroe_score(
     return _monroe_total(_satisfaction_table(p, committee, alpha, aggregator), aggregator)
 
 
-def _monroe_total(table: list[tuple[list[int], int]], aggregator: str) -> int:
+def _monroe_total(table: list[tuple[tuple[int, ...], int]], aggregator: str) -> int:
     """:func:`monroe_score` of a :func:`_satisfaction_table`.
 
     For ``min``, a voter served at the ``i``-th best distinct level weighs

@@ -9,8 +9,9 @@ Young oracle solves an integer program over kept ballots with SciPy, the
 Kemeny oracle enumerates all rankings or solves an integer program over
 pairwise orders with SciPy, the Kemeny block table is the subset DP as a
 plain loop, the assignment oracles enumerate raw assignment functions,
-solve a slot-replicated linear assignment with SciPy, or solve a
-transportation LP over the distinct rankings with SciPy, the
+solve a slot-replicated linear assignment with SciPy, solve a
+transportation LP over the distinct rankings with SciPy, or rescan every
+served row for the best moves of each augmenting path, the
 pairwise-disagreement and margin oracles count pairs ballot by ballot (or
 distinct ballot by distinct ballot, times its count), and the
 random-parameter sampler, the padded parameter profile and the
@@ -29,7 +30,7 @@ import itertools
 import math
 from collections import deque
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 import pytest
@@ -612,6 +613,84 @@ def monroe_lp(
         if result.status == 0:
             return int(level)
     raise AssertionError("the lowest level admits every assignment")
+
+
+def balanced_assignment_rescan(table: Sequence[tuple[Sequence[int], int]]) -> int:
+    """Best total over assignments of voters to members with near-equal loads.
+
+    The package's assignment as it was before its per-pair heaps: every
+    augmentation rebuilds the table of best single moves from every row
+    served, so it is quadratic in rows.
+
+    ``table`` holds ``(values, count)`` rows: ``count`` voters valuing
+    member ``j`` at ``values[j]``.
+    Every member serves between ``floor(n/k)`` and ``ceil(n/k)`` voters.
+
+    Rows are placed one at a time along longest augmenting paths of the
+    flow network (successive shortest paths): the new row's voters join a
+    member, which may pass voters of one row on to another, and so on
+    until a member with free slots takes them. Bellman-Ford finds the
+    path over the ``k`` members; the edge ``a -> b`` moves the row at
+    ``a`` that gains most from ``b``. A path carries its bottleneck: the
+    new row's unplaced voters, each moved row's voters at its member, and
+    the end member's slots up to ``floor(n/k)``, or to ``ceil(n/k)`` once
+    that is met. A member's first ``floor(n/k)`` slots each earn a bonus
+    larger than any difference between two totals, so the lower loads are
+    met first. Any voter may serve any member, so while voters remain
+    some member has a free slot, and every member ends with at least
+    ``floor(n/k)`` voters.
+    """
+    n, k = sum(count for _, count in table), len(table[0][0])
+    low, high = n // k, -(-n // k)
+    values = [v for row, _ in table for v in row]
+    bonus = n * (max(values) - min(values)) + 1
+    served: list[dict[int, int]] = [{} for _ in range(k)]  # row index -> voters
+    loads = [0] * k
+    for i, (row, left) in enumerate(table):
+        while left:
+            # moves[a][b]: (gain, row) of the best single move from a to b
+            moves: list[list[Optional[tuple[int, int]]]] = [[None] * k for _ in range(k)]
+            for a in range(k):
+                for v in served[a]:
+                    here = table[v][0][a]
+                    for b, there in enumerate(table[v][0]):
+                        if b != a:
+                            gain = there - here
+                            if moves[a][b] is None or gain > moves[a][b][0]:
+                                moves[a][b] = (gain, v)
+            value = list(row)
+            pred: list[Optional[tuple[int, int]]] = [None] * k
+            for _ in range(k - 1):
+                changed = False
+                for a in range(k):
+                    for b in range(k):
+                        move = moves[a][b]
+                        if move is not None and value[a] + move[0] > value[b]:
+                            value[b] = value[a] + move[0]
+                            pred[b] = (a, move[1])
+                            changed = True
+                if not changed:
+                    break
+            end = max(
+                (b for b in range(k) if loads[b] < high),
+                key=lambda b: value[b] + (bonus if loads[b] < low else 0),
+            )
+            push = min(left, (low if loads[end] < low else high) - loads[end])
+            steps, start = [], end
+            while pred[start] is not None:
+                a, v = pred[start]
+                steps.append((a, v, start))
+                push = min(push, served[a][v])
+                start = a
+            loads[end] += push
+            left -= push
+            served[start][i] = served[start].get(i, 0) + push
+            for a, v, b in steps:
+                served[a][v] -= push
+                if not served[a][v]:
+                    del served[a][v]
+                served[b][v] = served[b].get(v, 0) + push
+    return sum(table[v][0][j] * count for j, rows in enumerate(served) for v, count in rows.items())
 
 
 def sample_per_agent(model, parameter: Ranking, rng: np.random.Generator) -> Ranking:

@@ -1337,3 +1337,22 @@ class TestConsoleEntryPoint:
         )
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout) == {"decision": "yes"}
+
+
+def test_monroe_on_100000_ballots(tmp_path):
+    # At most 720 distinct rankings: the assignment places each distinct
+    # satisfaction vector with its count, so the ballots score in well under
+    # the timeout.
+    ballots = np.random.default_rng(20261019).permuted(np.tile(np.arange(6), (100_000, 1)), axis=1)
+    lines = ["6 100000", *(" ".join(map(str, row)) for row in ballots.tolist())]
+    path = tmp_path / "monroe.profile"
+    path.write_text("\n".join(lines) + "\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(votelab.__file__).resolve().parents[1])}
+    for extra, expected in (([], '{"score": -175299}'), (["--aggregator", "min"], '{"score": -4}')):
+        proc = subprocess.run(
+            [sys.executable, "-m", "votelab", "score", "monroe",
+             "--profile", str(path), "--committee", "0,2,4", *extra],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.rstrip("\n") == expected

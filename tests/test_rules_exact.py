@@ -37,6 +37,7 @@ from votelab import (
     young_score_exact,
 )
 from conftest import (
+    balanced_assignment_rescan,
     cc_brute,
     dodgson_ilp,
     dodgson_lift_dp,
@@ -681,6 +682,44 @@ class TestMonroeCountedRows:
             assert [len(call.args[0]) for call in assign.call_args_list] == [
                 len(p.grouped)
             ] * assign.call_count
+
+    def test_assignment_reads_one_row_per_distinct_satisfaction_vector(self):
+        # All 720 rankings of six alternatives give a 2-committee's 30 position pairs.
+        p = Profile.from_counts((order, 1) for order in itertools.permutations(range(6)))
+        assert len(p.grouped) == 720
+        for agg in ("sum", "min"):
+            with mock.patch.object(
+                rules_exact, "_balanced_assignment", wraps=rules_exact._balanced_assignment
+            ) as assign:
+                monroe_score(p, Committee.of([1, 4]), None, agg)
+            assert [len(call.args[0]) for call in assign.call_args_list] == [30]
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_heaps_match_the_rescan(self, data):
+        # Raw tables that repeat value vectors; merging their rows keeps the total.
+        k = data.draw(st.integers(1, 5))
+        vectors = data.draw(st.lists(st.tuples(*[st.integers(-5, 5)] * k), min_size=1, max_size=4))
+        table = data.draw(
+            st.lists(st.tuples(st.sampled_from(vectors), st.integers(1, 30)), min_size=1, max_size=12)
+        )
+        merged: dict = {}
+        for values, count in table:
+            merged[values] = merged.get(values, 0) + count
+        for agg in ("sum", "min"):
+            with mock.patch.object(rules_exact, "_balanced_assignment", balanced_assignment_rescan):
+                expected = rules_exact._monroe_total(table, agg)
+            assert rules_exact._monroe_total(table, agg) == expected
+            assert rules_exact._monroe_total(list(merged.items()), agg) == expected
+
+    def test_matches_transportation_lp_past_5000_rankings(self):
+        # 6,000 uniform ballots over 8 alternatives: 5,553 distinct rankings.
+        ballots = np.random.default_rng(20261020).permuted(np.tile(np.arange(8), (6000, 1)), axis=1)
+        p = Profile.of(ballots.tolist())
+        assert len(p.grouped) >= 5000
+        committee = Committee.of([1, 2, 4, 7])
+        for agg in ("sum", "min"):
+            assert monroe_score(p, committee, None, agg) == monroe_lp(p, committee, agg)
 
     def test_min_is_one_assignment(self):
         # Four levels, scored by one assignment.

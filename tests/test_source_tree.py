@@ -13,8 +13,9 @@ import votelab
 import votelab.experiments
 
 SRC = Path(votelab.__file__).resolve().parent
-PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+PYPROJECT = ROOT / "pyproject.toml"
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 def test_no_assert_statements_in_package():
@@ -168,3 +169,15 @@ def test_no_pragma_no_cover_in_package():
         if re.search(r"pragma:\s*no\s*cover", line)
     ]
     assert found == []
+
+
+def test_every_python_file_parses_as_python_3_10():
+    # pyproject.toml declares requires-python >=3.10.
+    paths = [
+        path
+        for tree in ("src", "tests", "perfbench", "scripts")
+        for path in sorted((ROOT / tree).rglob("*.py"))
+    ]
+    assert len(paths) > 0
+    for path in paths:
+        ast.parse(path.read_text(), str(path), feature_version=(3, 10))

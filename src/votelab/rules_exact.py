@@ -64,22 +64,17 @@ def _budget_exceeded(solver: str, budget: int, unit: str) -> NoReturn:
 # Dodgson
 
 
-def _lift_options(r: Ranking, a: int, active_index: dict[int, int]) -> list[tuple[int, tuple[int, ...]]]:
+def _lift_options(r: Ranking, a: int, active_index: dict[int, int]) -> list[tuple[int, int]]:
     """Useful lift amounts for one ballot.
 
     Lifting ``a`` by ``k`` passes the ``k`` alternatives directly above
     it. Only lifts whose last passed alternative still owes a vote are
     kept; any other lift is dominated by the next smaller useful one.
-    Returns (cost, gained active indices) pairs, cheapest first.
+    Returns (cost, active index of the last passed alternative) pairs,
+    cheapest first, so the j-th option gains the indices of the first j.
     """
     above = r.order[: r.position(a)][::-1]  # nearest to a first
-    options: list[tuple[int, tuple[int, ...]]] = []
-    gained: list[int] = []
-    for k, passed in enumerate(above, start=1):
-        if passed in active_index:
-            gained.append(active_index[passed])
-            options.append((k, tuple(gained)))
-    return options
+    return [(k, active_index[b]) for k, b in enumerate(above, start=1) if b in active_index]
 
 
 def dodgson_score_within(
@@ -95,11 +90,18 @@ def dodgson_score_within(
     every branch whose swaps-so-far plus still-missing votes overshoot,
     which makes decision queries on large reduction profiles cheap.
 
-    No completion costs less than the root bound: each lifted copy gains
-    at most ``len(gains)`` votes for ``k`` swaps, so the missing votes
-    take at least their number times the cheapest ``k / len(gains)``,
+    No completion costs less than the root bound: a lift of ``k`` swaps
+    that passes ``g`` active rivals gains at most ``g`` votes, so the
+    missing votes take at least their number times the cheapest ``k / g``,
     rounded up. A cutoff below it returns ``None`` with no expansion, and
     the first completion stored at it is returned at once.
+
+    Each lifted copy expands every stored state by every option of its
+    ballot. The options pass one more active rival each, so one running
+    copy of the state yields all its successors, one decrement apiece, and
+    each state stores its still-missing votes next to its cost. Expansion
+    counts, and so every ``budget`` boundary, are those of building each
+    successor afresh.
     """
     _require_rule_scale(p, a)
 
@@ -123,7 +125,7 @@ def dodgson_score_within(
     # lowers the limit to its cost.
     limit = sum(against) if cutoff is None else min(sum(against), cutoff)
 
-    ballots: list[tuple[int, list[tuple[int, tuple[int, ...]]]]] = []
+    ballots: list[tuple[int, list[tuple[int, int]]]] = []
     for r, count in p.grouped.items():
         options = _lift_options(r, a, active_index)
         if options:
@@ -131,15 +133,21 @@ def dodgson_score_within(
             # never help; each lifted ballot must close at least one gap.
             ballots.append((min(count, total_needed), options))
 
-    # Root bound, in integers: the cheapest ceil(total_needed * k / len(gains)).
+    # Root bound, in integers: the cheapest ceil(total_needed * k / g), where
+    # the g-th option of a ballot passes g active rivals.
     lower = min(
-        (-(-total_needed * k // len(gains)) for _, options in ballots for k, gains in options),
+        (
+            -(-total_needed * k // g)
+            for _, options in ballots
+            for g, (k, _) in enumerate(options, start=1)
+        ),
         default=0,
     )
     if lower > limit:
         return None
 
-    frontier: dict[tuple[int, ...], int] = {tuple(needed): 0}
+    # Each state maps to its cost and its still-missing votes.
+    frontier: dict[tuple[int, ...], tuple[int, int]] = {tuple(needed): (0, total_needed)}
     expansions = 0
     for copies, options in ballots:
         for _ in range(copies):
@@ -147,24 +155,28 @@ def dodgson_score_within(
             expansions += len(snapshot) * len(options)
             if expansions > budget:
                 _budget_exceeded("dodgson search", budget, "expansions")
-            for state, cost in snapshot:
-                for k, gains in options:
+            for state, (cost, remaining) in snapshot:
+                # One running copy: each option's successor is the one
+                # before it with one more passed rival's vote taken off.
+                new_state = list(state)
+                for k, idx in options:
                     new_cost = cost + k
                     if new_cost > limit:
                         # Options are sorted by cost. A stored zero state costs
                         # the limit itself, so it stops at its first option.
                         break
-                    new_state = list(state)
-                    for idx in gains:
-                        if new_state[idx] > 0:
-                            new_state[idx] -= 1
-                    remaining = sum(new_state)
+                    if not new_state[idx]:
+                        # The successor before it, or the state itself, at a
+                        # higher cost: already stored cheaper, or pruned.
+                        continue
+                    new_state[idx] -= 1
+                    remaining -= 1
                     if new_cost + remaining > limit:
                         continue
                     key = tuple(new_state)
                     old = frontier.get(key)
-                    if old is None or new_cost < old:
-                        frontier[key] = new_cost
+                    if old is None or new_cost < old[0]:
+                        frontier[key] = (new_cost, remaining)
                         if remaining == 0:
                             if new_cost == lower:
                                 return new_cost
@@ -172,7 +184,8 @@ def dodgson_score_within(
 
     # A zero state is stored only within the limit, and a cutoff below the
     # root bound, a Condorcet winner's 0 included, has already returned.
-    return frontier.get((0,) * len(active))
+    done = frontier.get((0,) * len(active))
+    return None if done is None else done[0]
 
 
 def dodgson_score_exact(p: Profile, a: int, *, budget: int = DEFAULT_DODGSON_BUDGET) -> int:

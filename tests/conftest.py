@@ -53,6 +53,13 @@ from votelab import (
 
 DEFAULT_BFS_STATE_BUDGET = 2_000_000
 
+# 39 uniform ballots over 8 alternatives. Run to its last copy, the Dodgson
+# DP for alternative 1 passes the default budget; the stop at the root bound
+# answers its score, 34.
+DODGSON_M8_BALLOTS = (
+    np.random.default_rng(0).permuted(np.tile(np.arange(8), (39, 1)), axis=1).tolist()
+)
+
 
 def voter_rankings(p: Profile) -> list[Ranking]:
     """``p.grouped`` expanded into one ranking per voter, each ranking's copies together."""

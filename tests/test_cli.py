@@ -29,7 +29,7 @@ from votelab.cli import main
 from votelab.experiments import ExperimentConfig
 from votelab import io as vio
 from votelab import rules_exact
-from conftest import random_profile
+from conftest import DODGSON_M8_BALLOTS, random_profile
 
 SCHEMAS = Path(__file__).resolve().parent.parent / "src" / "votelab" / "schemas"
 
@@ -1352,6 +1352,27 @@ def test_monroe_on_100000_ballots(tmp_path):
         proc = subprocess.run(
             [sys.executable, "-m", "votelab", "score", "monroe",
              "--profile", str(path), "--committee", "0,2,4", *extra],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.rstrip("\n") == expected
+
+
+def test_dodgson_on_39_uniform_ballots_over_8_alternatives(tmp_path):
+    # The DP stops at its first completion that meets the root bound; run to
+    # its last copy, this query passes the default budget and exits 2. The
+    # decision is yes at the score and no one below it.
+    path = tmp_path / "dodgson.profile"
+    vio.write_ballots(DODGSON_M8_BALLOTS, path)
+    env = {**os.environ, "PYTHONPATH": str(Path(votelab.__file__).resolve().parents[1])}
+    for extra, expected in (
+        ([], '{"score": 34}'),
+        (["--threshold", "34"], '{"decision": "yes", "score": 34}'),
+        (["--threshold", "33"], '{"decision": "no", "score": 34}'),
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-m", "votelab", "score", "dodgson",
+             "--profile", str(path), "--alt", "1", *extra],
             capture_output=True, text=True, env=env, timeout=60,
         )
         assert proc.returncode == 0, proc.stderr

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -37,6 +38,7 @@ from votelab import (
     young_score_exact,
 )
 from conftest import (
+    DODGSON_M8_BALLOTS,
     balanced_assignment_rescan,
     cc_brute,
     dodgson_ilp,
@@ -103,6 +105,11 @@ def st_near_consensus_profile(draw, min_m, max_m, max_n, max_swaps=2):
     return Profile.of(ballots)
 
 
+@functools.cache
+def x3c_q6_instances():
+    return list(enumerate_x3c_instances(6, 6))
+
+
 def st_counted_profile(max_m, max_distinct, max_count):
     """Profiles of at most ``max_distinct`` rankings, each with ``1..max_count`` copies."""
     return st.integers(3, max_m).flatmap(
@@ -155,7 +162,7 @@ class TestDodgsonExact:
         assert dodgson_score_within(p, a, cutoff) == dodgson_within_ilp(p, a, cutoff)
 
     def test_matches_lift_count_ilp_on_reduction_profiles(self):
-        instances = list(enumerate_x3c_instances(6, 6))
+        instances = x3c_q6_instances()
         picks = np.random.default_rng(20261018).choice(len(instances), 24, replace=False)
         for i in picks.tolist():
             out = x3c_to_dodgson(instances[i])
@@ -163,13 +170,24 @@ class TestDodgsonExact:
             for cutoff in (None, out.threshold):
                 assert dodgson_score_within(p, a, cutoff) == dodgson_within_ilp(p, a, cutoff)
 
-    @given(st_counted_profile(7, 8, 5), st.data())
+    @given(
+        st.one_of(
+            st_counted_profile(7, 8, 5).flatmap(
+                lambda p: st.tuples(st.just(p), st.integers(0, p.m - 1))
+            ),
+            # Exact-cover reductions repeat their balancing and booster
+            # ballots, so the DP lifts many copies of one ballot type.
+            st.deferred(lambda: st.sampled_from(x3c_q6_instances()))
+            .map(x3c_to_dodgson)
+            .map(lambda out: (out.profile, out.critical)),
+        )
+    )
     @settings(max_examples=150, deadline=None, derandomize=True)
-    def test_matches_the_dp_without_root_bound(self, p, data):
+    def test_matches_the_dp_without_root_bound(self, query):
         # The root bound and the stop at it only answer earlier: the same
         # answer at every cutoff, within the expansions the DP made without
         # them, and a cutoff below the bound needs none.
-        a = data.draw(st.integers(0, p.m - 1), label="a")
+        p, a = query
         score, expansions = dodgson_lift_dp(p, a, None)
         assert dodgson_score_within(p, a, None, budget=expansions) == score
         lower = dodgson_root_bound(p, a)
@@ -263,10 +281,9 @@ class TestDodgsonExact:
         assert dodgson_score_within(M6_PINNED, 0, 2, budget=0) is None
 
     def test_profile_past_the_dp_without_root_bound(self):
-        # 39 uniform ballots over 8 alternatives: without the stop at the
-        # root bound this query passes the default 5,000,000 expansions.
-        ballots = np.random.default_rng(0).permuted(np.tile(np.arange(8), (39, 1)), axis=1)
-        p = Profile.of(ballots.tolist())
+        # Without the stop at the root bound this query passes the default
+        # 5,000,000 expansions.
+        p = Profile.of(DODGSON_M8_BALLOTS)
         assert dodgson_score_exact(p, 1) == 34 == dodgson_ilp(p, 1)
 
     def test_rejects_small_m(self):
@@ -671,28 +688,29 @@ class TestMonroeCountedRows:
                 expected = monroe_lp(p, committee, agg, alpha or (lambda i: -i))
                 assert monroe_score(p, committee, alpha, agg) == expected
 
-    def test_assignment_reads_one_row_per_distinct_ranking(self):
-        p = Profile.from_counts([([0, 1, 2, 3], 40), ([3, 2, 1, 0], 25), ([1, 3, 0, 2], 7)])
-        for agg in ("sum", "min"):
-            with mock.patch.object(
-                rules_exact, "_balanced_assignment", wraps=rules_exact._balanced_assignment
-            ) as assign:
-                monroe_score(p, Committee.of([0, 3]), None, agg)
-            assert assign.call_count >= 1
-            assert [len(call.args[0]) for call in assign.call_args_list] == [
-                len(p.grouped)
-            ] * assign.call_count
-
     def test_assignment_reads_one_row_per_distinct_satisfaction_vector(self):
-        # All 720 rankings of six alternatives give a 2-committee's 30 position pairs.
-        p = Profile.from_counts((order, 1) for order in itertools.permutations(range(6)))
-        assert len(p.grouped) == 720
-        for agg in ("sum", "min"):
-            with mock.patch.object(
-                rules_exact, "_balanced_assignment", wraps=rules_exact._balanced_assignment
-            ) as assign:
-                monroe_score(p, Committee.of([1, 4]), None, agg)
-            assert [len(call.args[0]) for call in assign.call_args_list] == [30]
+        inputs = [
+            (
+                Profile.from_counts([([0, 1, 2, 3], 40), ([3, 2, 1, 0], 25), ([1, 3, 0, 2], 7)]),
+                Committee.of([0, 3]),
+                3,
+            ),
+            # All 720 rankings of six alternatives give a 2-committee's 30 position pairs.
+            (
+                Profile.from_counts((order, 1) for order in itertools.permutations(range(6))),
+                Committee.of([1, 4]),
+                30,
+            ),
+        ]
+        for p, committee, rows in inputs:
+            members = sorted(committee.members)
+            assert len({tuple(r.position(c) for c in members) for r in p.grouped}) == rows
+            for agg in ("sum", "min"):
+                with mock.patch.object(
+                    rules_exact, "_balanced_assignment", wraps=rules_exact._balanced_assignment
+                ) as assign:
+                    monroe_score(p, committee, None, agg)
+                assert [len(call.args[0]) for call in assign.call_args_list] == [rows]
 
     @given(st.data())
     @settings(max_examples=200, deadline=None, derandomize=True)

@@ -20,16 +20,22 @@ per-agent bodies of each model (:func:`sample_per_agent`), not the
 package's ``sample_orders``; the partial-alternative sampler indexes its
 tail through a drawn permutation. The Eulerian digraph oracle builds and
 tests every orientation of every pair.
-Expected values in tests are frozen from these.
+Expected values in tests are frozen from these. :func:`run_python` runs
+the package, or a script, in a child interpreter.
 """
 
 from __future__ import annotations
 
+import hashlib
 import heapq
 import itertools
 import math
+import os
+import subprocess
+import sys
 from collections import deque
 from fractions import Fraction
+from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -38,6 +44,7 @@ from hypothesis import strategies as st
 from scipy import sparse
 from scipy.optimize import Bounds, LinearConstraint, linear_sum_assignment, linprog, milp
 
+import votelab
 from votelab import (
     AlphaIC,
     BudgetExceededError,
@@ -53,12 +60,39 @@ from votelab import (
 
 DEFAULT_BFS_STATE_BUDGET = 2_000_000
 
+# The directory the tests import votelab from; child interpreters import it from there too.
+SRC = Path(votelab.__file__).resolve().parents[1]
+
 # 39 uniform ballots over 8 alternatives. Run to its last copy, the Dodgson
 # DP for alternative 1 passes the default budget; the stop at the root bound
 # answers its score, 34.
 DODGSON_M8_BALLOTS = (
     np.random.default_rng(0).permuted(np.tile(np.arange(8), (39, 1)), axis=1).tolist()
 )
+
+
+def run_python(*argv) -> subprocess.CompletedProcess:
+    """``python *argv`` in a child interpreter with :data:`SRC` as its ``PYTHONPATH``.
+
+    Stdout and stderr are captured as text; a child still running after a
+    60 s timeout is killed and raises ``subprocess.TimeoutExpired``.
+    """
+    return subprocess.run(
+        [sys.executable, *map(str, argv)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        timeout=60,
+    )
+
+
+def report_digest(paths: dict) -> str:
+    """SHA-256 over each written file's name and bytes, files in key order."""
+    digest = hashlib.sha256()
+    for key in sorted(paths):
+        path = Path(paths[key])
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    return digest.hexdigest()
 
 
 def voter_rankings(p: Profile) -> list[Ranking]:

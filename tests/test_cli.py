@@ -1,11 +1,9 @@
 import dataclasses
 import hashlib
+import importlib.metadata
 import itertools
 import json
-import os
 import re
-import subprocess
-import sys
 import types
 from fractions import Fraction
 from pathlib import Path
@@ -24,12 +22,13 @@ from votelab import (
     TopBreakNoise,
     WeightedProfile,
     X3CInstance,
+    efas_bruteforce,
 )
 from votelab.cli import main
 from votelab.experiments import ExperimentConfig
 from votelab import io as vio
 from votelab import rules_exact
-from conftest import DODGSON_M8_BALLOTS, random_profile
+from conftest import DODGSON_M8_BALLOTS, random_profile, report_digest, run_python
 
 SCHEMAS = Path(__file__).resolve().parent.parent / "src" / "votelab" / "schemas"
 
@@ -1297,43 +1296,39 @@ class TestConsoleEntryPoint:
     def test_import_loads_neither_networkx_nor_scipy(self):
         # Keeps CLI start-up cheap and the runtime dependencies at numpy:
         # Monroe scoring needs no graph library, and scipy is a test dependency.
-        src = Path(votelab.__file__).resolve().parents[1]
         code = (
             "import sys, votelab.cli; "
             "from votelab import Committee, Profile, monroe_score; "
             "monroe_score(Profile.of([[0, 1, 2]] * 4), Committee.of([0, 1]), None, 'min'); "
             "print(sorted({m.split('.')[0] for m in sys.modules} & {'networkx', 'scipy'}))"
         )
-        proc = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True,
-            env={**os.environ, "PYTHONPATH": str(src)},
-        )
+        proc = run_python("-c", code)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
     def test_module_invocation(self, tmp_path):
         path = tmp_path / "p.profile"
         vio.write_profile(Profile.of([[0, 1, 2]]), path)
-        proc = subprocess.run(
-            [sys.executable, "-m", "votelab.cli", "score", "dodgson",
-             "--profile", str(path), "--alt", "0"],
-            capture_output=True, text=True,
-        )
+        proc = run_python("-m", "votelab.cli", "score", "dodgson", "--profile", path, "--alt", "0")
         assert proc.returncode == 0
         assert json.loads(proc.stdout) == {"score": 0}
 
+    def test_console_script_loads_main(self):
+        # The `votelab` command pip installs from [project.scripts] resolves
+        # its target the way this entry point's load() does.
+        tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
+        with (Path(__file__).resolve().parents[1] / "pyproject.toml").open("rb") as handle:
+            scripts = tomllib.load(handle)["project"]["scripts"]
+        assert list(scripts) == ["votelab"]
+        entry = importlib.metadata.EntryPoint("votelab", scripts["votelab"], "console_scripts")
+        assert entry.load() is main
+
     def test_package_invocation(self, cycle_graph):
-        src = Path(votelab.__file__).resolve().parents[1]
-        env = {**os.environ, "PYTHONPATH": str(src)}
-        proc = subprocess.run(
-            [sys.executable, "-m", "votelab", "--help"], capture_output=True, text=True, env=env
-        )
+        proc = run_python("-m", "votelab", "--help")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith("usage: votelab")
-        proc = subprocess.run(
-            [sys.executable, "-m", "votelab", "reduce", "efas-check",
-             "--input", cycle_graph, "--threshold", "1"],
-            capture_output=True, text=True, env=env,
+        proc = run_python(
+            "-m", "votelab", "reduce", "efas-check", "--input", cycle_graph, "--threshold", "1"
         )
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout) == {"decision": "yes"}
@@ -1347,12 +1342,9 @@ def test_monroe_on_100000_ballots(tmp_path):
     lines = ["6 100000", *(" ".join(map(str, row)) for row in ballots.tolist())]
     path = tmp_path / "monroe.profile"
     path.write_text("\n".join(lines) + "\n")
-    env = {**os.environ, "PYTHONPATH": str(Path(votelab.__file__).resolve().parents[1])}
     for extra, expected in (([], '{"score": -175299}'), (["--aggregator", "min"], '{"score": -4}')):
-        proc = subprocess.run(
-            [sys.executable, "-m", "votelab", "score", "monroe",
-             "--profile", str(path), "--committee", "0,2,4", *extra],
-            capture_output=True, text=True, env=env, timeout=60,
+        proc = run_python(
+            "-m", "votelab", "score", "monroe", "--profile", path, "--committee", "0,2,4", *extra
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.rstrip("\n") == expected
@@ -1364,16 +1356,57 @@ def test_dodgson_on_39_uniform_ballots_over_8_alternatives(tmp_path):
     # decision is yes at the score and no one below it.
     path = tmp_path / "dodgson.profile"
     vio.write_ballots(DODGSON_M8_BALLOTS, path)
-    env = {**os.environ, "PYTHONPATH": str(Path(votelab.__file__).resolve().parents[1])}
     for extra, expected in (
         ([], '{"score": 34}'),
         (["--threshold", "34"], '{"decision": "yes", "score": 34}'),
         (["--threshold", "33"], '{"decision": "no", "score": 34}'),
     ):
-        proc = subprocess.run(
-            [sys.executable, "-m", "votelab", "score", "dodgson",
-             "--profile", str(path), "--alt", "1", *extra],
-            capture_output=True, text=True, env=env, timeout=60,
+        proc = run_python(
+            "-m", "votelab", "score", "dodgson", "--profile", path, "--alt", "1", *extra
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.rstrip("\n") == expected
+
+
+def test_feedback_arcs_on_the_circulant_digraph_over_8_vertices(tmp_path):
+    # Arcs u -> u+1, u+2, u+3 (mod 8): an Eulerian digraph whose least
+    # feedback arc set has 6 arcs. One below that, the Kemeny decision packs
+    # all 112 directed 3-cycles and 420 4-cycles of m=8 before its table
+    # answers no.
+    g = Digraph.of(8, [(u, (u + k) % 8) for u in range(8) for k in (1, 2, 3)])
+    least = next(t for t in range(g.edge_count + 1) if efas_bruteforce(g, t))
+    assert least == 6
+    path = tmp_path / "efas8.digraph"
+    vio.write_digraph(g, path)
+    for threshold, expected in ((least, '{"decision": "yes"}'), (least - 1, '{"decision": "no"}')):
+        proc = run_python(
+            "-m", "votelab", "reduce", "efas-check", "--input", path, "--threshold", threshold
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.rstrip("\n") == expected
+
+
+# The config text as written for the cover driver at pad 4: one Dodgson
+# query on the reduction profile decides every matched draw of the run.
+COVER_PAD4_CONFIG = """\
+{"claim": "cover_driver", "trials": 1000, "seed": 20261018, "pad": 4,
+       "instance": {"q": 6, "subsets": [[0, 1, 2], [2, 3, 4], [0, 4, 5], [1, 3, 5]]},
+       "model": {"model": "partial_alt", "K": "m1"}}
+"""
+
+
+def test_cover_driver_at_pad_4(tmp_path):
+    jsonschema.Draft202012Validator(load_schema("experiment_config.schema.json")).validate(
+        json.loads(COVER_PAD4_CONFIG)
+    )
+    config = tmp_path / "cover_pad4.json"
+    config.write_text(COVER_PAD4_CONFIG)
+    out = tmp_path / "cover"
+    proc = run_python("-m", "votelab", "experiment", "--config", config, "--out-dir", out)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["all_pass"] is True
+    written = {path.name: path for path in out.iterdir()}
+    assert len(written) == 2
+    assert report_digest(written) == (
+        "d37a7e34cc500178ed286a8176335939d76bafa49f2ca93766994b6c4edf53c5"
+    )

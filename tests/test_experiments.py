@@ -1,9 +1,5 @@
-import hashlib
 import json
 import math
-import os
-import subprocess
-import sys
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -40,6 +36,8 @@ from conftest import (
     adjacent_brute,
     greedy_brute,
     random_parameter_profiles_per_agent,
+    report_digest,
+    run_python,
     sample_orders_per_agent,
     votes_brute,
 )
@@ -671,15 +669,6 @@ def pinned_ids(entries) -> list[str]:
     return ids
 
 
-def report_digest(paths: dict) -> str:
-    """SHA-256 over each written file's name and bytes, files in key order."""
-    digest = hashlib.sha256()
-    for key in sorted(paths):
-        path = Path(paths[key])
-        digest.update(path.name.encode() + b"\0" + path.read_bytes())
-    return digest.hexdigest()
-
-
 @pytest.mark.parametrize(
     "config, expected",
     PINNED_REPORTS,
@@ -690,23 +679,33 @@ def test_seeded_report_bytes_pinned(tmp_path, config, expected):
     assert report_digest(paths) == expected
 
 
-# Taken from the per-trial SeedSequence spawn, before trial seeding was vectorized.
-RUN_CLAIMS_DIGEST = "5b5f8143f2914dca60dafd6eec1e6296c227b417f7ff53d37cda1c0efdd18a13"
+RUN_CLAIMS_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "run_claims.py"
 
 
-def test_run_claims_script_bytes_pinned(tmp_path):
-    """Every file ``scripts/run_claims.py`` writes at 40 trials, pinned by one digest."""
-    script = Path(__file__).resolve().parents[1] / "scripts" / "run_claims.py"
-    src = Path(experiments.__file__).resolve().parents[1]
-    proc = subprocess.run(
-        [sys.executable, str(script), "--trials", "40", "--seed", "20261018",
-         "--out-dir", str(tmp_path)],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
-    )
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        # Taken from the per-trial SeedSequence spawn, before trial seeding was vectorized.
+        (
+            ["--trials", "40", "--seed", "20261018"],
+            "5b5f8143f2914dca60dafd6eec1e6296c227b417f7ff53d37cda1c0efdd18a13",
+        ),
+        # The acceptance-scale run: the default 10,000 trials. Every run
+        # matches the pin, so two runs write the same bytes.
+        (
+            ["--seed", "20260810"],
+            "a13da65fafd21d84e49b26946730869bdf97326285185f6be1afad9b11142ef1",
+        ),
+    ],
+    ids=["40-trials-seed-20261018", "default-trials-seed-20260810"],
+)
+def test_run_claims_script_bytes_pinned(tmp_path, argv, expected):
+    """Every file ``scripts/run_claims.py`` writes, pinned by one digest."""
+    proc = run_python(RUN_CLAIMS_SCRIPT, *argv, "--out-dir", tmp_path)
     assert proc.returncode == 0, proc.stderr
     written = {path.name: path for path in tmp_path.iterdir()}
     assert len(written) == 12
-    assert report_digest(written) == RUN_CLAIMS_DIGEST
+    assert report_digest(written) == expected
 
 
 @pytest.mark.parametrize(
@@ -715,14 +714,10 @@ def test_run_claims_script_bytes_pinned(tmp_path):
     ids=["trials", "seed", "out_dir_is_a_file"],
 )
 def test_run_claims_script_rejects_bad_arguments(tmp_path, argv):
-    script = Path(__file__).resolve().parents[1] / "scripts" / "run_claims.py"
-    src = Path(experiments.__file__).resolve().parents[1]
     taken = tmp_path / "file"
     taken.write_text("")
-    proc = subprocess.run(
-        [sys.executable, str(script), "--out-dir", str(tmp_path / "out"),
-         *(arg.format(file=taken) for arg in argv)],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+    proc = run_python(
+        RUN_CLAIMS_SCRIPT, "--out-dir", tmp_path / "out", *(arg.format(file=taken) for arg in argv)
     )
     assert proc.returncode == 1
     assert proc.stderr.startswith("error:")

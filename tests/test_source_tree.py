@@ -16,6 +16,7 @@ SRC = Path(votelab.__file__).resolve().parent
 ROOT = Path(__file__).resolve().parents[1]
 PYPROJECT = ROOT / "pyproject.toml"
 TRACER = ROOT / "perfbench" / "tracer.py"
+WORKFLOW = ROOT / ".github" / "workflows" / "tests.yml"
 
 
 def test_no_assert_statements_in_package():
@@ -101,22 +102,33 @@ def test_every_private_function_has_a_src_caller():
     assert sorted(where for name, where in private.items() if name not in referenced) == []
 
 
-def test_third_party_imports_are_the_declared_dependencies():
-    tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
-    with PYPROJECT.open("rb") as handle:
-        declared = {
-            re.match(r"[A-Za-z0-9_.-]+", spec).group().lower()
-            for spec in tomllib.load(handle)["project"]["dependencies"]
-        }
+def _third_party_imports(*trees: str) -> set:
+    """Top-level names imported by the Python files under ``trees``, less the
+    standard library, votelab and the tests' ``conftest``."""
     imported = set()
-    for path in sorted(SRC.rglob("*.py")):
+    for path in (path for tree in trees for path in sorted((ROOT / tree).rglob("*.py"))):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.Import):
                 imported.update(alias.name.split(".")[0] for alias in node.names)
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
                 imported.add(node.module.split(".")[0])
-    third_party = imported - set(sys.stdlib_module_names) - {"votelab"}
-    assert third_party == declared
+    return imported - set(sys.stdlib_module_names) - {"votelab", "conftest"}
+
+
+def test_third_party_imports_are_the_declared_dependencies():
+    # CI installs only ".[test]": the package imports its dependencies, and
+    # the tests and scripts those plus the test extra.
+    tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
+    with PYPROJECT.open("rb") as handle:
+        project = tomllib.load(handle)["project"]
+
+    def names(specs) -> set:
+        return {re.match(r"[A-Za-z0-9_.-]+", spec).group().lower() for spec in specs}
+
+    runtime = names(project["dependencies"])
+    assert _third_party_imports("src") == runtime
+    test = runtime | names(project["optional-dependencies"]["test"])
+    assert _third_party_imports("src", "tests", "scripts") == test
 
 
 def _function_bindings() -> dict:
@@ -181,3 +193,17 @@ def test_every_python_file_parses_as_python_3_10():
     assert len(paths) > 0
     for path in paths:
         ast.parse(path.read_text(), str(path), feature_version=(3, 10))
+
+
+def test_every_ci_check_is_a_tier_1_test():
+    # CI adds to the tier-1 suite only the benchmark harness's own steps; a
+    # check written into the workflow alone would be run by no one else.
+    # Each step's first line, "- name: ...", "- uses: ..." or "- run: ...",
+    # in the order of the jobs: tests, then numpy-floor.
+    setup = ["actions/checkout@v4", "actions/setup-python@v5", "Install", "Tier-1 tests"]
+    assert re.findall(r"^      - \w+: (.*)$", WORKFLOW.read_text(), re.M) == [
+        *setup,
+        "Benchmark harness tests",
+        "Benchmark harness smoke, traced, every answer checked",
+        *setup,
+    ]

@@ -292,12 +292,12 @@ def _report(cfg, started, rows, flags, checks, frequencies, bounds) -> TrialRepo
 def _trial_tallies(cfg: ExperimentConfig) -> tuple[list[int], np.ndarray]:
     """Each uniform-noise trial's target and its ``2m`` greedy tallies, one row per trial.
 
-    The config needs ``m``, ``n`` and an alpha-IC model at or above the
-    regime floor ``1 - 1/m``. A trial's row is its ballot counts times the
-    target's tally table (:func:`~votelab.greedy_dodgson._tally_table`):
-    columns ``b`` count the voters ranking ``b`` over the target, columns
-    ``m + b`` the ballots with ``b`` directly above it. No :class:`Profile`
-    is built.
+    The config needs ``m``, ``n``, no ``pad`` but the default, and an
+    alpha-IC model at or above the regime floor ``1 - 1/m``. A trial's row
+    is its ballot counts times the target's tally table
+    (:func:`~votelab.greedy_dodgson._tally_table`): columns ``b`` count the
+    voters ranking ``b`` over the target, columns ``m + b`` the ballots
+    with ``b`` directly above it. No :class:`Profile` is built.
 
     ``shared_bottom`` puts every agent on the ascending ranking and queries
     its bottom alternative. Every score in play depends only on the ballot
@@ -313,6 +313,9 @@ def _trial_tallies(cfg: ExperimentConfig) -> tuple[list[int], np.ndarray]:
         raise ValueError("this claim needs explicit m and n")
     if cfg.instance is not None:
         raise ValueError("this claim reads no exact-cover instance")
+    # No reduction is padded: another pad would change the hash, not the rows.
+    if cfg.pad != ExperimentConfig.pad:
+        raise ValueError("this claim reads no config field 'pad'")
     m, n = cfg.m, cfg.n
     model = model_from_spec(cfg.model, m)
     if not isinstance(model, AlphaIC):

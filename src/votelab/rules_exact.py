@@ -278,20 +278,23 @@ def _blocks_by_size(m: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     return bits, tuple(blocks[sizes == size] for size in range(2, m + 1))
 
 
-def _subset_table(wrong: np.ndarray) -> np.ndarray:
+def _subset_table(wrong: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Subset DP over all ``2**k`` blocks of a ``k x k`` disagreement matrix.
 
-    Entry ``B`` is the best internal disagreement of block ``B``. A
-    block's best order puts some member ``x`` first, at the cost of
-    ``x``'s disagreements with the rest of the block plus the rest's own
-    best. Blocks of one size read only smaller blocks, so each size is
-    solved in vectorized slices of at most ``_LAYER_SLICE`` blocks.
+    Entry ``B`` of ``best`` is the best internal disagreement of block
+    ``B``. A block's best order puts some member ``x`` first, at the cost
+    of ``x``'s disagreements with the rest of the block plus the rest's
+    own best; entry ``B`` of ``first`` is the smallest such ``x``. Blocks
+    of one size read only smaller blocks, so each size is solved in
+    vectorized slices of at most ``_LAYER_SLICE`` blocks.
     """
     k = len(wrong)
     bits, layers = _blocks_by_size(k)
     best = np.full(1 << k, _UNSOLVED, dtype=np.int64)
+    first = np.zeros(1 << k, dtype=np.int8)
     best[0] = 0
     best[bits] = 0
+    first[bits] = np.arange(k)
     for layer in layers:
         for start in range(0, len(layer), _LAYER_SLICE):
             blocks = layer[start : start + _LAYER_SLICE, None]
@@ -299,8 +302,10 @@ def _subset_table(wrong: np.ndarray) -> np.ndarray:
             # x is a member exactly when dropping its bit shrinks the block;
             # for any other x, rest is a larger block, still _UNSOLVED.
             cost = (rest < blocks) @ wrong.T + best[rest]
-            best[blocks[:, 0]] = cost.min(1)
-    return best
+            pick = cost.argmin(1)  # the first minimum: the smallest member
+            best[blocks[:, 0]] = np.take_along_axis(cost, pick[:, None], 1)[:, 0]
+            first[blocks[:, 0]] = pick
+    return best, first
 
 
 def _majority_components(margins: Sequence[Sequence[int]]) -> list[list[int]]:
@@ -338,13 +343,13 @@ class _KemenyTables:
     """A profile's Kemeny tables: one per majority-graph component.
 
     ``parts`` holds each component's members, ascending, with its
-    :func:`_subset_table` over local bits (bit ``i`` is ``members[i]``),
-    in chain order. ``score`` is the optimum: each part's optimum plus
-    the disagreements of the pairs between parts, which every optimal
-    ranking fixes.
+    :func:`_subset_table` ``best`` and ``first`` over local bits (bit
+    ``i`` is ``members[i]``), in chain order. ``score`` is the optimum:
+    each part's optimum plus the disagreements of the pairs between
+    parts, which every optimal ranking fixes.
     """
 
-    parts: tuple[tuple[tuple[int, ...], np.ndarray], ...]
+    parts: tuple[tuple[tuple[int, ...], np.ndarray, np.ndarray], ...]
     wrong: np.ndarray
     score: int
 
@@ -366,10 +371,10 @@ def _kemeny_block_table(p: Profile) -> _KemenyTables:
     parts, cross, start = [], 0, 0
     for members in components:
         end = start + len(members)
-        parts.append((tuple(members), _subset_table(chained[start:end, start:end])))
+        parts.append((tuple(members), *_subset_table(chained[start:end, start:end])))
         cross += chained[start:end, end:].sum()  # this part above every later one
         start = end
-    return _KemenyTables(tuple(parts), wrong, int(cross + sum(best[-1] for _, best in parts)))
+    return _KemenyTables(tuple(parts), wrong, int(cross + sum(best[-1] for _, best, _ in parts)))
 
 
 def _require_kemeny_budget(p: Profile, budget: int) -> None:
@@ -405,22 +410,16 @@ def kemeny_best(p: Profile, *, budget: int = DEFAULT_KEMENY_BUDGET) -> tuple[Ran
     Ties broken toward the lexicographically smallest ranking. Every
     optimal ranking keeps the majority-graph components in chain order,
     so this is each component's lexicographically smallest optimal
-    order, concatenated.
+    order, concatenated: each block's ``first`` member, then the rest's.
     """
     tables = _kemeny_table(p, budget)
     order: list[int] = []
-    for members, best in tables.parts:
-        # the walk below reads single entries: Python ints are faster
-        wrong = tables.wrong[np.ix_(members, members)].tolist()
+    for members, best, first in tables.parts:
         subset = len(best) - 1
         while subset:
-            local = [i for i in range(len(members)) if subset >> i & 1]
-            for i in local:  # ascending: first hit is lexicographically smallest
-                rest = subset & ~(1 << i)
-                if best[rest] + sum(wrong[i][j] for j in local if j != i) == best[subset]:
-                    order.append(members[i])
-                    subset = rest
-                    break
+            i = int(first[subset])  # an int8 would overflow the shift
+            order.append(members[i])
+            subset &= ~(1 << i)
     return Ranking(tuple(order)), tables.score
 
 
@@ -437,7 +436,7 @@ def kemeny_score_of_alternative(p: Profile, a: int, *, budget: int = DEFAULT_KEM
     tables = _kemeny_table(p, budget)
     wrong = tables.wrong
     above: list[int] = []  # members of the components before a's
-    for members, best in tables.parts:  # a is in range, so some component holds it
+    for members, best, _ in tables.parts:  # a is in range, so some component holds it
         if a in members:
             break
         above += members

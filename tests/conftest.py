@@ -501,19 +501,41 @@ def kemeny_ilp(p: Profile, top: Optional[int] = None) -> tuple[Ranking, int]:
     return Ranking(order), constant + int(round(cost @ x))
 
 
-def kemeny_table_loop(p: Profile) -> list[int]:
-    """Best internal disagreement of every block of alternatives, one block at a time."""
+def kemeny_table_loop(p: Profile) -> tuple[list[int], list[int]]:
+    """Best internal disagreement of every block of alternatives, one block at a time,
+    and the smallest member that a best order of the block puts first (0 when empty)."""
     m = p.m
     ballots = voter_rankings(p)
     wrong = [[sum(1 for r in ballots if r.prefers(y, x)) for y in range(m)] for x in range(m)]
-    best = [0] * (1 << m)
+    best, first = [0] * (1 << m), [0] * (1 << m)
     for block in range(1, 1 << m):
         members = [x for x in range(m) if block >> x & 1]
-        best[block] = min(
-            best[block & ~(1 << x)] + sum(wrong[x][y] for y in members)
-            for x in members
-        )
-    return best
+        costs = [best[block & ~(1 << x)] + sum(wrong[x][y] for y in members) for x in members]
+        best[block] = min(costs)
+        first[block] = members[costs.index(best[block])]
+    return best, first
+
+
+def kemeny_order_resummed(tables) -> Ranking:
+    """Each component's lexicographically smallest optimal order, re-derived from its ``best``.
+
+    At each step the walk re-sums every member's disagreements with the
+    rest of the block and takes the smallest member whose sum plus the
+    rest's best meets the block's best, without reading ``first``.
+    """
+    order: list[int] = []
+    for members, best, _ in tables.parts:
+        wrong = tables.wrong[np.ix_(members, members)].tolist()
+        subset = len(best) - 1
+        while subset:
+            local = [i for i in range(len(members)) if subset >> i & 1]
+            for i in local:  # ascending: first hit is lexicographically smallest
+                rest = subset & ~(1 << i)
+                if best[rest] + sum(wrong[i][j] for j in local if j != i) == best[subset]:
+                    order.append(members[i])
+                    subset = rest
+                    break
+    return Ranking(tuple(order))
 
 
 def kemeny_alt_brute(p: Profile, a: int) -> int:

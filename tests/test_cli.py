@@ -297,7 +297,7 @@ class TestScoreCommand:
         # alternatives, with alternative 0 in the third.
         p = random_profile(np.random.default_rng(20261039), 12, 25)
         parts = rules_exact._kemeny_block_table(p).parts
-        assert [len(members) for members, _ in parts] == [1, 1, 6, 4] and 0 in parts[2][0]
+        assert [len(members) for members, _, _ in parts] == [1, 1, 6, 4] and 0 in parts[2][0]
         path = tmp_path / "split.profile"
         vio.write_profile(p, path)
         argv = ["score", "kemeny", "--profile", str(path), "--alt", "0", "--threshold", threshold]
@@ -1114,6 +1114,8 @@ class TestMalformedJson:
                 {**SMALL_CONFIG, "instance": {"q": 3, "subsets": [[0, 1, 2]]}},
                 "this claim reads no exact-cover instance",
             ),
+            # Nor do they pad a reduction: only the default pad, in every hash.
+            ("experiment", {**SMALL_CONFIG, "pad": 5}, "reads no config field 'pad'"),
             (
                 "experiment",
                 {key: value for key, value in SMALL_CONFIG.items() if key != "seed"},

@@ -86,6 +86,10 @@ class TestGreedy:
             p = random_profile(rng, m, int(rng.integers(1, 10)))
             a = int(rng.integers(m))
             result = greedy_dodgson(p, a)
+            # Greedy's score and the DP's root bound are one statement: the
+            # deficit sum, below which the DP answers with no expansion.
+            assert result.score == sum(deficit(p, a, b) for b in range(m) if b != a)
+            assert dodgson_score_within(p, a, result.score - 1, budget=0) is None
             if result.is_definite:
                 assert dodgson_score_within(p, a, result.score) == result.score
             else:

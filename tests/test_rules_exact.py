@@ -50,6 +50,7 @@ from conftest import (
     kemeny_alt_brute,
     kemeny_brute,
     kemeny_ilp,
+    kemeny_order_resummed,
     kemeny_table_loop,
     margins_brute,
     monroe_brute,
@@ -447,20 +448,20 @@ class TestKemeny:
                 if k in reach[x]:
                     reach[x] |= reach[k]
         components = {tuple(y for y in sorted(reach[x]) if x in reach[y]) for x in range(p.m)}
-        assert [members for members, _ in tables.parts] == sorted(
+        assert [members for members, _, _ in tables.parts] == sorted(
             components, key=lambda members: -len(reach[members[0]])
         )
         # Each component's table is the whole table of p restricted to that
         # component; the components' optima plus the pairs between them,
         # earlier component above, make the optimum of p's whole table.
-        full = kemeny_table_loop(p)
+        full, _ = kemeny_table_loop(p)
         placed, total = [], 0
-        for members, best in tables.parts:
+        for members, best, first in tables.parts:
             local = {x: i for i, x in enumerate(members)}
             restricted = Profile.from_counts(
                 ([local[x] for x in r.order if x in local], count) for r, count in p.grouped.items()
             )
-            assert best.tolist() == kemeny_table_loop(restricted)
+            assert (best.tolist(), first.tolist()) == kemeny_table_loop(restricted)
             total += best[-1] + sum(
                 count for r, count in p.grouped.items() for x in placed for y in members if r.prefers(y, x)
             )
@@ -469,6 +470,29 @@ class TestKemeny:
         assert type(score) is int and score == tables.score == total == full[-1]
         assert all(type(x) is int for x in ranking.order)
         assert type(kemeny_score_of_alternative(p, ranking.order[0])) is int
+
+    @given(st.one_of(st_profile(3, 12, 25), st_near_consensus_profile(3, 12, 25)))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_ranking_matches_the_resummed_walk(self, p):
+        # The ranking read off each block's first member is the one the
+        # walk finds by re-summing disagreements over the best table alone.
+        assert kemeny_best(p)[0] == kemeny_order_resummed(rules_exact._kemeny_block_table(p))
+
+    @given(
+        st.integers(3, 9).flatmap(
+            lambda m: st.lists(st.permutations(range(m)), min_size=1, max_size=6)
+        )
+    )
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    def test_all_tie_profiles_give_the_identity(self, orders):
+        # Each ballot comes with its reversal, so every pair ties, every
+        # ranking costs half of each pair's votes, and every block's first
+        # member is its smallest.
+        p = Profile.of([*orders, *(order[::-1] for order in orders)])
+        ranking, score = kemeny_best(p)
+        assert ranking == Ranking(tuple(range(p.m)))
+        assert ranking == kemeny_order_resummed(rules_exact._kemeny_block_table(p))
+        assert score == p.n * math.comb(p.m, 2) // 2
 
     @given(st_pooled_profile(3, 10, 30))
     @settings(max_examples=60, deadline=None)

@@ -207,3 +207,24 @@ def test_every_ci_check_is_a_tier_1_test():
         "Benchmark harness smoke, traced, every answer checked",
         *setup,
     ]
+
+
+def test_readme_budget_table_states_the_default_budgets():
+    # The --budget table's default column, row by row, is the code's: a
+    # changed default that leaves the table behind fails here.
+    from votelab import rules_exact
+
+    text = (ROOT / "README.md").read_text()
+    table = text[text.index("| solver | unit | default |") :].split("\n\n")[0]
+    stated = []
+    for row in table.splitlines()[2:]:
+        cells = [cell.strip() for cell in row.split("|")]
+        power, digits = re.match(r"2\^(\d+)|([\d,]+)", cells[-2]).groups()
+        default = 2 ** int(power) if power else int(digits.replace(",", ""))
+        stated.append((cells[1].split()[0], default))
+    assert stated == [
+        ("Dodgson", rules_exact.DEFAULT_DODGSON_BUDGET),
+        ("Young", rules_exact.DEFAULT_YOUNG_BUDGET),
+        ("Kemeny", rules_exact.DEFAULT_KEMENY_BUDGET),
+        ("CC/Monroe", rules_exact.DEFAULT_COMMITTEE_BUDGET),
+    ]
